@@ -18,17 +18,18 @@ from .grid import (CoefficientProfile, Domain, Grid3D, constant_profile,
 from .stencil import (SchemeKind, StencilCoefficients, coefficient_table,
                       coefficients_convdiff, coefficients_for,
                       coefficients_fourth, coefficients_second,
-                      coefficients_sixth, eigenvalue)
+                      coefficients_sixth)
 from .assembly import (BoundaryData, Field3D, SourceSpec, apply_stencil,
                        build_rhs, fold_dirichlet, residual_l2)
-from .spectral import (TransformPlan, dst2d, dst2d_reference, make_plan,
-                       transform_stack)
-from .tridiag import SpectralSystem, assemble_system, solve_all, solve_system
-from .solver import (PER_LINE_BATCH, PER_PLANE, ExchangePlan, Partitioned,
-                     PartitionPlan, PhaseTimings, Sequential, SharedWorkers,
-                     SolverConfig, exchange_forward, exchange_inverse,
-                     make_exchange_plan, make_partition_plan, plan_partition,
-                     solve_direct, solve_discrete, solve_with_timings)
+from .spectral import TransformPlan, dst2d, make_plan, transform_stack
+from .tridiag import solve_all
+from .oracle import (SpectralSystem, assemble_system, dst2d_reference,
+                     eigenvalue, solve_system)
+from .solver import (ExchangePlan, Partitioned, PartitionPlan, PhaseTimings,
+                     Sequential, SharedWorkers, SolverConfig, exchange_forward,
+                     exchange_inverse, make_exchange_plan, make_partition_plan,
+                     plan_partition, solve_direct, solve_discrete,
+                     solve_with_timings)
 from .problems import (ProblemSpec, convdiff_problem, error_metrics,
                        helmholtz_problem)
 from .harness import (MetricsRow, emit_table, run_convergence, run_scaling)

@@ -20,8 +20,7 @@ from .errors import SingularSystemError
 from .harness import (emit_table, make_problem, measure, run_convergence,
                       run_scaling)
 from .oracle import dense_solve
-from .solver import (PER_LINE_BATCH, PER_PLANE, Partitioned, Sequential,
-                     SharedWorkers, SolverConfig)
+from .solver import Partitioned, Sequential, SharedWorkers, SolverConfig
 from .stencil import SchemeKind
 
 _SCHEMES = {"2": SchemeKind.SECOND_ORDER, "4": SchemeKind.FOURTH_ORDER,
@@ -57,7 +56,6 @@ def _build_parser():
         p.add_argument("--mode", choices=["seq", "shared", "partitioned"], default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--parts", type=int, default=None)
-        p.add_argument("--transform", choices=[PER_PLANE, PER_LINE_BATCH], default=None)
         p.add_argument("--format", dest="fmt", choices=["csv", "md"], default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="key=value defaults file")
@@ -106,8 +104,6 @@ def _defaults(args):
         args.workers = 1
     if args.parts is None:
         args.parts = 1
-    if args.transform is None:
-        args.transform = PER_PLANE
     if args.fmt is None:
         args.fmt = "csv"
     return args
@@ -133,7 +129,7 @@ def _solver_config(args):
         mode = SharedWorkers(args.workers)
     else:
         mode = Partitioned(args.parts, args.workers)
-    return SolverConfig(mode=mode, transform_parallelism=args.transform)
+    return SolverConfig(mode=mode)
 
 
 def _print_rows(rows):
@@ -193,8 +189,7 @@ def _cmd_scaling(args):
     counts = ([int(tok) for tok in args.worker_list.split(",")]
               if args.worker_list else [1, args.workers])
     mode = "partitioned" if args.mode == "partitioned" else "shared"
-    rows = run_scaling(scheme, args.problem, _grid_size(args), counts, mode=mode,
-                       transform_parallelism=args.transform)
+    rows = run_scaling(scheme, args.problem, _grid_size(args), counts, mode=mode)
     _print_rows(rows)
     base = rows[0].total_s
     for count, row in zip(counts, rows):

@@ -106,7 +106,7 @@ def run_convergence(scheme: SchemeKind, problem_id: str, grid_sizes,
 
 
 def run_scaling(scheme: SchemeKind, problem_id: str, n: int, worker_counts,
-                mode: str = "shared", transform_parallelism="per-plane"):
+                mode: str = "shared"):
     """Timing rows for a ladder of worker counts; output must not depend on them.
 
     mode "shared" treats the counts as shared-memory worker counts,
@@ -123,7 +123,7 @@ def run_scaling(scheme: SchemeKind, problem_id: str, n: int, worker_counts,
             m = Sequential() if w == 1 else Partitioned(w)
         else:
             raise ValueError(f"unknown scaling mode {mode!r}")
-        config = SolverConfig(mode=m, transform_parallelism=transform_parallelism)
+        config = SolverConfig(mode=m)
         problem = make_problem(problem_id, scheme, n)
         row, solution = measure(problem, config, label_suffix=f"/w{w}")
         if reference is None:

@@ -1,15 +1,20 @@
-"""Dense reference assembly and solves for small grids.
+"""Reference implementations: dense assembly and solves for small grids.
 
-Everything here is written as plain nested loops over the stencil so it shares
-no code path with the matrix-free application, the sine transform, or the
-Thomas sweeps it is used to verify. Intended for grids up to ~8^3 (the full
+Everything here is written as plain loops over the stencil, dense kernels or
+one mode at a time, so it shares no code path with the matrix-free
+application, the fast sine transform, or the batched Thomas sweeps it is used
+to verify. The dense matrices are intended for grids up to ~8^3 (the full
 matrix is (n_x n_y n_z)^2).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from .errors import SingularSystemError
 from .grid import CoefficientProfile, Grid3D
 from .stencil import SchemeKind, StencilCoefficients, coefficients_for
+from .tridiag import PIVOT_RTOL
 
 _NEIGHBORS = (
     # (di, dj, weight picker)
@@ -112,3 +117,99 @@ def dense_sine_matrix(n: int) -> np.ndarray:
 def dense_sine_matrix_2d(n_x: int, n_y: int) -> np.ndarray:
     """2D eigenvector matrix in x-fastest vector order (kron of 1D kernels)."""
     return np.kron(dense_sine_matrix(n_y), dense_sine_matrix(n_x))
+
+
+def dst2d_reference(plan, plane: np.ndarray) -> np.ndarray:
+    """Dense O(N^2)-per-line evaluation of the 2D sine transform of one plane."""
+    if plane.shape != (plan.n_y, plan.n_x):
+        raise ValueError(f"plane shape {plane.shape} != plan ({plan.n_y}, {plan.n_x})")
+    return dense_sine_matrix(plan.n_y) @ plane @ dense_sine_matrix(plan.n_x)
+
+
+def eigenvalue(coeffs: StencilCoefficients, level_offset: int, n: int, m: int,
+               grid: Grid3D) -> complex:
+    """Eigenvalue of the level's plane operator for sine mode (n, m), 1-based.
+
+    The plane operator with weights (a, b, c, d) acting on the interior grid
+    has eigenvectors sin(pi n i / (n_x + 1)) sin(pi m j / (n_y + 1)) and
+    eigenvalues
+
+        4 a cos(pi n / (n_x+1)) cos(pi m / (n_y+1))
+          + 2 b cos(pi n / (n_x+1)) + 2 c cos(pi m / (n_y+1)) + d.
+    """
+    if not 1 <= n <= grid.n_x:
+        raise IndexError(f"mode n={n} outside 1..{grid.n_x}")
+    if not 1 <= m <= grid.n_y:
+        raise IndexError(f"mode m={m} outside 1..{grid.n_y}")
+    a, b, c, d = coeffs.level(level_offset)
+    cx = np.cos(np.pi * n / (grid.n_x + 1))
+    cy = np.cos(np.pi * m / (grid.n_y + 1))
+    return 4.0 * a * cx * cy + 2.0 * b * cx + 2.0 * c * cy + d
+
+
+@dataclass(frozen=True)
+class SpectralSystem:
+    """Tridiagonal system for one sine-mode pair (n, m), rows l = 1..n_z.
+
+    sub[l-1] couples to level l-1 (unused in the first row), diag[l-1] to
+    level l, sup[l-1] to level l+1 (unused in the last row). Each entry comes
+    from the coefficients generated at its own row, so the bands are not
+    constant when the coefficient varies with z.
+    """
+
+    n: int
+    m: int
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+
+
+def assemble_system(n: int, m: int, scheme: SchemeKind, profile: CoefficientProfile,
+                    grid: Grid3D) -> SpectralSystem:
+    """Spectral system for mode (n, m), both 1-based."""
+    n_z = grid.n_z
+    sub = np.zeros(n_z, dtype=complex)
+    diag = np.zeros(n_z, dtype=complex)
+    sup = np.zeros(n_z, dtype=complex)
+    for l in range(1, n_z + 1):
+        cf = coefficients_for(scheme, profile, grid, l)
+        if l > 1:
+            sub[l - 1] = eigenvalue(cf, -1, n, m, grid)
+        diag[l - 1] = eigenvalue(cf, 0, n, m, grid)
+        if l < n_z:
+            sup[l - 1] = eigenvalue(cf, +1, n, m, grid)
+    return SpectralSystem(n=n, m=m, sub=sub, diag=diag, sup=sup)
+
+
+def solve_system(system: SpectralSystem, rhs: np.ndarray) -> np.ndarray:
+    """Thomas forward elimination / back substitution for one system."""
+    n_z = len(system.diag)
+    rhs = np.asarray(rhs, dtype=complex)
+    if rhs.shape != (n_z,):
+        raise ValueError(f"rhs length {rhs.shape} != system size {n_z}")
+
+    scale = max(
+        np.abs(system.sub).max(), np.abs(system.diag).max(), np.abs(system.sup).max()
+    )
+    if scale == 0.0:
+        raise SingularSystemError("all-zero system", n=system.n, m=system.m)
+    cp = np.zeros(n_z, dtype=complex)
+    x = rhs.copy()
+    denom = system.diag[0]
+    for l in range(n_z):
+        if l > 0:
+            denom = system.diag[l] - system.sub[l] * cp[l - 1]
+        if abs(denom) < PIVOT_RTOL * scale:
+            raise SingularSystemError(
+                f"vanishing pivot at row {l + 1} (|pivot|={abs(denom):.3e})",
+                n=system.n, m=system.m,
+            )
+        if l < n_z - 1:
+            cp[l] = system.sup[l] / denom
+        if l > 0:
+            x[l] = (x[l] - system.sub[l] * x[l - 1]) / denom
+        else:
+            x[l] = x[l] / denom
+    for l in range(n_z - 2, -1, -1):
+        x[l] -= cp[l] * x[l + 1]
+    return x

@@ -5,23 +5,25 @@ transform of every z-plane, solve the decoupled tridiagonal systems along z,
 inverse transform. The modes differ only in how the work is distributed:
 
 - Sequential: one thread does everything.
-- SharedWorkers(w): w threads split planes (or line batches) and mode pencils
-  of shared arrays; no data movement is needed between stages.
-- Partitioned(p, t): p parts each own a z-slab and a y-slab of private
-  storage; between the transform and tridiagonal stages every part sends each
-  other part one block of extents n_x x kpy x kpz through a Transport, then
-  the inverse redistribution runs after the solves. Each part may use t
-  threads internally. Blocks are sent in ascending destination-part order.
+- SharedWorkers(w): w threads split the z-planes and the mode pencils of one
+  shared array; no data movement is needed between stages.
+- Partitioned(p, t): p parts each own a z-slab of the folded right-hand side,
+  which they transform in place, and a y-slab of private storage; between
+  the transform and tridiagonal stages every part sends each other part one
+  block of extents n_x x kpy x kpz through a Transport, then the inverse
+  redistribution runs after the solves. Each part may use t threads
+  internally. Blocks are sent in ascending destination-part order.
 
 Stages are separated by barriers; within a stage workers touch disjoint data,
 so repeated runs are bitwise reproducible and every mode yields the same
 solution to roundoff.
 """
 
+import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,15 +31,10 @@ import numpy as np
 from .assembly import Field3D, BoundaryData, build_rhs, fold_dirichlet
 from .errors import InvalidPartitionError
 from .grid import CoefficientProfile, Grid3D
-from .spectral import (make_plan, transform_lines_x, transform_lines_y,
-                       transform_stack)
+from .spectral import make_plan, transform_stack
 from .stencil import SchemeKind
 from .transport import (STAGE_FORWARD, STAGE_INVERSE, InProcessMesh)
 from . import tridiag
-
-PER_PLANE = "per-plane"
-PER_LINE_BATCH = "per-line-batch"
-
 
 @dataclass(frozen=True)
 class Sequential:
@@ -61,7 +58,6 @@ Mode = Union[Sequential, SharedWorkers, Partitioned]
 @dataclass(frozen=True)
 class SolverConfig:
     mode: Mode = field(default_factory=Sequential)
-    transform_parallelism: str = PER_PLANE
     # factory(n_parts) -> list of transports, one per part; None = in-process
     transport_factory: Optional[Callable] = None
 
@@ -202,21 +198,15 @@ def exchange_inverse(plan: ExchangePlan, transport, part: int,
 
 
 def _validate_config(config: SolverConfig, grid: Grid3D):
-    if config.transform_parallelism not in (PER_PLANE, PER_LINE_BATCH):
-        raise ValueError(f"unknown transform parallelism {config.transform_parallelism!r}")
     mode = config.mode
     if isinstance(mode, Sequential):
         return
     if isinstance(mode, SharedWorkers):
         if mode.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {mode.workers}")
-        if config.transform_parallelism == PER_PLANE and mode.workers > grid.n_z:
+        if mode.workers > grid.n_z:
             raise InvalidPartitionError(
                 f"{mode.workers} workers need {mode.workers} planes, grid has {grid.n_z}")
-        if config.transform_parallelism == PER_LINE_BATCH and (
-                mode.workers > grid.n_x or mode.workers > grid.n_y):
-            raise InvalidPartitionError(
-                f"{mode.workers} workers exceed line counts ({grid.n_x}, {grid.n_y})")
         return
     if isinstance(mode, Partitioned):
         if mode.parts < 1 or mode.workers_per_part < 1:
@@ -225,54 +215,46 @@ def _validate_config(config: SolverConfig, grid: Grid3D):
             raise InvalidPartitionError(
                 f"{mode.parts} parts exceed slab extents ({grid.n_z}, {grid.n_y})")
         min_kpz = grid.n_z // mode.parts
-        if config.transform_parallelism == PER_PLANE and mode.workers_per_part > min_kpz:
+        if mode.workers_per_part > min_kpz:
             raise InvalidPartitionError(
                 f"{mode.workers_per_part} workers per part need as many local planes; "
                 f"smallest slab has {min_kpz}")
-        if config.transform_parallelism == PER_LINE_BATCH and (
-                mode.workers_per_part > grid.n_x or mode.workers_per_part > grid.n_y):
-            raise InvalidPartitionError(
-                f"{mode.workers_per_part} workers per part exceed line counts "
-                f"({grid.n_x}, {grid.n_y})")
         return
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _run_chunks(executor, fn, ranges):
-    """Run fn over ranges on the executor and wait (the stage barrier)."""
-    futures = [executor.submit(fn, r) for r in ranges]
+def _executor(workers):
+    """A pool of `workers` threads, or no pool (None) for one worker."""
+    if workers > 1:
+        return ThreadPoolExecutor(max_workers=workers)
+    return contextlib.nullcontext()
+
+
+def _run_stage(executor, workers, extent, fn):
+    """Run fn over min(workers, extent) contiguous ranges of range(extent).
+
+    Without an executor fn runs inline on the whole range. Otherwise this
+    returns once every range is done, which is the barrier between stages.
+    """
+    if executor is None:
+        fn((0, extent))
+        return
+    futures = [executor.submit(fn, r)
+               for r in plan_partition(extent, min(workers, extent))]
     for f in futures:
         f.result()
 
 
-def _forward_or_inverse_transform(plan, values, parallelism, workers, executor):
+def _transform_stage(executor, workers, plan, values):
     """One full 2D transform pass of a stack (forward = inverse for this kernel)."""
-    n_z, n_y, n_x = values.shape
-    if executor is None or workers <= 1:
-        transform_stack(plan, values)
-        return
-    if parallelism == PER_PLANE:
-        ranges = plan_partition(n_z, min(workers, n_z))
-        _run_chunks(executor, lambda r: transform_stack(plan, values, r), ranges)
-    else:
-        ranges = plan_partition(n_y, min(workers, n_y))
-        _run_chunks(executor, lambda r: transform_lines_x(values, r), ranges)
-        ranges = plan_partition(n_x, min(workers, n_x))
-        _run_chunks(executor, lambda r: transform_lines_y(values, r), ranges)
+    _run_stage(executor, workers, values.shape[0],
+               lambda r: transform_stack(plan, values, r))
 
 
-def _tridiag_stage(values, scheme, profile, grid, workers, executor, m_offset=0):
-    n_y = values.shape[1]
-    if executor is None or workers <= 1:
-        tridiag.solve_slab(values, scheme, profile, grid, m_offset)
-        return
-    ranges = plan_partition(n_y, min(workers, n_y))
-    _run_chunks(
-        executor,
-        lambda r: tridiag.solve_slab(values[:, r[0]:r[1], :], scheme, profile,
-                                     grid, m_offset + r[0]),
-        ranges,
-    )
+def _sweep_stage(executor, workers, values, scheme, profile, grid, m_offset=0):
+    _run_stage(executor, workers, values.shape[1],
+               lambda r: tridiag.solve_slab(values[:, r[0]:r[1], :], scheme, profile,
+                                            grid, m_offset + r[0]))
 
 
 def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
@@ -293,20 +275,14 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     mode = config.mode
     if isinstance(mode, (Sequential, SharedWorkers)):
         workers = 1 if isinstance(mode, Sequential) else mode.workers
-        executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
+        with _executor(workers) as executor:
             t0 = time.perf_counter()
-            _forward_or_inverse_transform(plan, values, config.transform_parallelism,
-                                          workers, executor)
+            _transform_stage(executor, workers, plan, values)
             t1 = time.perf_counter()
-            _tridiag_stage(values, scheme, profile, grid, workers, executor)
+            _sweep_stage(executor, workers, values, scheme, profile, grid)
             t2 = time.perf_counter()
-            _forward_or_inverse_transform(plan, values, config.transform_parallelism,
-                                          workers, executor)
+            _transform_stage(executor, workers, plan, values)
             t3 = time.perf_counter()
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
         timings = PhaseTimings(
             setup_s=setup_s,
             transform_s=(t1 - t0) + (t3 - t2),
@@ -316,7 +292,8 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
         )
         return Field3D(values), timings
 
-    # partitioned mode
+    # partitioned mode; fold_dirichlet returned a new array, so the parts may
+    # work in values and hand it back as the solution
     parts, t_workers = mode.parts, mode.workers_per_part
     ex_plan = make_exchange_plan(grid, parts)
     part_plan = ex_plan.partition
@@ -326,7 +303,6 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
         mesh = InProcessMesh(parts)
         transports = [mesh.endpoint(p) for p in range(parts)]
 
-    out = np.empty_like(values)
     barrier = threading.Barrier(parts)
     part_times = [None] * parts
     errors = []
@@ -336,14 +312,11 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
             transform_s = exchange_s = tridiag_s = 0.0
             z0, z1 = part_plan.z_ranges[part]
             y0, _y1 = part_plan.y_ranges[part]
-            local = values[z0:z1].copy()
-            executor = (ThreadPoolExecutor(max_workers=t_workers)
-                        if t_workers > 1 else None)
-            try:
+            local = values[z0:z1]
+            with _executor(t_workers) as executor:
                 barrier.wait()
                 t0 = time.perf_counter()
-                _forward_or_inverse_transform(plan, local, config.transform_parallelism,
-                                              t_workers, executor)
+                _transform_stage(executor, t_workers, plan, local)
                 transform_s += time.perf_counter() - t0
 
                 barrier.wait()
@@ -353,24 +326,19 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
 
                 barrier.wait()
                 t0 = time.perf_counter()
-                _tridiag_stage(y_slab, scheme, profile, grid, t_workers, executor,
-                               m_offset=y0)
+                _sweep_stage(executor, t_workers, y_slab, scheme, profile, grid,
+                             m_offset=y0)
                 tridiag_s += time.perf_counter() - t0
 
                 barrier.wait()
                 t0 = time.perf_counter()
-                local = exchange_inverse(ex_plan, transports[part], part, y_slab)
+                local[...] = exchange_inverse(ex_plan, transports[part], part, y_slab)
                 exchange_s += time.perf_counter() - t0
 
                 barrier.wait()
                 t0 = time.perf_counter()
-                _forward_or_inverse_transform(plan, local, config.transform_parallelism,
-                                              t_workers, executor)
+                _transform_stage(executor, t_workers, plan, local)
                 transform_s += time.perf_counter() - t0
-                out[z0:z1] = local
-            finally:
-                if executor is not None:
-                    executor.shutdown(wait=True)
             part_times[part] = (transform_s, exchange_s, tridiag_s)
         except BaseException as exc:  # propagate to the caller, release peers
             errors.append(exc)
@@ -396,7 +364,7 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
         tridiag_s=max(pt[2] for pt in part_times),
         total_s=time.perf_counter() - t_start,
     )
-    return Field3D(out), timings
+    return Field3D(values), timings
 
 
 def solve_direct(problem, config: SolverConfig = SolverConfig()) -> Field3D:
@@ -412,11 +380,5 @@ def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
     rhs_s = time.perf_counter() - t0
     solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
                                        problem.profile, problem.grid, config)
-    timings = PhaseTimings(
-        setup_s=timings.setup_s + rhs_s,
-        transform_s=timings.transform_s,
-        exchange_s=timings.exchange_s,
-        tridiag_s=timings.tridiag_s,
-        total_s=timings.total_s + rhs_s,
-    )
-    return solution, timings
+    return solution, replace(timings, setup_s=timings.setup_s + rhs_s,
+                             total_s=timings.total_s + rhs_s)

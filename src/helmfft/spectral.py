@@ -3,52 +3,33 @@
 The 1D kernel is S[n, i] = sqrt(2/(N+1)) sin(pi n i / (N+1)) (1-based n, i),
 which is symmetric and orthogonal, so forward and inverse are the same map and
 no normalization flag exists to get wrong. The 2D transform is the x-pass
-followed by the y-pass; both modes of the solver share this exact arithmetic,
+followed by the y-pass; every mode of the solver shares this exact arithmetic,
 which keeps results bit-identical across worker counts.
 
-The fast path delegates the 1D pass to scipy's O(N log N) sine transform;
-`dst2d_reference` is an independent dense evaluation kept for cross-checks.
+The 1D pass is scipy's O(N log N) sine transform; the dense reference used to
+cross-check it is `oracle.dst2d_reference`.
 """
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.fft
 
-_PLAN_LOCK = threading.Lock()
-
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Immutable plan for 2D transforms on (n_y, n_x) planes.
-
-    Safe to share across workers operating on disjoint data. The dense kernel
-    matrices are built lazily for the reference path only.
-    """
+    """Extents of the (n_y, n_x) planes a transform acts on."""
 
     n_x: int
     n_y: int
-    _dense: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def dense_kernel(self, n: int) -> np.ndarray:
-        """Dense 1D sine kernel of size n (reference path, n <= a few hundred)."""
-        with _PLAN_LOCK:
-            if n not in self._dense:
-                idx = np.arange(1, n + 1)
-                self._dense[n] = np.sqrt(2.0 / (n + 1)) * np.sin(
-                    np.pi * np.outer(idx, idx) / (n + 1)
-                )
-            return self._dense[n]
 
 
 def make_plan(n_x: int, n_y: int) -> TransformPlan:
-    """Create a transform plan; creation is serialized, use is concurrent."""
+    """Create a transform plan for (n_y, n_x) planes."""
     if n_x < 1 or n_y < 1:
         raise ValueError(f"plan extents must be >= 1, got ({n_x}, {n_y})")
-    with _PLAN_LOCK:
-        return TransformPlan(n_x=n_x, n_y=n_y)
+    return TransformPlan(n_x=n_x, n_y=n_y)
 
 
 def dst_lines(values: np.ndarray, axis: int, overwrite_x: bool = False) -> np.ndarray:
@@ -61,15 +42,6 @@ def dst2d(plan: TransformPlan, plane: np.ndarray) -> np.ndarray:
     if plane.shape != (plan.n_y, plan.n_x):
         raise ValueError(f"plane shape {plane.shape} != plan ({plan.n_y}, {plan.n_x})")
     return dst_lines(dst_lines(plane, axis=1), axis=0)
-
-
-def dst2d_reference(plan: TransformPlan, plane: np.ndarray) -> np.ndarray:
-    """Dense O(N^2)-per-line evaluation of the same transform (cross-check)."""
-    if plane.shape != (plan.n_y, plan.n_x):
-        raise ValueError(f"plane shape {plane.shape} != plan ({plan.n_y}, {plan.n_x})")
-    sx = plan.dense_kernel(plan.n_x)
-    sy = plan.dense_kernel(plan.n_y)
-    return sy @ plane @ sx
 
 
 def transform_stack(plan: TransformPlan, field3d, plane_range: Optional[tuple] = None) -> None:
@@ -107,23 +79,3 @@ def _dst2d_in_place(plane: np.ndarray) -> None:
     out = dst_lines(dst_lines(plane, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
     if not np.may_share_memory(out, plane):  # the backend declined to overwrite
         plane[...] = out
-
-
-def transform_lines_x(field3d, y_range: tuple) -> None:
-    """x-direction pass over all planes, restricted to a y-index range (in place)."""
-    values = field3d.values if hasattr(field3d, "values") else field3d
-    start, stop = y_range
-    if start == stop:
-        return
-    block = values[:, start:stop, :]
-    block[:] = dst_lines(block, axis=2)
-
-
-def transform_lines_y(field3d, x_range: tuple) -> None:
-    """y-direction pass over all planes, restricted to an x-index range (in place)."""
-    values = field3d.values if hasattr(field3d, "values") else field3d
-    start, stop = x_range
-    if start == stop:
-        return
-    block = values[:, :, start:stop]
-    block[:] = dst_lines(block, axis=1)

@@ -10,7 +10,12 @@ weights form a 3 x 3 x 3 cube described by four values per level nu in
     d_nu  -> the center (i, j)
 
 The in-plane operator built from one level's (a, b, c, d) is diagonalized by
-the 2D type-I sine basis; `eigenvalue` gives its spectrum in closed form.
+the 2D type-I sine basis; `eigenvalue_plane` gives its spectrum in closed form
+
+    4 a cos(pi n / (n_x+1)) cos(pi m / (n_y+1))
+      + 2 b cos(pi n / (n_x+1)) + 2 c cos(pi m / (n_y+1)) + d
+
+for every mode (n, m) at once (`oracle.eigenvalue` evaluates one mode).
 
 The system is scaled so that the right-hand side is h_z^2 times the scheme's
 source functional (see assembly.build_rhs); the weights below already include
@@ -195,27 +200,6 @@ def coefficient_table(scheme: SchemeKind, profile, grid):
     return A, B, C, D
 
 
-def eigenvalue(coeffs: StencilCoefficients, level_offset: int, n: int, m: int,
-               grid: Grid3D) -> complex:
-    """Eigenvalue of the level's plane operator for sine mode (n, m), 1-based.
-
-    The plane operator with weights (a, b, c, d) acting on the interior grid
-    has eigenvectors sin(pi n i / (n_x + 1)) sin(pi m j / (n_y + 1)) and
-    eigenvalues
-
-        4 a cos(pi n / (n_x+1)) cos(pi m / (n_y+1))
-          + 2 b cos(pi n / (n_x+1)) + 2 c cos(pi m / (n_y+1)) + d.
-    """
-    if not 1 <= n <= grid.n_x:
-        raise IndexError(f"mode n={n} outside 1..{grid.n_x}")
-    if not 1 <= m <= grid.n_y:
-        raise IndexError(f"mode m={m} outside 1..{grid.n_y}")
-    a, b, c, d = coeffs.level(level_offset)
-    cx = np.cos(np.pi * n / (grid.n_x + 1))
-    cy = np.cos(np.pi * m / (grid.n_y + 1))
-    return 4.0 * a * cx * cy + 2.0 * b * cx + 2.0 * c * cy + d
-
-
 def mode_cosines(grid: Grid3D):
     """cos(pi n/(n_x+1)) for n = 1..n_x and cos(pi m/(n_y+1)) for m = 1..n_y."""
     cx = np.cos(np.pi * np.arange(1, grid.n_x + 1) / (grid.n_x + 1))
@@ -223,12 +207,11 @@ def mode_cosines(grid: Grid3D):
     return cx, cy
 
 
-def eigenvalue_plane(a, b, c, d, cx, cy):
+def eigenvalue_plane(a, b, c, d, cx, cy, cxy):
     """Eigenvalues for every (n, m) at once, shape (len(cy), len(cx)).
 
     a, b, c, d are one level's scalar weights; cx, cy come from mode_cosines
-    (cy may be a slice for a pencil range).
+    (cy may be a slice for a pencil range) and cxy is their outer product
+    cy[:, None] * cx, which does not depend on the level.
     """
-    cyc = cy[:, None]
-    cxr = cx[None, :]
-    return 4.0 * a * (cyc * cxr) + 2.0 * b * cxr + 2.0 * c * cyc + d
+    return 4.0 * a * cxy + 2.0 * b * cx + 2.0 * c * cy[:, None] + d

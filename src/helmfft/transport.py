@@ -130,13 +130,17 @@ class SocketTransport:
 
     A background reader drains each peer socket into per-(sender, stage)
     queues, so symmetric all-to-all exchanges cannot deadlock on full
-    kernel buffers.
+    kernel buffers. When a reader fails (a corrupt, truncated or misrouted
+    frame, or a connection lost), its exception is queued behind the blocks
+    already read from that peer, so the next receive from the peer raises
+    it at once instead of waiting out the timeout.
     """
 
     def __init__(self, part, peers):
         self.part = part
         self._socks = dict(peers)  # part id -> connected socket
         self._queues = {}
+        self._faults = {}  # part id -> exception that stopped its reader
         self._lock = threading.Lock()
         self._readers = []
         for peer, sock in self._socks.items():
@@ -146,7 +150,12 @@ class SocketTransport:
 
     def _queue(self, from_part, stage):
         with self._lock:
-            return self._queues.setdefault((from_part, stage), queue.Queue())
+            q = self._queues.get((from_part, stage))
+            if q is None:
+                q = self._queues[(from_part, stage)] = queue.Queue()
+                if from_part in self._faults:
+                    q.put(self._faults[from_part])
+            return q
 
     def _drain(self, peer, sock):
         try:
@@ -159,8 +168,14 @@ class SocketTransport:
                         f"misrouted frame for part {to_part} arrived at {self.part}",
                         sender=from_part, receiver=self.part)
                 self._queue(from_part, stage).put(block)
-        except (ExchangeError, OSError):
-            return  # socket closed or corrupt stream; receives will time out
+        except Exception as exc:  # a clean close ends here too, unread
+            # the traceback would keep this frame's last payload and block alive
+            exc = exc.with_traceback(None)
+            with self._lock:
+                self._faults[peer] = exc
+                for (from_part, _stage), q in self._queues.items():
+                    if from_part == peer:
+                        q.put(exc)
 
     def send(self, to_part, stage, block):
         sock = self._socks.get(to_part)
@@ -176,6 +191,11 @@ class SocketTransport:
             raise ExchangeError(
                 f"timed out waiting for block {from_part} -> {self.part}",
                 sender=from_part, receiver=self.part) from None
+        if isinstance(block, Exception):
+            self._queue(from_part, stage).put(block)  # later receives fail too
+            raise ExchangeError(
+                f"connection {from_part} -> {self.part} failed: {block}",
+                sender=from_part, receiver=self.part) from block
         n_z, n_y, n_x = block.shape
         if (n_x, n_y, n_z) != tuple(extents):
             raise ExchangeError(

@@ -5,17 +5,15 @@ tridiagonal system whose row l couples the transformed values at levels
 l-1, l, l+1 with the eigenvalues of that row's three level operators.
 Systems for different (n, m) are fully independent, so the batched solver
 sweeps all modes of a y-range at once with vectorized Thomas elimination
-(LU without pivoting, O(n_z) per line).
+(LU without pivoting, O(n_z) per line). The one-mode reference
+(`assemble_system`, `solve_system`) lives in `oracle`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularSystemError
 from .grid import CoefficientProfile, Grid3D
-from .stencil import (SchemeKind, coefficient_table, coefficients_for,
-                      eigenvalue, eigenvalue_plane, mode_cosines)
+from .stencil import SchemeKind, coefficient_table, eigenvalue_plane, mode_cosines
 
 # pivot smaller than this multiple of the system's band scale is treated as
 # a resonant (singular) spectral system
@@ -25,74 +23,6 @@ PIVOT_RTOL = 1e-14
 # eigenvalue planes, pivots and cp row stay in a core's L2 however many modes
 # the slab holds
 SWEEP_BLOCK_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True)
-class SpectralSystem:
-    """Tridiagonal system for one sine-mode pair (n, m), rows l = 1..n_z.
-
-    sub[l-1] couples to level l-1 (unused in the first row), diag[l-1] to
-    level l, sup[l-1] to level l+1 (unused in the last row). Each entry comes
-    from the coefficients generated at its own row, so the bands are not
-    constant when the coefficient varies with z.
-    """
-
-    n: int
-    m: int
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-
-def assemble_system(n: int, m: int, scheme: SchemeKind, profile: CoefficientProfile,
-                    grid: Grid3D) -> SpectralSystem:
-    """Spectral system for mode (n, m), both 1-based."""
-    n_z = grid.n_z
-    sub = np.zeros(n_z, dtype=complex)
-    diag = np.zeros(n_z, dtype=complex)
-    sup = np.zeros(n_z, dtype=complex)
-    for l in range(1, n_z + 1):
-        cf = coefficients_for(scheme, profile, grid, l)
-        if l > 1:
-            sub[l - 1] = eigenvalue(cf, -1, n, m, grid)
-        diag[l - 1] = eigenvalue(cf, 0, n, m, grid)
-        if l < n_z:
-            sup[l - 1] = eigenvalue(cf, +1, n, m, grid)
-    return SpectralSystem(n=n, m=m, sub=sub, diag=diag, sup=sup)
-
-
-def solve_system(system: SpectralSystem, rhs: np.ndarray) -> np.ndarray:
-    """Thomas forward elimination / back substitution for one system."""
-    n_z = len(system.diag)
-    rhs = np.asarray(rhs, dtype=complex)
-    if rhs.shape != (n_z,):
-        raise ValueError(f"rhs length {rhs.shape} != system size {n_z}")
-
-    scale = max(
-        np.abs(system.sub).max(), np.abs(system.diag).max(), np.abs(system.sup).max()
-    )
-    if scale == 0.0:
-        raise SingularSystemError("all-zero system", n=system.n, m=system.m)
-    cp = np.zeros(n_z, dtype=complex)
-    x = rhs.copy()
-    denom = system.diag[0]
-    for l in range(n_z):
-        if l > 0:
-            denom = system.diag[l] - system.sub[l] * cp[l - 1]
-        if abs(denom) < PIVOT_RTOL * scale:
-            raise SingularSystemError(
-                f"vanishing pivot at row {l + 1} (|pivot|={abs(denom):.3e})",
-                n=system.n, m=system.m,
-            )
-        if l < n_z - 1:
-            cp[l] = system.sup[l] / denom
-        if l > 0:
-            x[l] = (x[l] - system.sub[l] * x[l - 1]) / denom
-        else:
-            x[l] = x[l] / denom
-    for l in range(n_z - 2, -1, -1):
-        x[l] -= cp[l] * x[l + 1]
-    return x
 
 
 def solve_all(transformed_rhs, scheme: SchemeKind, profile: CoefficientProfile,
@@ -154,9 +84,10 @@ def _sweep(w, cp, table, cx, cy, m_offset=0):
     n_z = w.shape[0]
     scale = max(float(np.abs(t).max()) for t in (A, B, C, D))
     threshold = PIVOT_RTOL * scale
+    cxy = cy[:, None] * cx  # the same at every level
 
     def lam(l, k):
-        return eigenvalue_plane(A[l, k], B[l, k], C[l, k], D[l, k], cx, cy)
+        return eigenvalue_plane(A[l, k], B[l, k], C[l, k], D[l, k], cx, cy, cxy)
 
     def check(denom, l):
         if float(np.abs(denom).min()) >= threshold:

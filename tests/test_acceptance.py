@@ -19,15 +19,16 @@ import helmfft as hf
 from helmfft.assembly import (BoundaryData, Field3D, build_rhs, fold_dirichlet,
                               residual_l2)
 from helmfft.grid import CoefficientProfile, Domain, constant_profile, make_grid
-from helmfft.oracle import dense_plane_matrix, dense_sine_matrix_2d, dense_solve
+from helmfft.oracle import (dense_plane_matrix, dense_sine_matrix_2d, dense_solve,
+                            eigenvalue)
 from helmfft.problems import convdiff_problem, error_metrics, helmholtz_problem
-from helmfft.solver import (PER_LINE_BATCH, Partitioned, Sequential,
-                            SharedWorkers, SolverConfig, exchange_forward,
-                            exchange_inverse, make_exchange_plan, plan_partition,
-                            solve_discrete, solve_with_timings)
+from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig,
+                            exchange_forward, exchange_inverse,
+                            make_exchange_plan, plan_partition, solve_discrete,
+                            solve_with_timings)
 from helmfft.spectral import dst2d, make_plan
 from helmfft.stencil import (SchemeKind, coefficients_convdiff,
-                             coefficients_for, coefficients_fourth, eigenvalue)
+                             coefficients_for, coefficients_fourth)
 from helmfft.transport import InProcessMesh
 
 HELMHOLTZ_SCHEMES = {
@@ -294,8 +295,6 @@ def test_criterion_09_mode_equivalence(capfd):
         ("seq", SolverConfig(mode=Sequential())),
         ("shared2", SolverConfig(mode=SharedWorkers(2))),
         ("shared4", SolverConfig(mode=SharedWorkers(4))),
-        ("shared4-lines", SolverConfig(mode=SharedWorkers(4),
-                                       transform_parallelism=PER_LINE_BATCH)),
         ("parts2", SolverConfig(mode=Partitioned(2))),
         ("parts4", SolverConfig(mode=Partitioned(4, workers_per_part=2))),
     ]

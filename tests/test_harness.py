@@ -179,6 +179,13 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--grid", "8"]) == 0
         assert "8^3" in capsys.readouterr().out
 
+    def test_config_key_without_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("grid=8\ntransform=per-plane\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "transform" in payload["detail"]
+
     def test_error_is_machine_readable(self, capsys):
         assert main(["solve", "--grid", "0"]) == 1
         err = capsys.readouterr().err.strip()

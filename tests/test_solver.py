@@ -8,8 +8,8 @@ from helmfft.assembly import BoundaryData, Field3D
 from helmfft.errors import InvalidPartitionError, SingularSystemError
 from helmfft.grid import Domain, constant_profile, make_grid
 from helmfft.oracle import dense_solve
-from helmfft.solver import (PER_LINE_BATCH, Partitioned, SharedWorkers,
-                            SolverConfig, exchange_forward, exchange_inverse,
+from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig,
+                            exchange_forward, exchange_inverse,
                             make_exchange_plan, plan_partition, solve_discrete)
 from helmfft.stencil import SchemeKind
 from helmfft.transport import InProcessMesh
@@ -189,8 +189,7 @@ class TestSolveDiscrete:
         ref, _ = solve_discrete(rhs, bnd, SchemeKind.FOURTH_ORDER, prof, grid)
         for config in (SolverConfig(mode=SharedWorkers(3)),
                        SolverConfig(mode=Partitioned(3)),
-                       SolverConfig(mode=Partitioned(2, workers_per_part=2),
-                                    transform_parallelism=PER_LINE_BATCH)):
+                       SolverConfig(mode=Partitioned(2, workers_per_part=2))):
             u, _ = solve_discrete(rhs, bnd, SchemeKind.FOURTH_ORDER, prof, grid,
                                   config)
             assert np.abs(u.values - ref.values).max() <= 1e-13
@@ -206,12 +205,11 @@ class TestSolveDiscrete:
 
     @pytest.mark.parametrize("config", [
         SolverConfig(mode=SharedWorkers(2)),
-        SolverConfig(mode=SharedWorkers(3), transform_parallelism=PER_LINE_BATCH),
+        SolverConfig(mode=SharedWorkers(3)),
         SolverConfig(mode=Partitioned(1)),
         SolverConfig(mode=Partitioned(2)),
         SolverConfig(mode=Partitioned(3, workers_per_part=2)),
-        SolverConfig(mode=Partitioned(4, workers_per_part=2),
-                     transform_parallelism=PER_LINE_BATCH),
+        SolverConfig(mode=Partitioned(4, workers_per_part=2)),
     ])
     def test_modes_agree_with_sequential(self, config):
         grid, prof = cube(12, k2=5.0)
@@ -223,6 +221,20 @@ class TestSolveDiscrete:
         assert np.abs(u.values - ref.values).max() <= 1e-13
         if isinstance(config.mode, Partitioned):
             assert timings.exchange_s >= 0.0
+
+    @pytest.mark.parametrize("zero_boundary", [True, False], ids=["zero", "nonzero"])
+    @pytest.mark.parametrize("mode", [Sequential(), SharedWorkers(2), Partitioned(2),
+                                      Partitioned(3, workers_per_part=2)],
+                             ids=["seq", "shared2", "parts2", "parts3x2"])
+    def test_caller_rhs_left_untouched(self, mode, zero_boundary):
+        grid, prof = cube(8, k2=2.0)
+        rhs = random_field(grid, 73)
+        before = rhs.values.copy()
+        bnd = BoundaryData.zero() if zero_boundary else random_boundary(grid, 79)
+        u, _ = solve_discrete(rhs, bnd, SchemeKind.FOURTH_ORDER, prof, grid,
+                              SolverConfig(mode=mode))
+        assert np.array_equal(rhs.values, before)
+        assert not np.may_share_memory(u.values, rhs.values)
 
     def test_phase_times_bounded_by_total(self):
         grid, prof = cube(16, k2=1.0)
@@ -248,17 +260,6 @@ class TestConfigValidation:
             solve_discrete(Field3D.zeros(grid), BoundaryData.zero(),
                            SchemeKind.SECOND_ORDER, prof, grid, config)
 
-    def test_shared_worker_bound_lifted_by_line_batches(self):
-        grid, prof = cube(4)
-        values = random_field(grid, 71)
-        ref, _ = solve_discrete(values, BoundaryData.zero(),
-                                SchemeKind.SECOND_ORDER, prof, grid)
-        config = SolverConfig(mode=SharedWorkers(4),
-                              transform_parallelism=PER_LINE_BATCH)
-        u, _ = solve_discrete(values, BoundaryData.zero(), SchemeKind.SECOND_ORDER,
-                              prof, grid, config)
-        assert np.abs(u.values - ref.values).max() <= 1e-13
-
     def test_too_many_parts(self):
         grid, prof = cube(4)
         with pytest.raises(InvalidPartitionError):
@@ -272,13 +273,6 @@ class TestConfigValidation:
             solve_discrete(Field3D.zeros(grid), BoundaryData.zero(),
                            SchemeKind.SECOND_ORDER, prof, grid,
                            SolverConfig(mode=Partitioned(2, workers_per_part=3)))
-
-    def test_unknown_parallelism_rejected(self):
-        grid, prof = cube(4)
-        with pytest.raises(ValueError):
-            solve_discrete(Field3D.zeros(grid), BoundaryData.zero(),
-                           SchemeKind.SECOND_ORDER, prof, grid,
-                           SolverConfig(transform_parallelism="per-point"))
 
 
 class TestComplexityShape:

@@ -6,10 +6,9 @@ import pytest
 
 from helmfft.assembly import Field3D
 from helmfft.grid import Domain, constant_profile, make_grid
-from helmfft.oracle import dense_plane_matrix
-from helmfft.spectral import (dst2d, dst2d_reference, dst_lines, make_plan,
-                              transform_stack)
-from helmfft.stencil import (SchemeKind, coefficients_for, eigenvalue)
+from helmfft.oracle import dense_plane_matrix, dst2d_reference, eigenvalue
+from helmfft.spectral import dst2d, dst_lines, make_plan, transform_stack
+from helmfft.stencil import SchemeKind, coefficients_for
 
 
 def random_plane(n_y, n_x, seed=0):

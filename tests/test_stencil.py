@@ -6,10 +6,10 @@ import pytest
 
 from helmfft.errors import UnsupportedSchemeError
 from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
-from helmfft.oracle import dense_plane_matrix, dense_sine_matrix_2d
+from helmfft.oracle import dense_plane_matrix, dense_sine_matrix_2d, eigenvalue
 from helmfft.stencil import (SchemeKind, coefficients_convdiff, coefficients_for,
                              coefficients_fourth, coefficients_second,
-                             coefficients_sixth, eigenvalue)
+                             coefficients_sixth)
 
 PI = math.pi
 

@@ -1,5 +1,8 @@
+import socket
 import struct
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +80,50 @@ class TestSocketTransport:
         finally:
             for t in transports:
                 t.close()
+
+    @pytest.mark.parametrize("cut", ["short-payload", "closed-mid-frame"])
+    def test_truncated_frame_fails_fast_naming_edge(self, cut):
+        transports = socket_mesh(2)
+        try:
+            block = np.arange(6, dtype=complex).reshape(1, 2, 3)
+            frame = encode_frame(0, 1, STAGE_FORWARD, block)
+            sock = transports[0]._socks[1]
+            sock.sendall(frame)
+            if cut == "short-payload":
+                # the length word counts the bytes sent, 16 fewer than the extents need
+                sock.sendall(struct.pack("<I", len(frame) - 20) + frame[4:-16])
+            else:
+                sock.sendall(frame[:-16])
+                sock.shutdown(socket.SHUT_WR)
+            # blocks read before the fault are still delivered, in order
+            got = transports[1].receive(0, STAGE_FORWARD, (3, 2, 1), timeout=5.0)
+            assert np.array_equal(got, block)
+            start = time.perf_counter()
+            for _ in range(2):  # the fault stays raised for later receives
+                with pytest.raises(ExchangeError) as err:
+                    transports[1].receive(0, STAGE_FORWARD, (3, 2, 1), timeout=30.0)
+                assert (err.value.sender, err.value.receiver) == (0, 1)
+            assert time.perf_counter() - start < 5.0
+        finally:
+            for t in transports:
+                t.close()
+
+    def test_clean_close_after_last_receive_raises_nothing(self, monkeypatch):
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        transports = socket_mesh(2)
+        transports[0].send(1, STAGE_FORWARD, np.ones((1, 1, 2), dtype=complex))
+        got = transports[1].receive(0, STAGE_FORWARD, (2, 1, 1), timeout=5.0)
+        delivered = weakref.ref(got)
+        for t in transports:
+            t.close()
+        for t in transports:
+            for reader in t._readers:
+                reader.join(timeout=5.0)
+                assert not reader.is_alive()
+        assert escaped == []
+        del got  # the stopped readers must not keep the last block alive
+        assert delivered() is None
 
     def test_exchange_roundtrip_matches_in_process(self):
         parts = 3

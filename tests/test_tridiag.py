@@ -6,11 +6,11 @@ import pytest
 from helmfft.assembly import Field3D
 from helmfft.errors import SingularSystemError
 from helmfft.grid import CoefficientProfile, Domain, constant_profile, make_grid
-from helmfft.oracle import dense_matrix, dense_sine_matrix_2d
+from helmfft.oracle import (SpectralSystem, assemble_system, dense_matrix,
+                            dense_sine_matrix_2d, solve_system)
 from helmfft import tridiag
 from helmfft.stencil import SchemeKind, coefficient_table, mode_cosines
-from helmfft.tridiag import (SpectralSystem, assemble_system, solve_all,
-                             solve_slab, solve_system)
+from helmfft.tridiag import solve_all, solve_slab
 
 PI = math.pi
 
