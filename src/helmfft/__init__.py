@@ -11,8 +11,8 @@ an inverse transform finishes. Sequential, multi-threaded, and partitioned
 (message-passing style) execution modes produce identical answers.
 """
 
-from .errors import (ExchangeError, InvalidPartitionError, SingularSystemError,
-                     UnsupportedSchemeError)
+from .errors import (ExchangeError, InvalidPartitionError, NonFiniteInputError,
+                     SingularSystemError, UnsupportedSchemeError)
 from .grid import (CoefficientProfile, Domain, Grid3D, constant_profile,
                    make_grid, sample_profile)
 from .stencil import (SchemeKind, StencilCoefficients, coefficient_table,

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedSchemeError
+from .errors import NonFiniteInputError, UnsupportedSchemeError
 from .grid import CoefficientProfile, Grid3D
 from .stencil import SchemeKind, coefficient_table
 
@@ -87,29 +87,62 @@ class BoundaryData:
     def from_array(cls, array) -> "BoundaryData":
         return cls(array=array)
 
-    def closed_box(self, grid: Grid3D) -> np.ndarray:
-        """(n_z+2, n_y+2, n_x+2) array: boundary values set, interior zero."""
+    def faces(self, grid: Grid3D):
+        """The six faces of the closed box: (z_lo, z_hi, y_lo, y_hi, x_lo, x_hi).
+
+        A z face has shape (n_y+2, n_x+2), a y face (n_z+2, n_x+2) and an x
+        face (n_z+2, n_y+2). Where faces meet at an edge or corner, the later
+        face in this order holds the box's value. A callable's faces keep the
+        dtype it returns (real data stays real and half the size); the box
+        is complex.
+        """
         shape = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
-        ext = np.zeros(shape, dtype=complex)
         if self._array is not None:
             if self._array.shape != shape:
                 raise ValueError(
                     f"boundary array shape {self._array.shape} != closed box {shape}"
                 )
-            ext[:] = self._array
-            ext[1:-1, 1:-1, 1:-1] = 0.0
-            return ext
+            a = self._array
+            return (a[0], a[-1], a[:, 0], a[:, -1], a[:, :, 0], a[:, :, -1])
         x = grid.x_nodes(closed=True)
         y = grid.y_nodes(closed=True)
         z = grid.z_nodes(closed=True)
-        # six faces; edges/corners get written more than once with equal values
-        ext[0, :, :] = self._fn(x[None, :], y[:, None], z[0])
-        ext[-1, :, :] = self._fn(x[None, :], y[:, None], z[-1])
-        ext[:, 0, :] = self._fn(x[None, :], y[0], z[:, None])
-        ext[:, -1, :] = self._fn(x[None, :], y[-1], z[:, None])
-        ext[:, :, 0] = self._fn(x[0], y[None, :], z[:, None])
-        ext[:, :, -1] = self._fn(x[-1], y[None, :], z[:, None])
-        return ext
+        n_z2, n_y2, n_x2 = shape
+
+        def face(values, face_shape):
+            return np.broadcast_to(np.asarray(values), face_shape)
+
+        return (face(self._fn(x[None, :], y[:, None], z[0]), (n_y2, n_x2)),
+                face(self._fn(x[None, :], y[:, None], z[-1]), (n_y2, n_x2)),
+                face(self._fn(x[None, :], y[0], z[:, None]), (n_z2, n_x2)),
+                face(self._fn(x[None, :], y[-1], z[:, None]), (n_z2, n_x2)),
+                face(self._fn(x[0], y[None, :], z[:, None]), (n_z2, n_y2)),
+                face(self._fn(x[-1], y[None, :], z[:, None]), (n_z2, n_y2)))
+
+    def closed_box(self, grid: Grid3D) -> np.ndarray:
+        """(n_z+2, n_y+2, n_x+2) array: boundary values set, interior zero."""
+        return _paint_box(self.faces(grid), grid, (0, 0, 0),
+                          (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2))
+
+
+def _paint_box(faces, grid: Grid3D, lo, hi) -> np.ndarray:
+    """Closed-box values on the nodes lo <= (l, j, i) < hi; interior nodes zero.
+
+    The faces are painted z, y, x, so a later face wins where faces meet.
+    """
+    (l0, j0, i0), (l1, j1, i1) = lo, hi
+    out = np.zeros((l1 - l0, j1 - j0, i1 - i0), dtype=complex)
+    z_lo, z_hi, y_lo, y_hi, x_lo, x_hi = faces
+    for f, l in ((z_lo, 0), (z_hi, grid.n_z + 1)):
+        if l0 <= l < l1:
+            out[l - l0] = f[j0:j1, i0:i1]
+    for f, j in ((y_lo, 0), (y_hi, grid.n_y + 1)):
+        if j0 <= j < j1:
+            out[:, j - j0] = f[l0:l1, i0:i1]
+    for f, i in ((x_lo, 0), (x_hi, grid.n_x + 1)):
+        if i0 <= i < i1:
+            out[:, :, i - i0] = f[l0:l1, j0:j1]
+    return out
 
 
 @dataclass
@@ -154,9 +187,22 @@ def _interior_coords(grid):
     return x, y, z
 
 
-def _sample_interior(fn, grid):
+def _sample_interior(fn, grid, out=None):
+    """fn on the interior nodes, as a complex array the caller owns.
+
+    With out the samples are written into it. Without, a full-size array
+    made by the complex conversion is returned as is, and anything else (a
+    complex array the callable may still hold, a broadcast shape) is copied.
+    """
     x, y, z = _interior_coords(grid)
-    return np.broadcast_to(np.asarray(fn(x, y, z), dtype=complex), grid.shape).copy()
+    raw = fn(x, y, z)
+    if out is not None:
+        out[...] = raw
+        return out
+    values = np.asarray(raw, dtype=complex)
+    if values is not raw and values.flags.owndata and values.shape == grid.shape:
+        return values  # the conversion made a new full-size array
+    return np.broadcast_to(values, grid.shape).copy()
 
 
 def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfile,
@@ -178,7 +224,8 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
     """
     hz2 = grid.h_z**2
     if scheme is SchemeKind.SECOND_ORDER:
-        return Field3D(hz2 * _sample_interior(source.f, grid))
+        rhs = _sample_interior(source.f, grid)
+        return Field3D(np.multiply(hz2, rhs, out=rhs))
 
     if scheme is SchemeKind.FOURTH_ORDER:
         x = grid.x_nodes(closed=True)[None, None, :]
@@ -198,18 +245,26 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
         source.require(["f_z", "lap_f", "d4_f", "f_xxyy", "f_xxzz", "f_yyzz"])
         h2 = hz2
         h4 = h2 * h2
-        f = _sample_interior(source.f, grid)
-        lap = _sample_interior(source.lap_f, grid)
-        d4 = _sample_interior(source.d4_f, grid)
-        mixed = (_sample_interior(source.f_xxyy, grid)
-                 + _sample_interior(source.f_xxzz, grid)
-                 + _sample_interior(source.f_yyzz, grid))
-        fz = _sample_interior(source.f_z, grid)
         k2_col = profile.k2[1:-1][:, None, None]
         k2z_col = profile.k2_z[1:-1][:, None, None]
-        rhs = h2 * (f + (h2 / 12.0) * lap + (h4 / 360.0) * d4 + (h4 / 90.0) * mixed)
-        rhs -= (h4 / 20.0) * k2_col * f
-        rhs += (h2 * h4 / 60.0) * k2z_col * fz
+        x, y, z = _interior_coords(grid)
+        # three buffers; the terms are combined in the formula's order, and
+        # each complex product keeps its factor order (scale first), because
+        # a complex product is not bitwise commutative
+        f = _sample_interior(source.f, grid)
+        rhs = _sample_interior(source.lap_f, grid)
+        np.multiply(h2 / 12.0, rhs, out=rhs)
+        rhs += f
+        term = _sample_interior(source.d4_f, grid)
+        rhs += np.multiply(h4 / 360.0, term, out=term)
+        _sample_interior(source.f_xxyy, grid, out=term)
+        term += source.f_xxzz(x, y, z)  # the same sums as of complex samples
+        term += source.f_yyzz(x, y, z)
+        rhs += np.multiply(h4 / 90.0, term, out=term)
+        np.multiply(h2, rhs, out=rhs)
+        rhs -= np.multiply((h4 / 20.0) * k2_col, f, out=f)
+        _sample_interior(source.f_z, grid, out=term)
+        rhs += np.multiply((h2 * h4 / 60.0) * k2z_col, term, out=term)
         return Field3D(rhs)
 
     if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
@@ -226,11 +281,15 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
     raise ValueError(f"unknown scheme {scheme}")
 
 
-def _accumulate(ext: np.ndarray, table, grid: Grid3D) -> np.ndarray:
-    """Apply the 27-point operator to a closed-box array; returns interior result."""
+def _accumulate(ext: np.ndarray, table) -> np.ndarray:
+    """Apply the 27-point operator to a closed box; returns its interior result.
+
+    ext holds the nodes around a box of rows, one more on each side, and
+    table the (A, B, C, D) weights of the box's row levels.
+    """
     A, B, C, D = table
-    n_z, n_y, n_x = grid.shape
-    out = np.zeros(grid.shape, dtype=complex)
+    out = np.zeros(tuple(e - 2 for e in ext.shape), dtype=complex)
+    n_z, n_y, n_x = out.shape
     weights = {"a": A, "b": B, "c": C, "d": D}
     for dl in (-1, 0, 1):
         k = dl + 1
@@ -252,26 +311,87 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     ext = boundary.closed_box(grid)
     ext[1:-1, 1:-1, 1:-1] = u.values
     table = coefficient_table(scheme, profile, grid)
-    return Field3D(_accumulate(ext, table, grid))
+    return Field3D(_accumulate(ext, table))
 
 
 def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
                    profile: CoefficientProfile, grid: Grid3D) -> Field3D:
-    """Move known boundary values to the right-hand side.
+    """Move known boundary values to a copy of the right-hand side.
 
     Every interior row loses the sum of (stencil weight x boundary value) over
     its neighbors on the boundary lattice; rows without boundary neighbors are
-    returned unchanged.
+    copied unchanged. Only the six boundary-adjacent layers are computed, so
+    the cost past the copy is O(n^2). The right-hand side, the profile and the
+    boundary values are checked first: a non-finite value raises
+    NonFiniteInputError naming the field and the node.
     """
     if rhs.values.shape != grid.shape:
         raise ValueError(f"rhs shape {rhs.values.shape} != grid {grid.shape}")
-    if boundary.known_zero:
-        return rhs.copy()
-    ext = boundary.closed_box(grid)
-    if not np.any(ext):
-        return rhs.copy()
+    _check_profile(profile)
+    faces = None if boundary.known_zero else boundary.faces(grid)
+    if faces is not None:
+        _check_faces(faces, grid)
+    values = np.empty(grid.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (plane, src) in enumerate(zip(values, rhs.values)):
+            np.copyto(plane, src)
+            # screened while the plane is in cache: a non-finite entry makes
+            # the sum non-finite (so may an overflow, which the full check clears)
+            if not np.isfinite(plane.sum()):
+                _check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
+    if faces is None or not any(np.any(f) for f in faces):
+        return Field3D(values)
     table = coefficient_table(scheme, profile, grid)
-    return Field3D(rhs.values - _accumulate(ext, table, grid))
+    for lo, hi in _boundary_layers(grid):
+        # rows lo..hi-1 are nodes lo+1..hi; their neighbors are nodes lo..hi+1
+        ext = _paint_box(faces, grid, lo, tuple(h + 2 for h in hi))
+        rows = [w[lo[0]:hi[0]] for w in table]
+        values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] -= _accumulate(ext, rows)
+    return Field3D(values)
+
+
+def _boundary_layers(grid: Grid3D):
+    """Disjoint boxes (lo, hi) of 0-based interior rows, (l, j, i) order.
+
+    Together they hold every row with a boundary neighbor: the planes l = 1
+    and n_z, then the rows j = 1 and n_y of the planes between, then the
+    columns i = 1 and n_x of the rows between.
+    """
+    n_z, n_y, n_x = grid.shape
+    boxes = [((l, 0, 0), (l + 1, n_y, n_x)) for l in sorted({0, n_z - 1})]
+    if n_z > 2:
+        boxes += [((1, j, 0), (n_z - 1, j + 1, n_x)) for j in sorted({0, n_y - 1})]
+        if n_y > 2:
+            boxes += [((1, 1, i), (n_z - 1, n_y - 1, i + 1)) for i in sorted({0, n_x - 1})]
+    return boxes
+
+
+def _check_finite(name, values, node):
+    """Raise NonFiniteInputError at the first non-finite entry of values.
+
+    node maps the entry's index in values to the node index reported.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = tuple(int(k) for k in np.argwhere(~finite)[0])
+        at = node(first)
+        raise NonFiniteInputError(
+            f"{name} is not finite at node {at}: {values[first]}", field=name, index=at)
+
+
+def _check_profile(profile: CoefficientProfile):
+    for name in ("k2", "k2_z", "k2_zz"):
+        _check_finite(name, np.asarray(getattr(profile, name)), lambda idx: idx)
+    _check_finite("gamma", np.asarray(profile.gamma), lambda idx: idx)
+
+
+def _check_faces(faces, grid: Grid3D):
+    """Check the boundary faces; nodes are (l, j, i) on the closed grid."""
+    last = (grid.n_z + 1, grid.n_y + 1, grid.n_x + 1)
+    for k, face in enumerate(faces):
+        axis, at = k // 2, (0, last[k // 2])[k % 2]
+        _check_finite("boundary", face,
+                      lambda idx, axis=axis, at=at: idx[:axis] + (at,) + idx[axis:])
 
 
 def residual_l2(u: Field3D, rhs_folded: Field3D, scheme: SchemeKind,

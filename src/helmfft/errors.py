@@ -5,6 +5,21 @@ class UnsupportedSchemeError(ValueError):
     """Scheme constraints violated (e.g. sixth order on an anisotropic grid)."""
 
 
+class NonFiniteInputError(ValueError):
+    """An input holds NaN or infinity.
+
+    field names the input ("rhs", "boundary", "k2", "k2_z", "k2_zz" or
+    "gamma") and index the node of its first non-finite value: (l, j, i)
+    for the right-hand side and the boundary, (l,) for a profile array and
+    () for gamma.
+    """
+
+    def __init__(self, message, field=None, index=None):
+        super().__init__(message)
+        self.field = field
+        self.index = index
+
+
 class InvalidPartitionError(ValueError):
     """Requested more parts than there are indices to distribute."""
 

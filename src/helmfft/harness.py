@@ -1,13 +1,14 @@
 """Benchmark harness: convergence studies, scaling runs, and table emission."""
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import build_rhs, fold_dirichlet, residual_l2
 from .problems import ProblemSpec, convdiff_problem, error_metrics, helmholtz_problem
-from .solver import SolverConfig, Sequential, SharedWorkers, Partitioned, solve_with_timings
+from .solver import SolverConfig, Sequential, SharedWorkers, Partitioned, solve_discrete
 from .stencil import SchemeKind
 
 # problem id -> factory(scheme, n); parameter sets follow the standard
@@ -48,9 +49,16 @@ def _grid_label(grid) -> str:
 
 
 def measure(problem: ProblemSpec, config: SolverConfig, label_suffix: str = ""):
-    """Solve one problem and collect every metric; returns (row, solution)."""
-    solution, timings = solve_with_timings(problem, config)
+    """Solve one problem and collect every metric; returns (row, solution).
+
+    The right-hand side is built once; its time counts as setup, as in
+    solve_with_timings, and the residual refolds it.
+    """
+    t0 = time.perf_counter()
     rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
+    rhs_s = time.perf_counter() - t0
+    solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
+                                       problem.profile, problem.grid, config)
     folded = fold_dirichlet(rhs, problem.boundary, problem.scheme, problem.profile,
                             problem.grid)
     res = residual_l2(solution, folded, problem.scheme, problem.profile, problem.grid)
@@ -64,11 +72,11 @@ def measure(problem: ProblemSpec, config: SolverConfig, label_suffix: str = ""):
         max_err=max_err,
         l2_err=l2_err,
         l2_res=res,
-        setup_s=timings.setup_s,
+        setup_s=timings.setup_s + rhs_s,
         transform_s=timings.transform_s,
         exchange_s=timings.exchange_s,
         tridiag_s=timings.tridiag_s,
-        total_s=timings.total_s,
+        total_s=timings.total_s + rhs_s,
     )
     return row, solution
 

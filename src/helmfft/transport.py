@@ -104,25 +104,33 @@ def encode_frame(from_part, to_part, stage, block: np.ndarray) -> bytes:
     return _LEN.pack(len(payload) + len(data)) + payload + data
 
 
-def decode_frame(payload: bytes):
-    """Inverse of encode_frame, given the bytes after the length word."""
+def decode_frame(payload):
+    """Inverse of encode_frame, given the bytes after the length word.
+
+    The block is a view of payload (a bytearray gives a writable block), so
+    decoding copies nothing on a little-endian host.
+    """
     from_part, to_part, stage, n_x, n_y, n_z = _HEADER.unpack_from(payload)
-    data = payload[_HEADER.size:]
+    size = len(payload) - _HEADER.size
     expected = n_x * n_y * n_z * 16
-    if len(data) != expected:
-        raise ExchangeError(f"frame payload {len(data)} bytes, expected {expected}")
-    block = np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(n_z, n_y, n_x)
+    if size != expected:
+        raise ExchangeError(f"frame payload {size} bytes, expected {expected}")
+    block = np.frombuffer(payload, dtype="<c16", offset=_HEADER.size)
+    block = block.astype(np.complex128, copy=False).reshape(n_z, n_y, n_x)
     return from_part, to_part, stage, block
 
 
 def _read_exact(sock, count):
-    buf = bytearray()
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+    """The next count bytes of the stream, received into one bytearray."""
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
+        n = sock.recv_into(view[got:])
+        if not n:
             raise ExchangeError("peer closed connection mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
+        got += n
+    return buf
 
 
 class SocketTransport:
@@ -168,6 +176,8 @@ class SocketTransport:
                         f"misrouted frame for part {to_part} arrived at {self.part}",
                         sender=from_part, receiver=self.part)
                 self._queue(from_part, stage).put(block)
+                # the block is the payload's memory; hold neither between frames
+                del payload, block
         except Exception as exc:  # a clean close ends here too, unread
             # the traceback would keep this frame's last payload and block alive
             exc = exc.with_traceback(None)
@@ -205,11 +215,21 @@ class SocketTransport:
         return block
 
     def close(self):
+        """Shut the connections down, wait for the readers, then close.
+
+        A reader can be between reads when close starts. Were its socket
+        closed first, the descriptor number could go to a socket opened next
+        (the next solve's mesh), and the stale reader would take bytes from
+        that stream. The shutdown ends every read, so the joins are short.
+        """
         for sock in self._socks.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        for reader in self._readers:
+            reader.join(timeout=5.0)
+        for sock in self._socks.values():
             sock.close()
 
 

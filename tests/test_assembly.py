@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helmfft.assembly import (BoundaryData, Field3D, SourceSpec, apply_stencil,
-                              build_rhs, fold_dirichlet, residual_l2)
-from helmfft.grid import Domain, constant_profile, make_grid
+from helmfft.assembly import (BoundaryData, Field3D, SourceSpec, _accumulate,
+                              _sample_interior, apply_stencil, build_rhs,
+                              fold_dirichlet, residual_l2)
+from helmfft.errors import NonFiniteInputError
+from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
 from helmfft.oracle import dense_boundary_fold, dense_matrix, row_index
-from helmfft.stencil import SchemeKind
+from helmfft.problems import helmholtz_problem
+from helmfft.stencil import SchemeKind, coefficient_table
 
 PI = math.pi
 
@@ -264,3 +268,191 @@ class TestResidual:
             residual_l2(Field3D.zeros(grid),
                         Field3D(np.zeros((2, 2, 2), dtype=complex)),
                         SchemeKind.SECOND_ORDER, prof, grid)
+
+
+# (n_x, n_y, n_z): faces that overlap (extent 1 or 2) or leave no inner rows
+LAYER_EXTENTS = [(1, 1, 1), (1, 4, 3), (2, 2, 5), (5, 1, 2), (4, 3, 1), (6, 5, 7)]
+
+
+def layer_case(scheme, extents, boundary_kind, seed=11):
+    """A grid, profile, random RHS and boundary for the fold tests.
+
+    Sixth order gets h = 1/4 in every direction (its weights need a uniform
+    step); the other schemes get three different steps. Helmholtz schemes
+    get a complex k^2(z), convection-diffusion a gamma.
+    """
+    n_x, n_y, n_z = extents
+    if scheme is SchemeKind.SIXTH_ORDER:
+        domain = Domain(0, 0.25 * (n_x + 1), 0, 0.25 * (n_y + 1), 0, 0.25 * (n_z + 1))
+    else:
+        domain = Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0)
+    grid = make_grid(domain, n_x, n_y, n_z)
+    if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
+        profile = constant_profile(0.0, grid, gamma=-3.7)
+    else:
+        profile = sample_profile(lambda z: (3 + 1j) * np.cos(2 * z) + 5,
+                                 lambda z: -(6 + 2j) * np.sin(2 * z),
+                                 lambda z: -(12 + 4j) * np.cos(2 * z), 0.0, grid)
+    rhs = random_field(grid, seed)
+    if boundary_kind == "array":
+        bnd = random_boundary(grid, seed + 1)
+    else:
+        bnd = BoundaryData.from_function(
+            lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) * np.cos(z) + 1j * x * z)
+    return grid, profile, rhs, bnd
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestFoldLayers:
+    """The fold touches only the six boundary layers and matches the
+    full-volume accumulation over the closed box bit for bit."""
+
+    @pytest.mark.parametrize("boundary_kind", ["array", "function"])
+    @pytest.mark.parametrize("extents", LAYER_EXTENTS)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_bitwise_full_volume_fold(self, scheme, extents, boundary_kind):
+        grid, prof, rhs, bnd = layer_case(scheme, extents, boundary_kind)
+        folded = fold_dirichlet(rhs, bnd, scheme, prof, grid)
+        table = coefficient_table(scheme, prof, grid)
+        expect = rhs.values - _accumulate(bnd.closed_box(grid), table)
+        assert np.array_equal(bits(folded.values), bits(expect))
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_rows_without_boundary_neighbor_unchanged(self, scheme):
+        grid, prof, rhs, bnd = layer_case(scheme, (6, 5, 7), "function")
+        folded = fold_dirichlet(rhs, bnd, scheme, prof, grid)
+        inner = (slice(1, -1),) * 3
+        assert np.array_equal(bits(folded.values[inner]), bits(rhs.values[inner]))
+        assert not np.array_equal(folded.values[0], rhs.values[0])
+        assert not np.shares_memory(folded.values, rhs.values)
+
+    def test_peak_allocation_near_one_field(self):
+        p = helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0, SchemeKind.SIXTH_ORDER, 64)
+        rhs = random_field(p.grid, 12)
+        field_bytes = rhs.values.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            folded = fold_dirichlet(rhs, p.boundary, p.scheme, p.profile, p.grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert folded.values.nbytes == field_bytes
+        assert peak <= 1.2 * field_bytes, peak / field_bytes
+
+
+class TestSixthOrderRhsInPlace:
+    @pytest.mark.parametrize("kind", ["catalog", "complex"])
+    def test_bitwise_full_temporary_expression(self, kind):
+        p = helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0, SchemeKind.SIXTH_ORDER, 23)
+        grid, src, prof = p.grid, p.source, p.profile
+        if kind == "complex":
+            # any callables will do: the test is of the arithmetic, not the source
+            def wave(a, b):
+                return lambda x, y, z: np.exp(1j * (a * x - b * y)) * np.cos(a * z + b) - b
+
+            src = SourceSpec(f=wave(1.1, 0.3), f_z=wave(-0.7, 2.0), lap_f=wave(2.3, -1.0),
+                             d4_f=wave(0.4, 0.9), f_xxyy=wave(-1.6, 0.2),
+                             f_xxzz=wave(0.8, -2.2), f_yyzz=wave(3.0, 1.4))
+            prof = sample_profile(lambda z: (3 - 2j) * np.sin(z) - 4,
+                                  lambda z: (3 - 2j) * np.cos(z),
+                                  lambda z: -(3 - 2j) * np.sin(z), 0.0, grid)
+        got = build_rhs(p.scheme, src, prof, grid)
+
+        def sample(fn):
+            return _sample_interior(fn, grid)
+
+        h2 = grid.h_z**2
+        h4 = h2 * h2
+        f = sample(src.f)
+        mixed = sample(src.f_xxyy) + sample(src.f_xxzz) + sample(src.f_yyzz)
+        k2_col = prof.k2[1:-1][:, None, None]
+        k2z_col = prof.k2_z[1:-1][:, None, None]
+        expect = h2 * (f + (h2 / 12.0) * sample(src.lap_f)
+                       + (h4 / 360.0) * sample(src.d4_f) + (h4 / 90.0) * mixed)
+        expect -= (h4 / 20.0) * k2_col * f
+        expect += (h2 * h4 / 60.0) * k2z_col * sample(src.f_z)
+        assert np.array_equal(bits(got.values), bits(expect))
+
+    def test_sample_owns_its_values(self):
+        grid, _ = cube_grid(4)
+        held = np.ones(grid.shape, dtype=complex)
+        sampled = _sample_interior(lambda x, y, z: held, grid)
+        assert not np.shares_memory(sampled, held)
+        fresh = _sample_interior(lambda x, y, z: x + y + z, grid)
+        assert fresh.shape == grid.shape and fresh.flags.writeable
+
+
+class TestNonFiniteInput:
+    def setup_method(self):
+        self.grid, self.prof = cube_grid(4, k2=2.0)
+        self.rhs = random_field(self.grid, 13)
+        self.bnd = random_boundary(self.grid, 14)
+
+    def fold(self, rhs=None, bnd=None, prof=None):
+        return fold_dirichlet(rhs or self.rhs, bnd or self.bnd, SchemeKind.FOURTH_ORDER,
+                              prof or self.prof, self.grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_rhs_names_first_node(self, bad):
+        rhs = self.rhs.copy()
+        rhs.values[3, 0, 2] = bad
+        rhs.values[3, 1, 0] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            self.fold(rhs=rhs)
+        assert (err.value.field, err.value.index) == ("rhs", (4, 1, 3))
+        assert "rhs" in str(err.value) and "(4, 1, 3)" in str(err.value)
+
+    def test_overflowing_plane_sum_is_not_an_error(self):
+        rhs = self.rhs.copy()
+        rhs.values[2] = 1e308  # finite values whose plane sum overflows
+        folded = self.fold(rhs=rhs, bnd=BoundaryData.zero())
+        assert np.array_equal(folded.values, rhs.values)
+
+    def test_rhs_checked_with_zero_boundary(self):
+        rhs = self.rhs.copy()
+        rhs.values[0, 0, 0] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            self.fold(rhs=rhs, bnd=BoundaryData.zero())
+        assert err.value.index == (1, 1, 1)
+
+    @pytest.mark.parametrize("name", ["k2", "k2_z", "k2_zz"])
+    def test_profile_array_names_level(self, name):
+        arrays = {n: getattr(self.prof, n).copy() for n in ("k2", "k2_z", "k2_zz")}
+        arrays[name][5] = np.nan
+        prof = type(self.prof)(gamma=self.prof.gamma, **arrays)
+        with pytest.raises(NonFiniteInputError) as err:
+            self.fold(prof=prof)
+        assert (err.value.field, err.value.index) == (name, (5,))
+
+    def test_gamma(self):
+        prof = constant_profile(0.0, self.grid, gamma=np.inf)
+        with pytest.raises(NonFiniteInputError) as err:
+            self.fold(prof=prof)
+        assert err.value.field == "gamma"
+
+    @pytest.mark.parametrize("node", [(0, 2, 3), (5, 0, 1), (2, 5, 4), (3, 1, 0),
+                                      (4, 3, 5), (0, 0, 0)])
+    def test_boundary_array_names_closed_node(self, node):
+        ext = self.bnd.closed_box(self.grid)
+        ext[node] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            self.fold(bnd=BoundaryData.from_array(ext))
+        assert (err.value.field, err.value.index) == ("boundary", node)
+
+    def test_boundary_function(self):
+        top = self.grid.z(self.grid.n_z + 1)
+        bnd = BoundaryData.from_function(
+            lambda x, y, z: np.where(z == top, np.nan, 1.0) + 0 * x + 0 * y)
+        with pytest.raises(NonFiniteInputError) as err:
+            self.fold(bnd=bnd)
+        assert err.value.field == "boundary" and err.value.index == (5, 0, 0)
+
+    def test_interior_of_boundary_array_ignored(self):
+        ext = self.bnd.closed_box(self.grid)
+        ext[2, 2, 2] = np.nan  # an interior node: never read
+        folded = self.fold(bnd=BoundaryData.from_array(ext))
+        assert np.isfinite(folded.values).all()

@@ -3,6 +3,9 @@ import math
 
 import pytest
 
+import helmfft.harness
+import helmfft.solver
+from helmfft.assembly import build_rhs, fold_dirichlet, residual_l2
 from helmfft.cli import main, parse_config_file
 from helmfft.harness import (CSV_COLUMNS, MetricsRow, emit_table, make_problem,
                              measure, observed_orders, run_convergence,
@@ -119,6 +122,26 @@ class TestMeasure:
         assert row.grid == "16^3"
         assert row.l2_res <= 1e-10
         assert row.total_s >= row.transform_s
+
+    def test_rhs_built_once_residual_unchanged(self, monkeypatch):
+        problem = make_problem("variable-k", SchemeKind.SIXTH_ORDER, 12)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_rhs(*args)
+
+        monkeypatch.setattr(helmfft.harness, "build_rhs", counting)
+        monkeypatch.setattr(helmfft.solver, "build_rhs", counting)
+        row, solution = measure(problem, SolverConfig())
+        assert len(calls) == 1
+        # the residual of a separately built and folded right-hand side
+        rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
+        folded = fold_dirichlet(rhs, problem.boundary, problem.scheme,
+                                problem.profile, problem.grid)
+        assert row.l2_res == residual_l2(solution, folded, problem.scheme,
+                                         problem.profile, problem.grid)
+        assert row.setup_s <= row.total_s
 
 
 class TestConfigFile:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from helmfft.assembly import BoundaryData, Field3D
-from helmfft.errors import InvalidPartitionError, SingularSystemError
+import helmfft.solver
+from helmfft.errors import (InvalidPartitionError, NonFiniteInputError,
+                            SingularSystemError)
 from helmfft.grid import Domain, constant_profile, make_grid
 from helmfft.oracle import dense_solve
 from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig,
@@ -242,6 +244,21 @@ class TestSolveDiscrete:
         u, t = solve_discrete(rhs, BoundaryData.zero(), SchemeKind.SECOND_ORDER,
                               prof, grid, SolverConfig(mode=Partitioned(2)))
         assert t.setup_s + t.transform_s + t.exchange_s + t.tridiag_s <= t.total_s + 0.05
+
+    @pytest.mark.parametrize("mode", [Sequential(), SharedWorkers(2), Partitioned(2)],
+                             ids=["seq", "shared2", "parts2"])
+    def test_non_finite_rhs_rejected_before_any_transform(self, mode, monkeypatch):
+        transforms = []
+        monkeypatch.setattr(helmfft.solver, "transform_stack",
+                            lambda *args: transforms.append(args))
+        grid, prof = cube(6, k2=2.0)
+        rhs = random_field(grid, 71)
+        rhs.values[2, 3, 4] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            solve_discrete(rhs, random_boundary(grid, 72), SchemeKind.FOURTH_ORDER,
+                           prof, grid, SolverConfig(mode=mode))
+        assert (err.value.field, err.value.index) == ("rhs", (3, 4, 5))
+        assert transforms == []
 
     def test_resonance_reported_with_mode(self):
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 1, 1, 1)

@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -117,13 +118,40 @@ class TestSocketTransport:
         delivered = weakref.ref(got)
         for t in transports:
             t.close()
-        for t in transports:
-            for reader in t._readers:
-                reader.join(timeout=5.0)
-                assert not reader.is_alive()
+            # close waits for its readers before freeing their descriptors
+            assert not any(reader.is_alive() for reader in t._readers)
         assert escaped == []
         del got  # the stopped readers must not keep the last block alive
         assert delivered() is None
+
+    def test_receive_decodes_in_place_and_frees_block(self):
+        # a forward block of a 159^3 solve in two parts: 80 planes x 79 rows
+        block = np.arange(80 * 79 * 159, dtype=complex).reshape(80, 79, 159)
+        frame = encode_frame(0, 1, STAGE_FORWARD, block)
+        transports = socket_mesh(2)
+        sender = threading.Thread(target=transports[0]._socks[1].sendall, args=(frame,))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sender.start()  # the frame was encoded before tracing began
+            got = transports[1].receive(0, STAGE_FORWARD, (159, 79, 80), timeout=30.0)
+            sender.join(timeout=30.0)
+            assert not sender.is_alive()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert np.array_equal(got, block)
+            assert got.flags.writeable
+            del got
+            deadline = time.perf_counter() + 5.0  # the reader drops its references
+            while (tracemalloc.get_traced_memory()[0] - base >= 2**20
+                   and time.perf_counter() < deadline):
+                time.sleep(0.01)
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            for t in transports:
+                t.close()
+        assert peak <= 1.1 * block.nbytes, peak / block.nbytes
+        assert left < 2**20, left
 
     def test_exchange_roundtrip_matches_in_process(self):
         parts = 3
