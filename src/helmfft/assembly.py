@@ -1,10 +1,12 @@
 """Right-hand sides, Dirichlet folding, and matrix-free application of the operator.
 
-Fields live on interior nodes only, stored as (n_z, n_y, n_x) complex arrays
-so the x index varies fastest in memory; the flattened order matches the row
-ordering of the assembled linear system. Boundary values never enter the
-unknown vector: they are folded into the right-hand side once, and the solver
-works with homogeneous data from then on.
+Fields live on interior nodes only, stored as (n_z, n_y, n_x) arrays so the
+x index varies fastest in memory; the flattened order matches the row
+ordering of the assembled linear system. A field is float64 or complex128.
+Boundary values never enter the unknown vector: they are folded into the
+right-hand side once, and the solver works with homogeneous data from then
+on. The fold decides the solve's dtype: float64 when the right-hand side,
+the profile and the boundary values are all real, complex128 otherwise.
 """
 
 from dataclasses import dataclass
@@ -27,16 +29,18 @@ _PLANE_OFFSETS = (
 
 @dataclass
 class Field3D:
-    """Complex scalar field on the interior nodes.
+    """Real or complex scalar field on the interior nodes.
 
     values has shape (n_z, n_y, n_x); the linear index of interior node
-    (i, j, l), all 1-based, is (i-1) + n_x*(j-1) + n_x*n_y*(l-1).
+    (i, j, l), all 1-based, is (i-1) + n_x*(j-1) + n_x*n_y*(l-1). A float64
+    array is kept as it is; any other array is converted to complex128.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        self.values = values if values.dtype == np.float64 else np.asarray(values, dtype=complex)
         if self.values.ndim != 3:
             raise ValueError(f"Field3D needs a 3D array, got ndim={self.values.ndim}")
 
@@ -125,13 +129,13 @@ class BoundaryData:
                           (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2))
 
 
-def _paint_box(faces, grid: Grid3D, lo, hi) -> np.ndarray:
+def _paint_box(faces, grid: Grid3D, lo, hi, dtype=complex) -> np.ndarray:
     """Closed-box values on the nodes lo <= (l, j, i) < hi; interior nodes zero.
 
     The faces are painted z, y, x, so a later face wins where faces meet.
     """
     (l0, j0, i0), (l1, j1, i1) = lo, hi
-    out = np.zeros((l1 - l0, j1 - j0, i1 - i0), dtype=complex)
+    out = np.zeros((l1 - l0, j1 - j0, i1 - i0), dtype=dtype)
     z_lo, z_hi, y_lo, y_hi, x_lo, x_hi = faces
     for f, l in ((z_lo, 0), (z_hi, grid.n_z + 1)):
         if l0 <= l < l1:
@@ -169,7 +173,7 @@ class SourceSpec:
 
     @classmethod
     def zero(cls) -> "SourceSpec":
-        z = lambda x, y, zz: np.zeros(np.broadcast(x, y, zz).shape, dtype=complex)
+        z = lambda x, y, zz: np.zeros(np.broadcast(x, y, zz).shape)
         return cls(f=z, f_z=z, f_xx=z, f_yy=z, f_zz=z,
                    lap_f=z, d4_f=z, f_xxyy=z, f_xxzz=z, f_yyzz=z)
 
@@ -187,26 +191,37 @@ def _interior_coords(grid):
     return x, y, z
 
 
-def _sample_interior(fn, grid, out=None):
-    """fn on the interior nodes, as a complex array the caller owns.
+def _sample_interior(fn, grid):
+    """fn on the interior nodes: float64 for real values, complex128 otherwise.
 
-    With out the samples are written into it. Without, a full-size array
-    made by the complex conversion is returned as is, and anything else (a
-    complex array the callable may still hold, a broadcast shape) is copied.
+    The array may be fn's own or a broadcast of a smaller one, so callers
+    only read it.
     """
     x, y, z = _interior_coords(grid)
-    raw = fn(x, y, z)
-    if out is not None:
-        out[...] = raw
-        return out
-    values = np.asarray(raw, dtype=complex)
-    if values is not raw and values.flags.owndata and values.shape == grid.shape:
-        return values  # the conversion made a new full-size array
-    return np.broadcast_to(values, grid.shape).copy()
+    return _float_or_complex(fn(x, y, z))
+
+
+def _float_or_complex(raw) -> np.ndarray:
+    raw = np.asarray(raw)
+    return raw.astype(complex if np.iscomplexobj(raw) else float, copy=False)
+
+
+def _is_real(values) -> bool:
+    """True when values have no nonzero imaginary part."""
+    return not np.iscomplexobj(values) or not np.any(np.imag(values))
+
+
+def _profile_is_real(profile: CoefficientProfile) -> bool:
+    """k2, k2_z, k2_zz and gamma have zero imaginary parts (an O(n_z) test)."""
+    return all(_is_real(v) for v in (profile.k2, profile.k2_z, profile.k2_zz, profile.gamma))
+
+
+class _ComplexSample(Exception):
+    """A source callable returned complex values for a float64 right-hand side."""
 
 
 def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfile,
-              grid: Grid3D) -> Field3D:
+              grid: Grid3D, dtype=complex) -> Field3D:
     """Scheme-specific right-hand side F on the interior nodes.
 
     Second order:   F = h_z^2 f.
@@ -221,23 +236,63 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
                     correction operator, carried over to the right-hand side.
     Convection-diffusion: F = h_z^2 (f + h_x^2/12 f_xx + h_y^2/12 f_yy
                     + h_z^2/12 (gamma f_z + f_zz)).
+
+    With the default dtype, complex, the field is complex128, as callers
+    that combine it with complex data need. With dtype=None it follows the
+    data: float64 when the profile and every source sample are real, which
+    is how the solver builds it, and complex128 otherwise.
     """
+    if dtype is None:
+        if _profile_is_real(profile):
+            try:
+                return Field3D(_scheme_rhs(scheme, source, profile, grid, real=True))
+            except _ComplexSample:
+                pass  # a complex source: build the complex right-hand side
+    elif np.dtype(dtype) != np.complex128:
+        raise ValueError(f"dtype must be complex or None, got {dtype!r}")
+    values = _scheme_rhs(scheme, source, profile, grid, real=False)
+    return Field3D(np.asarray(values, dtype=complex))
+
+
+def _scheme_rhs(scheme, source, profile, grid, real):
+    """The formulas of build_rhs, in float64 when real is set.
+
+    Real samples enter a complex right-hand side as they are: a product or
+    sum with a zero imaginary part is the same in complex arithmetic, so the
+    complex result matches one built from complex samples bit for bit. The
+    fourth-order division is the exception: its complex build converts the
+    samples first.
+    """
+    dtype = float if real else complex
+
+    def checked(values):
+        if real and np.iscomplexobj(values):
+            raise _ComplexSample
+        return values
+
+    def sample(fn):
+        return checked(_sample_interior(fn, grid))
+
     hz2 = grid.h_z**2
     if scheme is SchemeKind.SECOND_ORDER:
-        rhs = _sample_interior(source.f, grid)
-        return Field3D(np.multiply(hz2, rhs, out=rhs))
+        return np.multiply(hz2, sample(source.f), out=np.empty(grid.shape, dtype))
 
     if scheme is SchemeKind.FOURTH_ORDER:
         x = grid.x_nodes(closed=True)[None, None, :]
         y = grid.y_nodes(closed=True)[None, :, None]
         z = grid.z_nodes(closed=True)[:, None, None]
         shape = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
-        fc = np.broadcast_to(np.asarray(source.f(x, y, z), dtype=complex), shape)
+        fc = checked(_float_or_complex(source.f(x, y, z)))
+        fc = np.broadcast_to(np.asarray(fc, dtype=dtype), shape)
         core = fc[1:-1, 1:-1, 1:-1]
         neighbors = (fc[1:-1, 1:-1, :-2] + fc[1:-1, 1:-1, 2:]
                      + fc[1:-1, :-2, 1:-1] + fc[1:-1, 2:, 1:-1]
                      + fc[:-2, 1:-1, 1:-1] + fc[2:, 1:-1, 1:-1])
-        return Field3D(hz2 * (0.5 * core + neighbors / 12.0))
+        # a complex division by 12 multiplies by 1/12; the float64 build does
+        # the same, so a real right-hand side that the fold widens to complex
+        # (for a complex boundary) equals the complex build bit for bit
+        twelfth = neighbors * (1.0 / 12.0) if real else neighbors / 12.0
+        return hz2 * (0.5 * core + twelfth)
 
     if scheme is SchemeKind.SIXTH_ORDER:
         if not grid.uniform:
@@ -245,38 +300,36 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
         source.require(["f_z", "lap_f", "d4_f", "f_xxyy", "f_xxzz", "f_yyzz"])
         h2 = hz2
         h4 = h2 * h2
-        k2_col = profile.k2[1:-1][:, None, None]
-        k2z_col = profile.k2_z[1:-1][:, None, None]
-        x, y, z = _interior_coords(grid)
-        # three buffers; the terms are combined in the formula's order, and
-        # each complex product keeps its factor order (scale first), because
-        # a complex product is not bitwise commutative
-        f = _sample_interior(source.f, grid)
-        rhs = _sample_interior(source.lap_f, grid)
-        np.multiply(h2 / 12.0, rhs, out=rhs)
+        k2, k2_z = (profile.k2.real, profile.k2_z.real) if real else (profile.k2, profile.k2_z)
+        k2_col = k2[1:-1][:, None, None]
+        k2z_col = k2_z[1:-1][:, None, None]
+        # two buffers besides f, which is only read; the terms are combined in
+        # the formula's order, and each complex product keeps its factor order
+        # (scale first), because a complex product is not bitwise commutative
+        f = sample(source.f)
+        rhs = np.multiply(h2 / 12.0, sample(source.lap_f), out=np.empty(grid.shape, dtype))
         rhs += f
-        term = _sample_interior(source.d4_f, grid)
-        rhs += np.multiply(h4 / 360.0, term, out=term)
-        _sample_interior(source.f_xxyy, grid, out=term)
-        term += source.f_xxzz(x, y, z)  # the same sums as of complex samples
-        term += source.f_yyzz(x, y, z)
+        term = np.multiply(h4 / 360.0, sample(source.d4_f), out=np.empty(grid.shape, dtype))
+        rhs += term
+        np.copyto(term, sample(source.f_xxyy))
+        term += sample(source.f_xxzz)
+        term += sample(source.f_yyzz)
         rhs += np.multiply(h4 / 90.0, term, out=term)
         np.multiply(h2, rhs, out=rhs)
-        rhs -= np.multiply((h4 / 20.0) * k2_col, f, out=f)
-        _sample_interior(source.f_z, grid, out=term)
-        rhs += np.multiply((h2 * h4 / 60.0) * k2z_col, term, out=term)
-        return Field3D(rhs)
+        rhs -= np.multiply((h4 / 20.0) * k2_col, f, out=term)
+        rhs += np.multiply((h2 * h4 / 60.0) * k2z_col, sample(source.f_z), out=term)
+        return rhs
 
     if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
         source.require(["f_z", "f_xx", "f_yy", "f_zz"])
-        f = _sample_interior(source.f, grid)
-        fxx = _sample_interior(source.f_xx, grid)
-        fyy = _sample_interior(source.f_yy, grid)
-        fz = _sample_interior(source.f_z, grid)
-        fzz = _sample_interior(source.f_zz, grid)
-        rhs = hz2 * (f + (grid.h_x**2 / 12.0) * fxx + (grid.h_y**2 / 12.0) * fyy
-                     + (hz2 / 12.0) * (profile.gamma * fz + fzz))
-        return Field3D(rhs)
+        gamma = np.real(profile.gamma) if real else profile.gamma
+        f = sample(source.f)
+        fxx = sample(source.f_xx)
+        fyy = sample(source.f_yy)
+        fz = sample(source.f_z)
+        fzz = sample(source.f_zz)
+        return hz2 * (f + (grid.h_x**2 / 12.0) * fxx + (grid.h_y**2 / 12.0) * fyy
+                      + (hz2 / 12.0) * (gamma * fz + fzz))
 
     raise ValueError(f"unknown scheme {scheme}")
 
@@ -288,7 +341,7 @@ def _accumulate(ext: np.ndarray, table) -> np.ndarray:
     table the (A, B, C, D) weights of the box's row levels.
     """
     A, B, C, D = table
-    out = np.zeros(tuple(e - 2 for e in ext.shape), dtype=complex)
+    out = np.zeros(tuple(e - 2 for e in ext.shape), dtype=np.result_type(ext, *table))
     n_z, n_y, n_x = out.shape
     weights = {"a": A, "b": B, "c": C, "d": D}
     for dl in (-1, 0, 1):
@@ -324,6 +377,10 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     the cost past the copy is O(n^2). The right-hand side, the profile and the
     boundary values are checked first: a non-finite value raises
     NonFiniteInputError naming the field and the node.
+
+    The copy is float64 when the right-hand side is float64 and the profile
+    and the boundary faces have zero imaginary parts (a known-zero boundary
+    counts as real), and complex128 otherwise; the solve runs in its dtype.
     """
     if rhs.values.shape != grid.shape:
         raise ValueError(f"rhs shape {rhs.values.shape} != grid {grid.shape}")
@@ -331,7 +388,9 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     faces = None if boundary.known_zero else boundary.faces(grid)
     if faces is not None:
         _check_faces(faces, grid)
-    values = np.empty(grid.shape, dtype=complex)
+    real = (rhs.values.dtype == np.float64 and _profile_is_real(profile)
+            and (faces is None or all(_is_real(f) for f in faces)))
+    values = np.empty(grid.shape, dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (plane, src) in enumerate(zip(values, rhs.values)):
             np.copyto(plane, src)
@@ -342,9 +401,12 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     if faces is None or not any(np.any(f) for f in faces):
         return Field3D(values)
     table = coefficient_table(scheme, profile, grid)
+    if real:  # the imaginary parts are zero, so dropping them is exact
+        faces = tuple(np.real(f) for f in faces)
+        table = tuple(w.real for w in table)
     for lo, hi in _boundary_layers(grid):
         # rows lo..hi-1 are nodes lo+1..hi; their neighbors are nodes lo..hi+1
-        ext = _paint_box(faces, grid, lo, tuple(h + 2 for h in hi))
+        ext = _paint_box(faces, grid, lo, tuple(h + 2 for h in hi), values.dtype)
         rows = [w[lo[0]:hi[0]] for w in table]
         values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] -= _accumulate(ext, rows)
     return Field3D(values)

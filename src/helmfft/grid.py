@@ -5,8 +5,10 @@ Conventions used throughout the package:
 - "n interior points" means n unknowns per direction; the closed grid has
   n + 2 nodes with indices 0 and n + 1 on the boundary planes.
 - the step is h = (hi - lo) / (n + 1), so node i sits at lo + i * h.
-- all sampled coefficient values are complex double precision; real problems
-  are simply the zero-imaginary-part case.
+- sampled coefficient profiles are stored as complex double precision. A
+  profile whose imaginary parts are all zero is real, and a solve whose
+  right-hand side and boundary values are real as well runs in float64
+  (see assembly.fold_dirichlet).
 """
 
 from dataclasses import dataclass

@@ -51,11 +51,11 @@ def _grid_label(grid) -> str:
 def measure(problem: ProblemSpec, config: SolverConfig, label_suffix: str = ""):
     """Solve one problem and collect every metric; returns (row, solution).
 
-    The right-hand side is built once; its time counts as setup, as in
-    solve_with_timings, and the residual refolds it.
+    The right-hand side is built once, in the data's dtype as in
+    solve_with_timings; its time counts as setup, and the residual refolds it.
     """
     t0 = time.perf_counter()
-    rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
+    rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid, None)
     rhs_s = time.perf_counter() - t0
     solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
                                        problem.profile, problem.grid, config)

@@ -130,43 +130,22 @@ def helmholtz_problem(a: float, b: float, c: float, beta: float, gamma: float,
     def angular(x, y):
         return np.sin(bx * x) * np.sin(gy * y)
 
-    def make_source():
-        def f(x, y, z):
-            return c0 * angular(x, y) * psi[0](z)
+    def separable(*terms):
+        # c0 * angular(x, y) * sum(coef * psi[k](z)): the z sum is formed on
+        # the column, then one n^3 product; f, f_z and f_zz (one term with
+        # coef 1) keep the factor order of c0 * angular * psi bit for bit
+        def fn(x, y, z):
+            column = sum(coef * psi[k](z) for coef, k in terms)
+            return c0 * angular(x, y) * column
+        return fn
 
-        def f_z(x, y, z):
-            return c0 * angular(x, y) * psi[1](z)
-
-        def f_zz(x, y, z):
-            return c0 * angular(x, y) * psi[2](z)
-
-        def f_xx(x, y, z):
-            return -bx**2 * f(x, y, z)
-
-        def f_yy(x, y, z):
-            return -gy**2 * f(x, y, z)
-
-        def lap_f(x, y, z):
-            return -(bx**2 + gy**2) * f(x, y, z) + f_zz(x, y, z)
-
-        def f_xxyy(x, y, z):
-            return bx**2 * gy**2 * f(x, y, z)
-
-        def f_xxzz(x, y, z):
-            return -bx**2 * f_zz(x, y, z)
-
-        def f_yyzz(x, y, z):
-            return -gy**2 * f_zz(x, y, z)
-
-        def d4_f(x, y, z):
-            ang = angular(x, y)
-            return (bx**4 + gy**4) * c0 * ang * psi[0](z) + c0 * ang * psi[4](z)
-
-        return SourceSpec(f=f, f_z=f_z, f_xx=f_xx, f_yy=f_yy, f_zz=f_zz,
-                          lap_f=lap_f, d4_f=d4_f,
-                          f_xxyy=f_xxyy, f_xxzz=f_xxzz, f_yyzz=f_yyzz)
-
-    source = make_source()
+    source = SourceSpec(f=separable((1.0, 0)), f_z=separable((1.0, 1)),
+                        f_xx=separable((-bx**2, 0)), f_yy=separable((-gy**2, 0)),
+                        f_zz=separable((1.0, 2)),
+                        lap_f=separable((-(bx**2 + gy**2), 0), (1.0, 2)),
+                        d4_f=separable((bx**4 + gy**4, 0), (1.0, 4)),
+                        f_xxyy=separable((bx**2 * gy**2, 0)),
+                        f_xxzz=separable((-bx**2, 2)), f_yyzz=separable((-gy**2, 2)))
 
     def pde_residual(x, y, z):
         # laplacian(u) + k^2 u - f, assembled from the closed forms

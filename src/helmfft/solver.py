@@ -2,7 +2,9 @@
 
 The pipeline is always: build and fold the right-hand side, forward 2D sine
 transform of every z-plane, solve the decoupled tridiagonal systems along z,
-inverse transform. The modes differ only in how the work is distributed:
+inverse transform. Every stage works in the dtype of the folded right-hand
+side: float64 for a real problem, complex128 otherwise. The modes differ
+only in how the work is distributed:
 
 - Sequential: one thread does everything.
 - SharedWorkers(w): w threads split the z-planes and the mode pencils of one
@@ -153,7 +155,7 @@ def exchange_forward(plan: ExchangePlan, transport, part: int,
     if z_slab.shape != (z1 - z0, plan.n_y, plan.n_x):
         raise ValueError(f"z-slab shape {z_slab.shape} != "
                          f"{(z1 - z0, plan.n_y, plan.n_x)}")
-    y_slab = np.empty((plan.n_z, y1 - y0, plan.n_x), dtype=complex)
+    y_slab = np.empty((plan.n_z, y1 - y0, plan.n_x), dtype=z_slab.dtype)
     for q in range(plan.n_parts):
         qy0, qy1 = y_ranges[q]
         if q == part:
@@ -179,7 +181,7 @@ def exchange_inverse(plan: ExchangePlan, transport, part: int,
     if y_slab.shape != (plan.n_z, y1 - y0, plan.n_x):
         raise ValueError(f"y-slab shape {y_slab.shape} != "
                          f"{(plan.n_z, y1 - y0, plan.n_x)}")
-    z_slab = np.empty((z1 - z0, plan.n_y, plan.n_x), dtype=complex)
+    z_slab = np.empty((z1 - z0, plan.n_y, plan.n_x), dtype=y_slab.dtype)
     for q in range(plan.n_parts):
         qz0, qz1 = z_ranges[q]
         if q == part:
@@ -263,7 +265,9 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     """Solve the 27-point system for a prebuilt right-hand side.
 
     Returns (solution Field3D, PhaseTimings). rhs is the unfolded right-hand
-    side; boundary values are folded here as part of setup.
+    side; boundary values are folded here as part of setup. The solve runs
+    in the folded copy's dtype (see fold_dirichlet), so the solution of a
+    real problem is float64.
     """
     t_start = time.perf_counter()
     _validate_config(config, grid)
@@ -368,7 +372,11 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
 
 
 def solve_direct(problem, config: SolverConfig = SolverConfig()) -> Field3D:
-    """Build the scheme right-hand side for a problem and solve it."""
+    """Build the scheme right-hand side for a problem and solve it.
+
+    A problem whose source, profile and boundary values are real is solved
+    in float64 throughout and returns a float64 solution.
+    """
     solution, _ = solve_with_timings(problem, config)
     return solution
 
@@ -376,7 +384,8 @@ def solve_direct(problem, config: SolverConfig = SolverConfig()) -> Field3D:
 def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
     """Like solve_direct but also returns the phase timing breakdown."""
     t0 = time.perf_counter()
-    rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
+    rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid,
+                    dtype=None)
     rhs_s = time.perf_counter() - t0
     solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
                                        problem.profile, problem.grid, config)

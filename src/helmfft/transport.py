@@ -16,11 +16,14 @@ stages on top of that.
 
 Frame layout (all integers little-endian unsigned 32-bit):
 
-    [payload_len][from_part][to_part][stage_tag][ext_x][ext_y][ext_z]
-    followed by ext_z * ext_y * ext_x complex values, each a little-endian
-    float64 (real, imag) pair, x index fastest.
+    [payload_len][from_part][to_part][tag][ext_x][ext_y][ext_z]
+    followed by ext_z * ext_y * ext_x values in the block's own dtype, x
+    index fastest: a complex128 value is a little-endian float64
+    (real, imag) pair, a float64 value one little-endian float64.
 
-payload_len counts every byte after the length word itself.
+tag is the stage for a complex128 block and the stage + REAL_TAG for a
+float64 block. payload_len counts every byte after the length word itself,
+and must equal the header plus the values the extents and the tag declare.
 """
 
 import queue
@@ -34,8 +37,9 @@ from .errors import ExchangeError
 
 STAGE_FORWARD = 1
 STAGE_INVERSE = 2
+REAL_TAG = 0x100  # added to a frame's stage tag when its values are float64
 
-_HEADER = struct.Struct("<6I")  # from, to, stage, ext_x, ext_y, ext_z
+_HEADER = struct.Struct("<6I")  # from, to, tag, ext_x, ext_y, ext_z
 _LEN = struct.Struct("<I")
 
 
@@ -95,29 +99,66 @@ class InProcessMesh:
         return InProcessTransport(self, part)
 
 
+def _wire_block(block) -> np.ndarray:
+    """The block as contiguous little-endian float64 or complex128 values.
+
+    The solver's blocks already are, so on a little-endian host this copies
+    nothing.
+    """
+    block = np.asarray(block)
+    return np.ascontiguousarray(block, dtype="<c16" if np.iscomplexobj(block) else "<f8")
+
+
+def _frame_header(from_part, to_part, stage, block: np.ndarray) -> bytes:
+    """Length word and header of the frame carrying a _wire_block block."""
+    n_z, n_y, n_x = block.shape
+    tag = stage + (REAL_TAG if block.dtype.kind == "f" else 0)
+    return (_LEN.pack(_HEADER.size + block.nbytes)
+            + _HEADER.pack(from_part, to_part, tag, n_x, n_y, n_z))
+
+
 def encode_frame(from_part, to_part, stage, block: np.ndarray) -> bytes:
     """Serialize one block into a length-prefixed frame."""
-    block = np.ascontiguousarray(block, dtype=np.complex128)
-    n_z, n_y, n_x = block.shape
-    payload = _HEADER.pack(from_part, to_part, stage, n_x, n_y, n_z)
-    data = block.astype("<c16", copy=False).tobytes()
-    return _LEN.pack(len(payload) + len(data)) + payload + data
+    block = _wire_block(block)
+    return _frame_header(from_part, to_part, stage, block) + block.tobytes()
 
 
 def decode_frame(payload):
     """Inverse of encode_frame, given the bytes after the length word.
 
     The block is a view of payload (a bytearray gives a writable block), so
-    decoding copies nothing on a little-endian host.
+    decoding copies nothing on a little-endian host. A payload whose size
+    does not match its extents and value type raises ExchangeError naming
+    the frame's edge.
     """
-    from_part, to_part, stage, n_x, n_y, n_z = _HEADER.unpack_from(payload)
+    from_part, to_part, tag, n_x, n_y, n_z = _HEADER.unpack_from(payload)
+    stage, real = tag % REAL_TAG, tag // REAL_TAG
     size = len(payload) - _HEADER.size
-    expected = n_x * n_y * n_z * 16
+    if real not in (0, 1):
+        raise ExchangeError(f"frame tag {tag:#x} on edge ({from_part}, {to_part}) "
+                            f"names no value type", sender=from_part, receiver=to_part)
+    dtype = np.dtype("<f8" if real else "<c16")
+    expected = n_x * n_y * n_z * dtype.itemsize
     if size != expected:
-        raise ExchangeError(f"frame payload {size} bytes, expected {expected}")
-    block = np.frombuffer(payload, dtype="<c16", offset=_HEADER.size)
-    block = block.astype(np.complex128, copy=False).reshape(n_z, n_y, n_x)
+        raise ExchangeError(
+            f"frame payload {size} bytes on edge ({from_part}, {to_part}), expected "
+            f"{expected} for {n_x}x{n_y}x{n_z} {dtype.name} values",
+            sender=from_part, receiver=to_part)
+    block = np.frombuffer(payload, dtype=dtype, offset=_HEADER.size)
+    block = block.astype(dtype.newbyteorder("="), copy=False).reshape(n_z, n_y, n_x)
     return from_part, to_part, stage, block
+
+
+def _send_buffers(sock, buffers):
+    """Send every byte of buffers, in order, from their own memory."""
+    views = [memoryview(b).cast("B") for b in buffers]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= views[0].nbytes:
+            sent -= views[0].nbytes
+            views.pop(0)
+        if sent:
+            views[0] = views[0][sent:]
 
 
 def _read_exact(sock, count):
@@ -192,7 +233,8 @@ class SocketTransport:
         if sock is None:
             raise ExchangeError(f"no connection from {self.part} to {to_part}",
                                 sender=self.part, receiver=to_part)
-        sock.sendall(encode_frame(self.part, to_part, stage, block))
+        block = _wire_block(block)
+        _send_buffers(sock, [_frame_header(self.part, to_part, stage, block), block])
 
     def receive(self, from_part, stage, extents, timeout=60.0):
         try:

@@ -52,12 +52,18 @@ def solve_slab(values: np.ndarray, scheme: SchemeKind, profile: CoefficientProfi
     private y-slab rather than a view into the full field. The slab is swept
     in m-blocks of at most SWEEP_BLOCK_BYTES per level, so the per-level
     working set does not grow with the slab; every line's arithmetic is the
-    same as in one sweep over the whole slab.
+    same as in one sweep over the whole slab. A float64 slab is swept with
+    the real part of the coefficient table, which needs a real profile.
     """
     n_z, n_m, n_x = values.shape
     if n_m == 0:
         return
     table = coefficient_table(scheme, profile, grid)
+    if not np.iscomplexobj(values):
+        if any(np.any(w.imag) for w in table):
+            raise ValueError("a float64 slab needs a real profile; this one has "
+                             "a nonzero imaginary part")
+        table = tuple(w.real for w in table)
     cx, cy = mode_cosines(grid)
     rows = max(1, SWEEP_BLOCK_BYTES // (n_x * values.itemsize))
     n_blocks = -(-n_m // rows)

@@ -360,7 +360,13 @@ class TestSixthOrderRhsInPlace:
             prof = sample_profile(lambda z: (3 - 2j) * np.sin(z) - 4,
                                   lambda z: (3 - 2j) * np.cos(z),
                                   lambda z: -(3 - 2j) * np.sin(z), 0.0, grid)
-        got = build_rhs(p.scheme, src, prof, grid)
+        if kind == "catalog":  # real data: the right-hand side builds in float64
+            got = build_rhs(p.scheme, src, prof, grid, dtype=None)
+            assert got.values.dtype == np.float64
+            k2, k2_z = prof.k2.real, prof.k2_z.real
+        else:
+            got = build_rhs(p.scheme, src, prof, grid)
+            k2, k2_z = prof.k2, prof.k2_z
 
         def sample(fn):
             return _sample_interior(fn, grid)
@@ -369,21 +375,37 @@ class TestSixthOrderRhsInPlace:
         h4 = h2 * h2
         f = sample(src.f)
         mixed = sample(src.f_xxyy) + sample(src.f_xxzz) + sample(src.f_yyzz)
-        k2_col = prof.k2[1:-1][:, None, None]
-        k2z_col = prof.k2_z[1:-1][:, None, None]
+        k2_col = k2[1:-1][:, None, None]
+        k2z_col = k2_z[1:-1][:, None, None]
         expect = h2 * (f + (h2 / 12.0) * sample(src.lap_f)
                        + (h4 / 360.0) * sample(src.d4_f) + (h4 / 90.0) * mixed)
         expect -= (h4 / 20.0) * k2_col * f
         expect += (h2 * h4 / 60.0) * k2z_col * sample(src.f_z)
         assert np.array_equal(bits(got.values), bits(expect))
 
-    def test_sample_owns_its_values(self):
-        grid, _ = cube_grid(4)
-        held = np.ones(grid.shape, dtype=complex)
-        sampled = _sample_interior(lambda x, y, z: held, grid)
-        assert not np.shares_memory(sampled, held)
+    @pytest.mark.parametrize("held_dtype", [float, complex])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_samples_a_callable_holds_are_only_read(self, scheme, held_dtype):
+        # a sample may be the callable's own array: building never writes to it
+        grid, prof = cube_grid(4, k2=2.0, gamma=-1.5)
+        rng = np.random.default_rng(17)
+        held = {name: rng.standard_normal(grid.shape).astype(held_dtype)
+                for name in ("f", "f_z", "f_xx", "f_yy", "f_zz", "lap_f", "d4_f",
+                             "f_xxyy", "f_xxzz", "f_yyzz")}
+        before = {name: a.copy() for name, a in held.items()}
+        src = SourceSpec(**{name: (lambda a: lambda x, y, z: a)(a)
+                            for name, a in held.items()})
+        if scheme is SchemeKind.FOURTH_ORDER:  # samples f on the closed grid
+            closed = rng.standard_normal((6, 6, 6)).astype(held_dtype)
+            src.f, before["closed"], held["closed"] = (lambda x, y, z: closed,
+                                                       closed.copy(), closed)
+        for dtype in (complex, None):
+            got = build_rhs(scheme, src, prof, grid, dtype=dtype)
+            assert not any(np.shares_memory(got.values, a) for a in held.values())
+        for name, a in held.items():
+            assert np.array_equal(bits(a), bits(before[name])), name
         fresh = _sample_interior(lambda x, y, z: x + y + z, grid)
-        assert fresh.shape == grid.shape and fresh.flags.writeable
+        assert fresh.shape == grid.shape and fresh.dtype == np.float64
 
 
 class TestNonFiniteInput:

@@ -1,6 +1,7 @@
 """The benchmark's contract at its smoke size: a clean run of every workload
-is correct with no failed solve, and an injected NaN right-hand side is
-counted as exactly one failed solve rather than aborting the run.
+is correct with no failed solve, an injected NaN right-hand side is
+counted as exactly one failed solve rather than aborting the run, and a
+traced run attributes time to the RHS layer.
 
 Each case runs `perfbench/run.py` as a subprocess from the repository root,
 as the benchmark itself is run; about seven seconds per case on two cores.
@@ -35,3 +36,11 @@ def test_clean_run_is_correct(workload):
 def test_injected_nan_counts_one_failed_solve(workload):
     result = bench(workload, "--inject", "nan")
     assert result["failed"] == 1 and not result["correct"]
+
+
+def test_trace_attributes_the_rhs_layer():
+    # the solver's RHS stage is reached through helmfft.solver.build_rhs, which
+    # the trace wraps; were it reached otherwise, its time would land in solver.self_s
+    result = bench("sixth-vark-125-shared2", "--trace", "1")
+    assert result["correct"] and result["failed"] == 0
+    assert result["metrics"]["assembly.build_rhs_s"]["value"] > 0

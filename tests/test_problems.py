@@ -5,7 +5,8 @@ import pytest
 
 import helmfft as hf
 from helmfft.assembly import Field3D
-from helmfft.problems import convdiff_problem, error_metrics, helmholtz_problem
+from helmfft.problems import (_SineExpProfile, convdiff_problem, error_metrics,
+                              helmholtz_problem)
 from helmfft.stencil import SchemeKind
 
 PI = math.pi
@@ -123,6 +124,34 @@ class TestSourceDerivatives:
             errs.append(abs(fd - exact))
         order = math.log(errs[0] / errs[-1]) / math.log(4.0)
         assert order >= 1.8
+
+    def test_callables_match_their_closed_forms(self):
+        # the closed forms, each evaluated in full on the interior nodes
+        a, b, c, bx, gy = 10.0, 9.0, 10.0, 10.0, 9.0
+        p = helmholtz_problem(a, b, c, bx, gy, SchemeKind.SIXTH_ORDER, 17)
+        psi = [_SineExpProfile({(1, 0): 1.0}, a, b, c)]
+        for _ in range(4):
+            psi.append(psi[-1].derivative())
+        x = p.grid.x_nodes()[None, None, :]
+        y = p.grid.y_nodes()[None, :, None]
+        z = p.grid.z_nodes()[:, None, None]
+        ang = np.sin(bx * x) * np.sin(gy * y)
+        c0 = -b * (2.0 * a + c)
+        f = c0 * ang * psi[0](z)
+        f_zz = c0 * ang * psi[2](z)
+        expect = {"f": f, "f_z": c0 * ang * psi[1](z), "f_zz": f_zz,
+                  "f_xx": -bx**2 * f, "f_yy": -gy**2 * f,
+                  "lap_f": -(bx**2 + gy**2) * f + f_zz,
+                  "d4_f": (bx**4 + gy**4) * c0 * ang * psi[0](z) + c0 * ang * psi[4](z),
+                  "f_xxyy": bx**2 * gy**2 * f, "f_xxzz": -bx**2 * f_zz,
+                  "f_yyzz": -gy**2 * f_zz}
+        for name, values in expect.items():
+            got = getattr(p.source, name)(x, y, z)
+            assert got.shape == p.grid.shape and got.dtype == np.float64, name
+            err = np.abs(got - values).max() / np.abs(values).max()
+            assert err <= 1e-14, (name, err)
+            if name in ("f", "f_z", "f_zz"):  # one profile: the same products
+                assert np.array_equal(got, values), name
 
     def test_mixed_derivatives_are_separable_products(self, problem):
         rng = np.random.default_rng(5)

@@ -1,20 +1,24 @@
+import dataclasses
 import math
 import threading
 
 import numpy as np
 import pytest
 
-from helmfft.assembly import BoundaryData, Field3D
+from helmfft.assembly import BoundaryData, Field3D, SourceSpec, build_rhs
 import helmfft.solver
 from helmfft.errors import (InvalidPartitionError, NonFiniteInputError,
                             SingularSystemError)
-from helmfft.grid import Domain, constant_profile, make_grid
+from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
 from helmfft.oracle import dense_solve
+from helmfft.problems import ProblemSpec, convdiff_problem, helmholtz_problem
 from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig,
                             exchange_forward, exchange_inverse,
-                            make_exchange_plan, plan_partition, solve_discrete)
-from helmfft.stencil import SchemeKind
-from helmfft.transport import InProcessMesh
+                            make_exchange_plan, plan_partition, solve_direct,
+                            solve_discrete)
+from helmfft.stencil import SchemeKind, mode_cosines
+from helmfft.transport import InProcessMesh, socket_mesh
+from helmfft.tridiag import solve_slab
 
 PI = math.pi
 
@@ -328,3 +332,136 @@ class TestComplexityShape:
         ratios = [run_once(rhs_l, prof_l, grid_l) / run_once(rhs_s, prof_s, grid_s)
                   for _ in range(9)]
         assert statistics.median(ratios) <= 9.5
+
+
+def real_anisotropic_problem(scheme):
+    """A 17 x 13 x 11 problem whose profile, source and walls are all real."""
+    n_x, n_y, n_z = 17, 13, 11
+    if scheme is SchemeKind.SIXTH_ORDER:  # its weights need one step in all directions
+        domain = Domain(0, 0.25 * (n_x + 1), 0, 0.25 * (n_y + 1), 0, 0.25 * (n_z + 1))
+    else:
+        domain = Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0)
+    grid = make_grid(domain, n_x, n_y, n_z)
+    if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
+        profile = constant_profile(0.0, grid, gamma=-3.7)
+    else:
+        profile = sample_profile(lambda z: 3.0 * np.cos(2 * z) + 5.0,
+                                 lambda z: -6.0 * np.sin(2 * z),
+                                 lambda z: -12.0 * np.cos(2 * z), 0.0, grid)
+
+    def wave(a, b):  # any real callables will do: the test is of the arithmetic
+        return lambda x, y, z: np.sin(a * x - b * y) * np.cos(a * z + b) - b
+
+    source = SourceSpec(f=wave(1.1, 0.3), f_z=wave(-0.7, 2.0), f_xx=wave(0.5, 1.2),
+                        f_yy=wave(-1.3, 0.4), f_zz=wave(2.1, -0.6), lap_f=wave(2.3, -1.0),
+                        d4_f=wave(0.4, 0.9), f_xxyy=wave(-1.6, 0.2),
+                        f_xxzz=wave(0.8, -2.2), f_yyzz=wave(3.0, 1.4))
+    boundary = BoundaryData.from_function(
+        lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) * np.cos(z))
+    return ProblemSpec(scheme, grid, profile, source, boundary)
+
+
+def catalog_problem(scheme, n):
+    if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
+        return convdiff_problem(-100.0, n)
+    return helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0, scheme, n)
+
+
+REAL_PATH_MODES = {
+    "seq": SolverConfig(mode=Sequential()),
+    "shared2": SolverConfig(mode=SharedWorkers(2)),
+    "parts2": SolverConfig(mode=Partitioned(2)),
+    "parts3x2": SolverConfig(mode=Partitioned(3, workers_per_part=2)),
+    "sockets2": SolverConfig(mode=Partitioned(2), transport_factory=socket_mesh),
+}
+
+
+class TestRealPath:
+    """Real problems solve in float64; the complex path is the reference."""
+
+    @pytest.mark.parametrize("case", ["cube33", "anisotropic"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_matches_complex_path(self, scheme, case):
+        p = catalog_problem(scheme, 33) if case == "cube33" else real_anisotropic_problem(scheme)
+        u = solve_direct(p)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid)
+        v, _ = solve_discrete(rhs, p.boundary, p.scheme, p.profile, p.grid)
+        assert u.values.dtype == np.float64 and v.values.dtype == np.complex128
+        scale = np.abs(v.values).max()
+        assert np.abs(u.values - v.values).max() <= 1e-13 * scale
+
+    # a float64 slab receiving complex frames would warn here
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize("problem", [
+        lambda: catalog_problem(SchemeKind.SIXTH_ORDER, 14),
+        lambda: real_anisotropic_problem(SchemeKind.FOURTH_ORDER),
+    ], ids=["sixth-catalog", "fourth-anisotropic"])
+    def test_modes_bitwise_equal(self, problem):
+        p = problem()
+        ref = solve_direct(p)
+        assert ref.values.dtype == np.float64
+        for name, config in REAL_PATH_MODES.items():
+            u = solve_direct(p, config)
+            assert u.values.dtype == np.float64, name
+            assert np.array_equal(u.values, ref.values), name
+
+    @pytest.mark.parametrize("complex_input", [None, "rhs", "profile", "boundary"])
+    def test_any_complex_input_solves_complex(self, complex_input):
+        p = real_anisotropic_problem(SchemeKind.FOURTH_ORDER)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None).values
+        profile, boundary = p.profile, p.boundary
+        if complex_input == "rhs":
+            rhs = rhs + 0.5j
+        elif complex_input == "profile":
+            profile = constant_profile(2.0 + 1e-3j, p.grid)
+        elif complex_input == "boundary":
+            boundary = BoundaryData.from_function(lambda x, y, z: 1.0 + 1j * x)
+        u, _ = solve_discrete(Field3D(rhs), boundary, p.scheme, profile, p.grid)
+        expect = np.float64 if complex_input is None else np.complex128
+        assert u.values.dtype == expect
+
+    def test_complex_typed_walls_with_zero_imaginary_part_solve_real(self):
+        p = real_anisotropic_problem(SchemeKind.SECOND_ORDER)
+        walls = BoundaryData.from_array(p.boundary.closed_box(p.grid))  # complex128
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        u, _ = solve_discrete(rhs, walls, p.scheme, p.profile, p.grid)
+        assert u.values.dtype == np.float64
+        assert np.array_equal(u.values, solve_direct(p).values)
+
+    @pytest.mark.parametrize("mode", ["seq", "shared2", "parts2"])
+    def test_non_finite_rhs_rejected_before_any_transform(self, mode, monkeypatch):
+        transforms = []
+        monkeypatch.setattr(helmfft.solver, "transform_stack",
+                            lambda *args: transforms.append(args))
+        p = real_anisotropic_problem(SchemeKind.FOURTH_ORDER)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        assert rhs.values.dtype == np.float64
+        rhs.values[2, 3, 4] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            solve_discrete(rhs, p.boundary, p.scheme, p.profile, p.grid,
+                           REAL_PATH_MODES[mode])
+        assert (err.value.field, err.value.index) == ("rhs", (3, 4, 5))
+        nan_source = dataclasses.replace(
+            p.source, f=lambda x, y, z: np.where(z > 1.0, np.nan, 1.0) + 0 * x * y)
+        with pytest.raises(NonFiniteInputError):
+            solve_direct(dataclasses.replace(p, source=nan_source), REAL_PATH_MODES[mode])
+        assert transforms == []
+
+    def test_resonant_real_k2_names_its_mode(self):
+        # one level: mode (n, m) has the single eigenvalue
+        # 2 r_zx cos_n + 2 r_zy cos_m - 2 (r_zx + r_zy + 1) + h_z^2 k^2,
+        # so this real k^2 makes only mode (3, 10) singular
+        grid = make_grid(Domain(0, PI, 0, 2.0, 0, 1.5), 5, 12, 1)
+        r_zx = grid.h_z**2 / grid.h_x**2
+        r_zy = grid.h_z**2 / grid.h_y**2
+        cx, cy = mode_cosines(grid)
+        k2 = 2.0 * (r_zx + r_zy + 1.0 - r_zx * cx[2] - r_zy * cy[9]) / grid.h_z**2
+        with pytest.raises(SingularSystemError) as err:
+            solve_discrete(Field3D(np.ones(grid.shape)), BoundaryData.zero(),
+                           SchemeKind.SECOND_ORDER, constant_profile(k2, grid), grid)
+        assert (err.value.n, err.value.m) == (3, 10)
+
+    def test_real_slab_with_complex_profile_rejected(self):
+        grid, prof = cube(4, k2=1.0 + 0.5j)
+        with pytest.raises(ValueError):
+            solve_slab(np.ones(grid.shape), SchemeKind.SECOND_ORDER, prof, grid)

@@ -12,8 +12,9 @@ from helmfft.errors import ExchangeError
 from helmfft.grid import Domain, make_grid
 from helmfft.solver import (Partitioned, SolverConfig, exchange_forward,
                             exchange_inverse, make_exchange_plan)
-from helmfft.transport import (STAGE_FORWARD, STAGE_INVERSE, InProcessMesh,
-                               decode_frame, encode_frame, socket_mesh)
+from helmfft.transport import (REAL_TAG, STAGE_FORWARD, STAGE_INVERSE, InProcessMesh,
+                               SocketTransport, decode_frame, encode_frame,
+                               socket_mesh)
 
 
 class TestFrameFormat:
@@ -44,6 +45,43 @@ class TestFrameFormat:
         frame = encode_frame(0, 1, STAGE_FORWARD, block)
         with pytest.raises(ExchangeError):
             decode_frame(frame[4:-8])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_roundtrip_keeps_the_block_dtype_bitwise(self, dtype):
+        rng = np.random.default_rng(9)
+        block = rng.standard_normal((3, 2, 4)).astype(dtype)
+        if dtype is complex:
+            block += 1j * rng.standard_normal((3, 2, 4))
+        frame = encode_frame(2, 0, STAGE_INVERSE, block)
+        assert len(frame) == 4 + 24 + block.nbytes
+        from_p, to_p, stage, out = decode_frame(bytearray(frame[4:]))
+        assert (from_p, to_p, stage) == (2, 0, STAGE_INVERSE)
+        assert out.dtype == block.dtype
+        assert np.array_equal(out.view(np.uint64), block.view(np.uint64))
+
+    def test_real_frame_layout(self):
+        block = np.array([[[1.5, -2.0]]])
+        frame = encode_frame(1, 0, STAGE_FORWARD, block)
+        length, from_p, to_p, tag, ex, ey, ez = struct.unpack_from("<7I", frame)
+        assert (from_p, to_p, tag, ex, ey, ez) == (1, 0, STAGE_FORWARD + REAL_TAG, 2, 1, 1)
+        assert length == 24 + 2 * 8
+        assert struct.unpack_from("<2d", frame, 4 + 24) == (1.5, -2.0)
+
+    @pytest.mark.parametrize("cut", [8, 16])
+    def test_payload_not_matching_its_value_type_names_the_edge(self, cut):
+        # a complex frame cut to half its values, or a real frame cut by one value
+        dtype = complex if cut == 8 else float
+        frame = encode_frame(3, 1, STAGE_FORWARD, np.ones((2, 1, 1), dtype=dtype))
+        with pytest.raises(ExchangeError) as err:
+            decode_frame(frame[4:-cut])
+        assert (err.value.sender, err.value.receiver) == (3, 1)
+
+    def test_unknown_value_type_names_the_edge(self):
+        frame = bytearray(encode_frame(0, 2, STAGE_FORWARD, np.ones((1, 1, 1))))
+        struct.pack_into("<I", frame, 12, STAGE_FORWARD + 2 * REAL_TAG)
+        with pytest.raises(ExchangeError) as err:
+            decode_frame(frame[4:])
+        assert (err.value.sender, err.value.receiver) == (0, 2)
 
 
 class TestInProcessTransport:
@@ -152,6 +190,54 @@ class TestSocketTransport:
                 t.close()
         assert peak <= 1.1 * block.nbytes, peak / block.nbytes
         assert left < 2**20, left
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_send_writes_the_block_from_its_own_memory(self, dtype):
+        # a forward block of a 159^3 solve in two parts: 80 planes x 79 rows
+        block = np.arange(80 * 79 * 159, dtype=dtype).reshape(80, 79, 159)
+        a, b = socket.socketpair()
+        received = bytearray(4 + 24 + block.nbytes)  # allocated before tracing
+
+        def drain():
+            view, got = memoryview(received), 0
+            while got < len(received):
+                got += b.recv_into(view[got:])
+
+        transport = SocketTransport(0, {1: a})
+        reader = threading.Thread(target=drain)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reader.start()
+            transport.send(1, STAGE_FORWARD, block)
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            transport.close()
+            b.close()
+        assert peak <= 1.1 * block.nbytes, peak / block.nbytes
+        assert struct.unpack_from("<I", received)[0] == 24 + block.nbytes
+        from_p, to_p, stage, got = decode_frame(received[4:])
+        assert (from_p, to_p, stage) == (0, 1, STAGE_FORWARD)
+        assert got.dtype == block.dtype and np.array_equal(got, block)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_round_trip_bitwise_in_their_dtype(self, dtype):
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((5, 3, 7)).astype(dtype)
+        if dtype is complex:
+            block += 1j * rng.standard_normal(block.shape)
+        transports = socket_mesh(2)
+        try:
+            transports[1].send(0, STAGE_INVERSE, block)
+            got = transports[0].receive(1, STAGE_INVERSE, (7, 3, 5), timeout=5.0)
+        finally:
+            for t in transports:
+                t.close()
+        assert got.dtype == block.dtype
+        assert np.array_equal(got.view(np.uint64), block.view(np.uint64))
 
     def test_exchange_roundtrip_matches_in_process(self):
         parts = 3
