@@ -22,7 +22,6 @@ from .stencil import (SchemeKind, StencilCoefficients, coefficient_table,
 from .assembly import (BoundaryData, Field3D, SourceSpec, apply_stencil,
                        build_rhs, fold_dirichlet, residual_l2)
 from .spectral import TransformPlan, dst2d, make_plan, transform_stack
-from .tridiag import solve_all
 from .oracle import (SpectralSystem, assemble_system, dst2d_reference,
                      eigenvalue, solve_system)
 from .solver import (ExchangePlan, Partitioned, PartitionPlan, PhaseTimings,

@@ -3,18 +3,19 @@
 The pipeline is always: build and fold the right-hand side, forward 2D sine
 transform of every z-plane, solve the decoupled tridiagonal systems along z,
 inverse transform. Every stage works in the dtype of the folded right-hand
-side: float64 for a real problem, complex128 otherwise. The modes differ
-only in how the work is distributed:
+side: float64 for a real problem, complex128 otherwise. Every mode is a
+layout of one runner, p parts of t threads each:
 
-- Sequential: one thread does everything.
-- SharedWorkers(w): w threads split the z-planes and the mode pencils of one
-  shared array; no data movement is needed between stages.
-- Partitioned(p, t): p parts each own a z-slab of the folded right-hand side,
-  which they transform in place, and a y-slab of private storage; between
-  the transform and tridiagonal stages every part sends each other part one
-  block of extents n_x x kpy x kpz through a Transport, then the inverse
-  redistribution runs after the solves. Each part may use t threads
-  internally. Blocks are sent in ascending destination-part order.
+- Partitioned(p, t): p parts each own a z-slab of the folded right-hand
+  side, which they transform in place, and a y-slab of private storage;
+  between the transform and tridiagonal stages every part sends each other
+  part one block of extents n_x x kpy x kpz through a Transport, then the
+  inverse redistribution runs after the solves. Each part's t threads split
+  its z-planes and mode pencils. Blocks are sent in ascending
+  destination-part order.
+- SharedWorkers(w) is the one-part layout (1, w) and Sequential is (1, 1).
+  With no peers the z-slab is the y-slab: no exchange runs and no transport
+  opens.
 
 Stages are separated by barriers; within a stage workers touch disjoint data,
 so repeated runs are bitwise reproducible and every mode yields the same
@@ -199,30 +200,30 @@ def exchange_inverse(plan: ExchangePlan, transport, part: int,
     return z_slab
 
 
-def _validate_config(config: SolverConfig, grid: Grid3D):
-    mode = config.mode
+def _layout(mode: Mode, grid: Grid3D):
+    """(parts, workers per part) of a mode, checked against the grid.
+
+    Sequential and SharedWorkers(w) are the one-part layouts (1, 1) and
+    (1, w); Partitioned(p, t) is (p, t).
+    """
     if isinstance(mode, Sequential):
-        return
-    if isinstance(mode, SharedWorkers):
-        if mode.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {mode.workers}")
-        if mode.workers > grid.n_z:
-            raise InvalidPartitionError(
-                f"{mode.workers} workers need {mode.workers} planes, grid has {grid.n_z}")
-        return
-    if isinstance(mode, Partitioned):
-        if mode.parts < 1 or mode.workers_per_part < 1:
-            raise ValueError("part and worker counts must be >= 1")
-        if mode.parts > grid.n_z or mode.parts > grid.n_y:
-            raise InvalidPartitionError(
-                f"{mode.parts} parts exceed slab extents ({grid.n_z}, {grid.n_y})")
-        min_kpz = grid.n_z // mode.parts
-        if mode.workers_per_part > min_kpz:
-            raise InvalidPartitionError(
-                f"{mode.workers_per_part} workers per part need as many local planes; "
-                f"smallest slab has {min_kpz}")
-        return
-    raise ValueError(f"unknown mode {mode!r}")
+        parts, workers = 1, 1
+    elif isinstance(mode, SharedWorkers):
+        parts, workers = 1, mode.workers
+    elif isinstance(mode, Partitioned):
+        parts, workers = mode.parts, mode.workers_per_part
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if parts < 1 or workers < 1:
+        raise ValueError(f"part and worker counts must be >= 1, got {parts} and {workers}")
+    if parts > grid.n_z or parts > grid.n_y:
+        raise InvalidPartitionError(
+            f"{parts} parts exceed slab extents ({grid.n_z}, {grid.n_y})")
+    if workers > grid.n_z // parts:
+        raise InvalidPartitionError(
+            f"{workers} workers per part need as many local planes; "
+            f"smallest slab has {grid.n_z // parts}")
+    return parts, workers
 
 
 def _executor(workers):
@@ -268,93 +269,76 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     side; boundary values are folded here as part of setup. The solve runs
     in the folded copy's dtype (see fold_dirichlet), so the solution of a
     real problem is float64.
+
+    Every mode runs the same stages on its (parts, workers) layout: the
+    caller's thread runs part 0 and each other part gets a thread of its
+    own. A one-part layout has no peers, so its z-slab is its y-slab: it
+    skips both exchanges and opens no transport. A part that fails closes
+    its transport, so a peer waiting for its blocks fails at once.
     """
     t_start = time.perf_counter()
-    _validate_config(config, grid)
+    parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
-    work = fold_dirichlet(rhs, boundary, scheme, profile, grid)
-    values = work.values
+    # fold_dirichlet returns a new array, so the parts may work in it and
+    # hand it back as the solution
+    values = fold_dirichlet(rhs, boundary, scheme, profile, grid).values
     setup_s = time.perf_counter() - t_start
 
-    mode = config.mode
-    if isinstance(mode, (Sequential, SharedWorkers)):
-        workers = 1 if isinstance(mode, Sequential) else mode.workers
-        with _executor(workers) as executor:
-            t0 = time.perf_counter()
-            _transform_stage(executor, workers, plan, values)
-            t1 = time.perf_counter()
-            _sweep_stage(executor, workers, values, scheme, profile, grid)
-            t2 = time.perf_counter()
-            _transform_stage(executor, workers, plan, values)
-            t3 = time.perf_counter()
-        timings = PhaseTimings(
-            setup_s=setup_s,
-            transform_s=(t1 - t0) + (t3 - t2),
-            exchange_s=0.0,
-            tridiag_s=t2 - t1,
-            total_s=time.perf_counter() - t_start,
-        )
-        return Field3D(values), timings
-
-    # partitioned mode; fold_dirichlet returned a new array, so the parts may
-    # work in values and hand it back as the solution
-    parts, t_workers = mode.parts, mode.workers_per_part
     ex_plan = make_exchange_plan(grid, parts)
-    part_plan = ex_plan.partition
-    if config.transport_factory is not None:
+    if parts == 1:
+        transports = [None]
+    elif config.transport_factory is not None:
         transports = config.transport_factory(parts)
     else:
         mesh = InProcessMesh(parts)
         transports = [mesh.endpoint(p) for p in range(parts)]
-
     barrier = threading.Barrier(parts)
-    part_times = [None] * parts
+    part_times = [dict.fromkeys(("transform", "exchange", "tridiag"), 0.0)
+                  for _ in range(parts)]
     errors = []
 
     def run_part(part):
+        def stage(name, fn):
+            barrier.wait()
+            t0 = time.perf_counter()
+            out = fn()
+            part_times[part][name] += time.perf_counter() - t0
+            return out
+
+        transport = transports[part]
         try:
-            transform_s = exchange_s = tridiag_s = 0.0
-            z0, z1 = part_plan.z_ranges[part]
-            y0, _y1 = part_plan.y_ranges[part]
-            local = values[z0:z1]
-            with _executor(t_workers) as executor:
-                barrier.wait()
-                t0 = time.perf_counter()
-                _transform_stage(executor, t_workers, plan, local)
-                transform_s += time.perf_counter() - t0
-
-                barrier.wait()
-                t0 = time.perf_counter()
-                y_slab = exchange_forward(ex_plan, transports[part], part, local)
-                exchange_s += time.perf_counter() - t0
-
-                barrier.wait()
-                t0 = time.perf_counter()
-                _sweep_stage(executor, t_workers, y_slab, scheme, profile, grid,
-                             m_offset=y0)
-                tridiag_s += time.perf_counter() - t0
-
-                barrier.wait()
-                t0 = time.perf_counter()
-                local[...] = exchange_inverse(ex_plan, transports[part], part, y_slab)
-                exchange_s += time.perf_counter() - t0
-
-                barrier.wait()
-                t0 = time.perf_counter()
-                _transform_stage(executor, t_workers, plan, local)
-                transform_s += time.perf_counter() - t0
-            part_times[part] = (transform_s, exchange_s, tridiag_s)
+            z0, z1 = ex_plan.partition.z_ranges[part]
+            y0, _y1 = ex_plan.partition.y_ranges[part]
+            local = y_slab = values[z0:z1]
+            with _executor(workers) as executor:
+                stage("transform", lambda: _transform_stage(executor, workers, plan, local))
+                if transport is not None:
+                    y_slab = stage("exchange", lambda: exchange_forward(
+                        ex_plan, transport, part, local))
+                stage("tridiag", lambda: _sweep_stage(executor, workers, y_slab, scheme,
+                                                      profile, grid, m_offset=y0))
+                if transport is not None:
+                    local[...] = stage("exchange", lambda: exchange_inverse(
+                        ex_plan, transport, part, y_slab))
+                stage("transform", lambda: _transform_stage(executor, workers, plan, local))
         except BaseException as exc:  # propagate to the caller, release peers
             errors.append(exc)
             barrier.abort()
+            if transport is not None:  # a peer waiting for this part fails at once
+                transports[part] = None
+                transport.close()
 
-    threads = [threading.Thread(target=run_part, args=(p,)) for p in range(parts)]
+    threads = [threading.Thread(target=run_part, args=(p,)) for p in range(1, parts)]
     for t in threads:
         t.start()
+    run_part(0)
     for t in threads:
         t.join()
-    for tr in transports:
-        tr.close()
+    # a failed part has closed its own; the rest close only now, since closing
+    # each as its part finished raised the socket workload's peak RSS
+    for transport in transports:
+        if transport is not None:
+            transport.close()
     if errors:
         for exc in errors:  # prefer the root cause over broken-barrier fallout
             if not isinstance(exc, threading.BrokenBarrierError):
@@ -363,9 +347,9 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
 
     timings = PhaseTimings(
         setup_s=setup_s,
-        transform_s=max(pt[0] for pt in part_times),
-        exchange_s=max(pt[1] for pt in part_times),
-        tridiag_s=max(pt[2] for pt in part_times),
+        transform_s=max(t["transform"] for t in part_times),
+        exchange_s=max(t["exchange"] for t in part_times),
+        tridiag_s=max(t["tridiag"] for t in part_times),
         total_s=time.perf_counter() - t_start,
     )
     return Field3D(values), timings

@@ -12,7 +12,8 @@ Delivery is reliable and ordered per (sender, receiver) pair. Sends are
 buffered (they do not wait for the receiver), receives block until the
 matching block arrives; the exchange itself is complete only when every
 expected block has been received, and the solver places a barrier between
-stages on top of that.
+stages on top of that. Closing an endpoint ends its outgoing streams, so a
+peer's pending or later receive from it raises ExchangeError at once.
 
 Frame layout (all integers little-endian unsigned 32-bit):
 
@@ -64,6 +65,10 @@ class InProcessTransport:
             raise ExchangeError(
                 f"timed out waiting for block {from_part} -> {self.part}",
                 sender=from_part, receiver=self.part) from None
+        if got_stage is None:  # end of stream, kept for later receives too
+            self._mesh.channel(from_part, self.part).put((None, None))
+            raise ExchangeError(f"part {from_part} closed edge ({from_part}, {self.part})",
+                                sender=from_part, receiver=self.part)
         if got_stage != stage:
             raise ExchangeError(
                 f"stage mismatch on edge ({from_part}, {self.part}): "
@@ -78,7 +83,10 @@ class InProcessTransport:
         return block
 
     def close(self):
-        pass
+        """End this part's outgoing streams: a peer's receive from it fails at once."""
+        for to_part in range(self._mesh.n_parts):
+            if to_part != self.part:
+                self._mesh.channel(self.part, to_part).put((None, None))
 
 
 class InProcessMesh:

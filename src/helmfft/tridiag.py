@@ -25,35 +25,16 @@ PIVOT_RTOL = 1e-14
 SWEEP_BLOCK_BYTES = 256 * 1024
 
 
-def solve_all(transformed_rhs, scheme: SchemeKind, profile: CoefficientProfile,
-              grid: Grid3D, pencil_range=None) -> None:
-    """Solve the spectral systems for a y-range of modes, in place.
-
-    transformed_rhs holds the 2D-transformed right-hand side, shape
-    (n_z, n_y, n_x); on return the range's z-lines contain the transformed
-    solution. pencil_range is a 0-based half-open (start, stop) over the
-    m-mode index (None = all). Disjoint ranges may run concurrently.
-    """
-    values = transformed_rhs.values if hasattr(transformed_rhs, "values") else transformed_rhs
-    n_z, n_y, n_x = values.shape
-    start, stop = (0, n_y) if pencil_range is None else pencil_range
-    if not 0 <= start <= stop <= n_y:
-        raise IndexError(f"pencil range ({start}, {stop}) outside 0..{n_y}")
-    if start == stop:
-        return
-    solve_slab(values[:, start:stop, :], scheme, profile, grid, m_start=start)
-
-
 def solve_slab(values: np.ndarray, scheme: SchemeKind, profile: CoefficientProfile,
                grid: Grid3D, m_start: int = 0) -> None:
     """Sweep a (n_z, M, n_x) slab in place; local row j is global mode m_start + j.
 
-    This is the entry point for partitioned execution, where a part holds a
-    private y-slab rather than a view into the full field. The slab is swept
-    in m-blocks of at most SWEEP_BLOCK_BYTES per level, so the per-level
-    working set does not grow with the slab; every line's arithmetic is the
-    same as in one sweep over the whole slab. A float64 slab is swept with
-    the real part of the coefficient table, which needs a real profile.
+    Each of a part's workers sweeps one y-range of the part's slab this way;
+    disjoint ranges may run concurrently. The slab is swept in m-blocks of
+    at most SWEEP_BLOCK_BYTES per level, so the per-level working set does
+    not grow with the slab; every line's arithmetic is the same as in one
+    sweep over the whole slab. A float64 slab is swept with the real part
+    of the coefficient table, which needs a real profile.
     """
     n_z, n_m, n_x = values.shape
     if n_m == 0:

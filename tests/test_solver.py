@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from helmfft.assembly import BoundaryData, Field3D, SourceSpec, build_rhs
 import helmfft.solver
-from helmfft.errors import (InvalidPartitionError, NonFiniteInputError,
-                            SingularSystemError)
+from helmfft.errors import (ExchangeError, InvalidPartitionError,
+                            NonFiniteInputError, SingularSystemError)
 from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
 from helmfft.oracle import dense_solve
 from helmfft.problems import ProblemSpec, convdiff_problem, helmholtz_problem
@@ -294,6 +296,108 @@ class TestConfigValidation:
             solve_discrete(Field3D.zeros(grid), BoundaryData.zero(),
                            SchemeKind.SECOND_ORDER, prof, grid,
                            SolverConfig(mode=Partitioned(2, workers_per_part=3)))
+
+
+def complex_anisotropic_case():
+    """A fourth-order 11 x 9 x 13 solve with complex k^2(z), RHS and walls."""
+    grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 11, 9, 13)
+    profile = sample_profile(lambda z: (3.0 + 1.0j) * np.cos(2 * z) + 5.0,
+                             lambda z: -(6.0 + 2.0j) * np.sin(2 * z),
+                             lambda z: -(12.0 + 4.0j) * np.cos(2 * z), 0.0, grid)
+    boundary = BoundaryData.from_function(
+        lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) * np.cos(z) + 0.5j * x)
+    return random_field(grid, 103), boundary, SchemeKind.FOURTH_ORDER, profile, grid
+
+
+class TestOnePartLayouts:
+    """Sequential and SharedWorkers(w) are the one-part layouts of Partitioned."""
+
+    @pytest.fixture
+    def no_peers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-part layout has no peers")
+
+        monkeypatch.setattr(helmfft.solver, "exchange_forward", forbidden)
+        monkeypatch.setattr(helmfft.solver, "exchange_inverse", forbidden)
+        return forbidden
+
+    @pytest.mark.parametrize("case", ["catalog", "complex-anisotropic"])
+    def test_equal_to_partitioned_one_part(self, case, no_peers):
+        if case == "catalog":
+            p = catalog_problem(SchemeKind.SIXTH_ORDER, 17)
+            solve = lambda mode: solve_direct(
+                p, SolverConfig(mode=mode, transport_factory=no_peers)).values
+        else:
+            args = complex_anisotropic_case()
+            solve = lambda mode: solve_discrete(
+                *args, SolverConfig(mode=mode, transport_factory=no_peers))[0].values
+        for one_part, same in [(Sequential(), Partitioned(1)),
+                               (SharedWorkers(2), Partitioned(1, 2)),
+                               (SharedWorkers(3), Partitioned(1, 3))]:
+            assert np.array_equal(solve(one_part), solve(same)), one_part
+
+    @pytest.mark.parametrize("mode", [Sequential(), Partitioned(1)], ids=["seq", "parts1"])
+    def test_one_worker_runs_on_the_callers_thread(self, mode, no_peers, monkeypatch):
+        threads = set()
+        transform = helmfft.solver.transform_stack
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            return transform(*args)
+
+        monkeypatch.setattr(helmfft.solver, "transform_stack", record)
+        solve_discrete(*complex_anisotropic_case(), SolverConfig(mode=mode))
+        assert threads == {threading.get_ident()}
+
+
+class TestFailFast:
+    """A part that fails mid-exchange stops its peers at once."""
+
+    @pytest.mark.parametrize("mesh", ["in-process", "socket"])
+    def test_send_fault_on_part_0_raised_within_seconds(self, mesh):
+        injected = ExchangeError("injected send fault", sender=0, receiver=1)
+
+        def faulty_factory(parts):
+            if mesh == "socket":
+                transports = socket_mesh(parts)
+            else:  # the default 60 s timeout
+                in_process = InProcessMesh(parts)
+                transports = [in_process.endpoint(p) for p in range(parts)]
+
+            waiting, receive = threading.Event(), transports[1].receive
+
+            def receive_on_1(*args, **kwargs):
+                waiting.set()
+                return receive(*args, **kwargs)
+
+            def send_on_0(*args):
+                waiting.wait(5.0)  # fail once part 1 is past the barrier, waiting
+                raise injected
+
+            transports[0].send, transports[1].receive = send_on_0, receive_on_1
+            return transports
+
+        start = time.perf_counter()
+        with pytest.raises(ExchangeError) as err:
+            solve_discrete(*complex_anisotropic_case(),
+                           SolverConfig(mode=Partitioned(2), transport_factory=faulty_factory))
+        assert err.value is injected
+        assert time.perf_counter() - start < 5.0
+
+
+class TestRunnerThreads:
+    def test_threads_beyond_cores_with_short_switch_interval_bitwise(self):
+        args = complex_anisotropic_case()
+        ref, _ = solve_discrete(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                for mode in (Partitioned(3, 2), Partitioned(2, 3), SharedWorkers(4)):
+                    u, _ = solve_discrete(*args, SolverConfig(mode=mode))
+                    assert np.array_equal(u.values, ref.values), mode
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestComplexityShape:

@@ -108,6 +108,24 @@ class TestInProcessTransport:
         assert err.value.sender == 0 and err.value.receiver == 1
 
 
+    def test_close_fails_a_pending_receive_at_once_naming_edge(self):
+        mesh = InProcessMesh(2)  # the default 60 s timeout
+        sender, receiver = mesh.endpoint(0), mesh.endpoint(1)
+        sender.send(1, STAGE_FORWARD, np.ones((1, 1, 2), dtype=complex))
+        timer = threading.Timer(0.1, sender.close)
+        timer.start()
+        # blocks sent before the close are still delivered, in order
+        assert receiver.receive(0, STAGE_FORWARD, (2, 1, 1)).shape == (1, 1, 2)
+        start = time.perf_counter()
+        for _ in range(2):  # the end of stream stays raised for later receives
+            with pytest.raises(ExchangeError) as err:
+                receiver.receive(0, STAGE_FORWARD, (2, 1, 1))
+            assert (err.value.sender, err.value.receiver) == (0, 1)
+        assert time.perf_counter() - start < 5.0
+        timer.join(timeout=5.0)
+        assert not timer.is_alive()
+
+
 class TestSocketTransport:
     def test_pairwise_send_receive(self):
         transports = socket_mesh(2)

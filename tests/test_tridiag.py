@@ -10,7 +10,7 @@ from helmfft.oracle import (SpectralSystem, assemble_system, dense_matrix,
                             dense_sine_matrix_2d, solve_system)
 from helmfft import tridiag
 from helmfft.stencil import SchemeKind, coefficient_table, mode_cosines
-from helmfft.tridiag import solve_all, solve_slab
+from helmfft.tridiag import solve_slab
 
 PI = math.pi
 
@@ -110,12 +110,14 @@ class TestAssembleSystem:
                 assert others < 1e-11
 
 
-class TestSolveAll:
+class TestSolveSlabRanges:
+    """solve_slab on y-ranges of a field: values[:, a:b, :] with m_start=a."""
+
     def test_zero_rhs(self):
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 4, 4, 4)
         prof = constant_profile(1.0, grid)
         field = Field3D.zeros(grid)
-        solve_all(field, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(field.values, SchemeKind.SECOND_ORDER, prof, grid)
         assert not np.any(field.values)
 
     def test_disjoint_ranges_bitwise_equal(self):
@@ -124,10 +126,10 @@ class TestSolveAll:
         prof = constant_profile(3.0, grid)
         data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         full = Field3D(data.copy())
-        solve_all(full, SchemeKind.FOURTH_ORDER, prof, grid)
+        solve_slab(full.values, SchemeKind.FOURTH_ORDER, prof, grid)
         split = Field3D(data.copy())
-        solve_all(split, SchemeKind.FOURTH_ORDER, prof, grid, (0, 2))
-        solve_all(split, SchemeKind.FOURTH_ORDER, prof, grid, (2, 6))
+        solve_slab(split.values[:, 0:2, :], SchemeKind.FOURTH_ORDER, prof, grid, m_start=0)
+        solve_slab(split.values[:, 2:6, :], SchemeKind.FOURTH_ORDER, prof, grid, m_start=2)
         assert np.array_equal(full.values, split.values)
 
     def test_mode_order_independence(self):
@@ -137,10 +139,12 @@ class TestSolveAll:
         data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         forward = Field3D(data.copy())
         for m in range(5):
-            solve_all(forward, SchemeKind.SECOND_ORDER, prof, grid, (m, m + 1))
+            solve_slab(forward.values[:, m:m + 1, :], SchemeKind.SECOND_ORDER, prof, grid,
+                       m_start=m)
         backward = Field3D(data.copy())
         for m in reversed(range(5)):
-            solve_all(backward, SchemeKind.SECOND_ORDER, prof, grid, (m, m + 1))
+            solve_slab(backward.values[:, m:m + 1, :], SchemeKind.SECOND_ORDER, prof, grid,
+                       m_start=m)
         assert np.array_equal(forward.values, backward.values)
 
     def test_matches_per_line_solver(self):
@@ -152,7 +156,7 @@ class TestSolveAll:
             k2_zz=rng.standard_normal(7) + 0j)
         data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         batched = Field3D(data.copy())
-        solve_all(batched, SchemeKind.FOURTH_ORDER, prof, grid)
+        solve_slab(batched.values, SchemeKind.FOURTH_ORDER, prof, grid)
         for m0 in range(1, 5):
             for n0 in range(1, 4):
                 system = assemble_system(n0, m0, SchemeKind.FOURTH_ORDER, prof, grid)
@@ -167,11 +171,11 @@ class TestSolveAll:
         f2 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         alpha, beta = 0.7 - 0.2j, 1.3 + 0.4j
         combo = Field3D(alpha * f1 + beta * f2)
-        solve_all(combo, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(combo.values, SchemeKind.SECOND_ORDER, prof, grid)
         s1 = Field3D(f1.copy())
         s2 = Field3D(f2.copy())
-        solve_all(s1, SchemeKind.SECOND_ORDER, prof, grid)
-        solve_all(s2, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(s1.values, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(s2.values, SchemeKind.SECOND_ORDER, prof, grid)
         expect = alpha * s1.values + beta * s2.values
         assert np.abs(combo.values - expect).max() < 1e-12 * np.abs(expect).max()
 
@@ -181,7 +185,7 @@ class TestSolveAll:
         prof = constant_profile(7.0, grid)  # real coefficient
         data = rng.standard_normal(grid.shape).astype(complex)
         field = Field3D(data)
-        solve_all(field, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(field.values, SchemeKind.SECOND_ORDER, prof, grid)
         assert np.abs(field.values.imag).max() <= 1e-14
 
     def test_resonant_mode_reported(self):
@@ -191,14 +195,8 @@ class TestSolveAll:
         prof = constant_profile(6.0 / grid.h_z**2, grid)
         field = Field3D(np.ones(grid.shape, dtype=complex))
         with pytest.raises(SingularSystemError) as err:
-            solve_all(field, SchemeKind.SECOND_ORDER, prof, grid)
+            solve_slab(field.values, SchemeKind.SECOND_ORDER, prof, grid)
         assert err.value.n == 1 and err.value.m == 1
-
-    def test_range_validated(self):
-        grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 3, 3, 3)
-        prof = constant_profile(0.0, grid)
-        with pytest.raises(IndexError):
-            solve_all(Field3D.zeros(grid), SchemeKind.SECOND_ORDER, prof, grid, (0, 9))
 
 
 class TestBlockedSweep:
@@ -239,8 +237,9 @@ class TestBlockedSweep:
         k2 = 2.0 * (r_zx + r_zy + 1.0 - r_zx * cx[2] - r_zy * cy[9]) / grid.h_z**2
         prof = constant_profile(k2, grid)
         self.budget_rows(monkeypatch, 2, grid.n_x)
-        for pencil_range in (None, (6, 12)):
-            field = Field3D(np.ones(grid.shape, dtype=complex))
+        for start in (0, 6):
+            values = np.ones(grid.shape, dtype=complex)
             with pytest.raises(SingularSystemError) as err:
-                solve_all(field, SchemeKind.SECOND_ORDER, prof, grid, pencil_range)
+                solve_slab(values[:, start:, :], SchemeKind.SECOND_ORDER, prof, grid,
+                           m_start=start)
             assert (err.value.n, err.value.m) == (3, 10)
