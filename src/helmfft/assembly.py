@@ -183,21 +183,32 @@ class SourceSpec:
             raise ValueError(f"source is missing required derivatives: {missing}")
 
 
-def _interior_coords(grid):
-    """Open-grid coordinate arrays broadcastable to (n_z, n_y, n_x)."""
+# bytes of one z-chunk of a right-hand side build: the formulas run on a
+# chunk's samples at a time, so no full-volume sample is made, while each
+# numpy call still covers about 10^5 values
+RHS_CHUNK_BYTES = 1024 * 1024
+
+
+def _interior_coords(grid, planes=None):
+    """Open-grid coordinate arrays broadcastable to (n_z, n_y, n_x).
+
+    With planes = (l0, l1) the z coordinate covers the 0-based interior
+    planes l0 .. l1-1 only.
+    """
     x = grid.x_nodes()[None, None, :]
     y = grid.y_nodes()[None, :, None]
-    z = grid.z_nodes()[:, None, None]
+    z = grid.z_nodes()[slice(*planes) if planes else slice(None), None, None]
     return x, y, z
 
 
-def _sample_interior(fn, grid):
-    """fn on the interior nodes: float64 for real values, complex128 otherwise.
+def _sample_interior(fn, grid, planes=None):
+    """fn on the interior nodes (of planes (l0, l1) when given): float64 for
+    real values, complex128 otherwise.
 
     The array may be fn's own or a broadcast of a smaller one, so callers
     only read it.
     """
-    x, y, z = _interior_coords(grid)
+    x, y, z = _interior_coords(grid, planes)
     return _float_or_complex(fn(x, y, z))
 
 
@@ -216,12 +227,23 @@ def _profile_is_real(profile: CoefficientProfile) -> bool:
     return all(_is_real(v) for v in (profile.k2, profile.k2_z, profile.k2_zz, profile.gamma))
 
 
+def _works_real(values: np.ndarray, profile: CoefficientProfile, faces) -> bool:
+    """values are float64 and the profile and the boundary faces (None for a
+    known-zero boundary) have zero imaginary parts, so float64 is exact."""
+    return (values.dtype == np.float64 and _profile_is_real(profile)
+            and (faces is None or all(_is_real(f) for f in faces)))
+
+
 class _ComplexSample(Exception):
     """A source callable returned complex values for a float64 right-hand side."""
 
 
+def _inline(extent, fn):
+    fn((0, extent))
+
+
 def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfile,
-              grid: Grid3D, dtype=complex) -> Field3D:
+              grid: Grid3D, dtype=complex, run=None) -> Field3D:
     """Scheme-specific right-hand side F on the interior nodes.
 
     Second order:   F = h_z^2 f.
@@ -237,33 +259,72 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
     Convection-diffusion: F = h_z^2 (f + h_x^2/12 f_xx + h_y^2/12 f_yy
                     + h_z^2/12 (gamma f_z + f_zz)).
 
+    The field is built in z-chunks of about RHS_CHUNK_BYTES. A chunk's
+    formulas run on samples of the chunk's own planes (fourth order: with
+    one more closed-grid plane on each side), so no full-volume sample is
+    made. run(extent, fn) calls fn((l0, l1)) on disjoint plane ranges that
+    cover range(extent), for example on the solve's threads, and each range
+    is built chunk by chunk; by default the caller's thread builds it all.
+    A node's arithmetic does not depend on the chunks, so every split and
+    every run gives the same bits.
+
     With the default dtype, complex, the field is complex128, as callers
     that combine it with complex data need. With dtype=None it follows the
     data: float64 when the profile and every source sample are real, which
-    is how the solver builds it, and complex128 otherwise.
+    is how the solver builds it, and complex128 otherwise (a complex sample
+    in any chunk restarts the whole build in complex).
     """
+    run = run or _inline
+    _check_source(scheme, source, grid)
     if dtype is None:
         if _profile_is_real(profile):
             try:
-                return Field3D(_scheme_rhs(scheme, source, profile, grid, real=True))
+                return Field3D(_chunked_rhs(scheme, source, profile, grid, True, run))
             except _ComplexSample:
                 pass  # a complex source: build the complex right-hand side
     elif np.dtype(dtype) != np.complex128:
         raise ValueError(f"dtype must be complex or None, got {dtype!r}")
-    values = _scheme_rhs(scheme, source, profile, grid, real=False)
-    return Field3D(np.asarray(values, dtype=complex))
+    return Field3D(_chunked_rhs(scheme, source, profile, grid, False, run))
 
 
-def _scheme_rhs(scheme, source, profile, grid, real):
-    """The formulas of build_rhs, in float64 when real is set.
+def _check_source(scheme, source, grid):
+    """Reject a scheme the grid or the source cannot serve, before any chunk."""
+    if scheme is SchemeKind.SIXTH_ORDER:
+        if not grid.uniform:
+            raise UnsupportedSchemeError("sixth-order RHS needs a uniform grid step")
+        source.require(["f_z", "lap_f", "d4_f", "f_xxyy", "f_xxzz", "f_yyzz"])
+    elif scheme is SchemeKind.CONVECTION_DIFFUSION_4:
+        source.require(["f_z", "f_xx", "f_yy", "f_zz"])
+    elif scheme not in (SchemeKind.SECOND_ORDER, SchemeKind.FOURTH_ORDER):
+        raise ValueError(f"unknown scheme {scheme}")
 
-    Real samples enter a complex right-hand side as they are: a product or
-    sum with a zero imaginary part is the same in complex arithmetic, so the
-    complex result matches one built from complex samples bit for bit. The
-    fourth-order division is the exception: its complex build converts the
-    samples first.
+
+def _chunked_rhs(scheme, source, profile, grid, real, run):
+    """The right-hand side array, built chunk by chunk through run."""
+    out = np.empty(grid.shape, dtype=float if real else complex)
+    depth = max(1, RHS_CHUNK_BYTES // out[0].nbytes)
+
+    def build(planes):
+        for l0 in range(planes[0], planes[1], depth):
+            l1 = min(l0 + depth, planes[1])
+            _scheme_rhs(scheme, source, profile, grid, (l0, l1), out[l0:l1])
+
+    run(grid.n_z, build)
+    return out
+
+
+def _scheme_rhs(scheme, source, profile, grid, planes, out):
+    """The formulas of build_rhs on planes (l0, l1), written into out.
+
+    A float64 out takes real samples only. Real samples enter a complex
+    right-hand side as they are: a product or sum with a zero imaginary
+    part is the same in complex arithmetic, so the complex result matches
+    one built from complex samples bit for bit. The fourth-order division
+    is the exception: its complex build converts the samples first.
     """
-    dtype = float if real else complex
+    dtype = out.dtype
+    real = dtype == np.float64
+    l0, l1 = planes
 
     def checked(values):
         if real and np.iscomplexobj(values):
@@ -271,17 +332,18 @@ def _scheme_rhs(scheme, source, profile, grid, real):
         return values
 
     def sample(fn):
-        return checked(_sample_interior(fn, grid))
+        return checked(_sample_interior(fn, grid, planes))
 
     hz2 = grid.h_z**2
     if scheme is SchemeKind.SECOND_ORDER:
-        return np.multiply(hz2, sample(source.f), out=np.empty(grid.shape, dtype))
+        np.multiply(hz2, sample(source.f), out=out)
 
-    if scheme is SchemeKind.FOURTH_ORDER:
+    elif scheme is SchemeKind.FOURTH_ORDER:
+        # closed-grid planes l0 .. l1+1 are the chunk's rows and one more each side
         x = grid.x_nodes(closed=True)[None, None, :]
         y = grid.y_nodes(closed=True)[None, :, None]
-        z = grid.z_nodes(closed=True)[:, None, None]
-        shape = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
+        z = grid.z_nodes(closed=True)[l0:l1 + 2, None, None]
+        shape = (l1 - l0 + 2, grid.n_y + 2, grid.n_x + 2)
         fc = checked(_float_or_complex(source.f(x, y, z)))
         fc = np.broadcast_to(np.asarray(fc, dtype=dtype), shape)
         core = fc[1:-1, 1:-1, 1:-1]
@@ -292,24 +354,22 @@ def _scheme_rhs(scheme, source, profile, grid, real):
         # the same, so a real right-hand side that the fold widens to complex
         # (for a complex boundary) equals the complex build bit for bit
         twelfth = neighbors * (1.0 / 12.0) if real else neighbors / 12.0
-        return hz2 * (0.5 * core + twelfth)
+        np.multiply(hz2, 0.5 * core + twelfth, out=out)
 
-    if scheme is SchemeKind.SIXTH_ORDER:
-        if not grid.uniform:
-            raise UnsupportedSchemeError("sixth-order RHS needs a uniform grid step")
-        source.require(["f_z", "lap_f", "d4_f", "f_xxyy", "f_xxzz", "f_yyzz"])
+    elif scheme is SchemeKind.SIXTH_ORDER:
         h2 = hz2
         h4 = h2 * h2
         k2, k2_z = (profile.k2.real, profile.k2_z.real) if real else (profile.k2, profile.k2_z)
-        k2_col = k2[1:-1][:, None, None]
-        k2z_col = k2_z[1:-1][:, None, None]
-        # two buffers besides f, which is only read; the terms are combined in
-        # the formula's order, and each complex product keeps its factor order
-        # (scale first), because a complex product is not bitwise commutative
+        k2_col = k2[1 + l0:1 + l1][:, None, None]
+        k2z_col = k2_z[1 + l0:1 + l1][:, None, None]
+        # one buffer besides out and f, which is only read; the terms are
+        # combined in the formula's order, and each complex product keeps its
+        # factor order (scale first), because a complex product is not
+        # bitwise commutative
         f = sample(source.f)
-        rhs = np.multiply(h2 / 12.0, sample(source.lap_f), out=np.empty(grid.shape, dtype))
+        rhs = np.multiply(h2 / 12.0, sample(source.lap_f), out=out)
         rhs += f
-        term = np.multiply(h4 / 360.0, sample(source.d4_f), out=np.empty(grid.shape, dtype))
+        term = np.multiply(h4 / 360.0, sample(source.d4_f), out=np.empty(out.shape, dtype))
         rhs += term
         np.copyto(term, sample(source.f_xxyy))
         term += sample(source.f_xxzz)
@@ -318,20 +378,16 @@ def _scheme_rhs(scheme, source, profile, grid, real):
         np.multiply(h2, rhs, out=rhs)
         rhs -= np.multiply((h4 / 20.0) * k2_col, f, out=term)
         rhs += np.multiply((h2 * h4 / 60.0) * k2z_col, sample(source.f_z), out=term)
-        return rhs
 
-    if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
-        source.require(["f_z", "f_xx", "f_yy", "f_zz"])
+    else:  # convection-diffusion
         gamma = np.real(profile.gamma) if real else profile.gamma
         f = sample(source.f)
         fxx = sample(source.f_xx)
         fyy = sample(source.f_yy)
         fz = sample(source.f_z)
         fzz = sample(source.f_zz)
-        return hz2 * (f + (grid.h_x**2 / 12.0) * fxx + (grid.h_y**2 / 12.0) * fyy
-                      + (hz2 / 12.0) * (gamma * fz + fzz))
-
-    raise ValueError(f"unknown scheme {scheme}")
+        np.multiply(hz2, f + (grid.h_x**2 / 12.0) * fxx + (grid.h_y**2 / 12.0) * fyy
+                    + (hz2 / 12.0) * (gamma * fz + fzz), out=out)
 
 
 def _accumulate(ext: np.ndarray, table) -> np.ndarray:
@@ -358,12 +414,29 @@ def _accumulate(ext: np.ndarray, table) -> np.ndarray:
 
 def apply_stencil(u: Field3D, boundary: BoundaryData, scheme: SchemeKind,
                   profile: CoefficientProfile, grid: Grid3D) -> Field3D:
-    """Matrix-free A*u, including contributions from the boundary lattice."""
+    """Matrix-free A*u, including contributions from the boundary lattice.
+
+    A float64 u with a real profile and real boundary values (a known-zero
+    boundary counts as real) is painted and accumulated in float64, and the
+    result is float64: the real part of the complex path's result. Any
+    other input works in complex128.
+    """
     if u.values.shape != grid.shape:
         raise ValueError(f"field shape {u.values.shape} != grid {grid.shape}")
-    ext = boundary.closed_box(grid)
-    ext[1:-1, 1:-1, 1:-1] = u.values
+    faces = None if boundary.known_zero else boundary.faces(grid)
     table = coefficient_table(scheme, profile, grid)
+    real = _works_real(u.values, profile, faces)
+    if real:  # the imaginary parts are zero, so dropping them is exact
+        table = tuple(w.real for w in table)
+        if faces is not None:
+            faces = tuple(np.real(f) for f in faces)
+    closed = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
+    dtype = float if real else complex
+    if faces is None:
+        ext = np.zeros(closed, dtype=dtype)
+    else:
+        ext = _paint_box(faces, grid, (0, 0, 0), closed, dtype)
+    ext[1:-1, 1:-1, 1:-1] = u.values
     return Field3D(_accumulate(ext, table))
 
 
@@ -388,8 +461,7 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     faces = None if boundary.known_zero else boundary.faces(grid)
     if faces is not None:
         _check_faces(faces, grid)
-    real = (rhs.values.dtype == np.float64 and _profile_is_real(profile)
-            and (faces is None or all(_is_real(f) for f in faces)))
+    real = _works_real(rhs.values, profile, faces)
     values = np.empty(grid.shape, dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (plane, src) in enumerate(zip(values, rhs.values)):
@@ -461,7 +533,8 @@ def residual_l2(u: Field3D, rhs_folded: Field3D, scheme: SchemeKind,
     """Absolute Euclidean norm of A*u - F with boundary data already folded.
 
     Because rhs_folded carries the boundary contribution, the operator is
-    applied here with homogeneous boundary values.
+    applied here with homogeneous boundary values, in float64 when u and
+    the profile are real (see apply_stencil).
     """
     if u.values.shape != rhs_folded.values.shape:
         raise ValueError(

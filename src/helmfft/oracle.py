@@ -213,3 +213,47 @@ def solve_system(system: SpectralSystem, rhs: np.ndarray) -> np.ndarray:
     for l in range(n_z - 2, -1, -1):
         x[l] -= cp[l] * x[l + 1]
     return x
+
+
+def sweep_reference(w, cp, table, cx, cy, m_offset=0):
+    """The Thomas sweep of `tridiag._sweep`, one level at a time.
+
+    Same arguments and result, bit for bit: w is a (n_z, M, n_x) slab solved
+    in place, cp scratch of its shape, table the (A, B, C, D) weights, cx and
+    cy the mode cosines of the slab's (n, m) and m_offset its first mode.
+    Each level's eigenvalue planes are rebuilt with full-size temporaries
+    and each pivot plane is screened as it is formed.
+    """
+    A, B, C, D = table
+    n_z = w.shape[0]
+    scale = max(float(np.abs(t).max()) for t in (A, B, C, D))
+    threshold = PIVOT_RTOL * scale
+    cxy = cy[:, None] * cx
+
+    def lam(l, k):
+        return 4.0 * A[l, k] * cxy + 2.0 * B[l, k] * cx + 2.0 * C[l, k] * cy[:, None] + D[l, k]
+
+    def check(denom, l):
+        if float(np.abs(denom).min()) >= threshold:
+            return
+        mi, ni = np.argwhere(np.abs(denom) < threshold)[0]
+        raise SingularSystemError(
+            f"vanishing pivot at row {l + 1} for mode "
+            f"(n={ni + 1}, m={m_offset + mi + 1})",
+            n=int(ni + 1), m=int(m_offset + mi + 1),
+        )
+
+    denom = lam(0, 1)
+    check(denom, 0)
+    cp[0] = lam(0, 2) / denom
+    w[0] = w[0] / denom
+    for l in range(1, n_z):
+        low = lam(l, 0)
+        mid = lam(l, 1)
+        denom = mid - low * cp[l - 1]
+        check(denom, l)
+        if l < n_z - 1:
+            cp[l] = lam(l, 2) / denom
+        w[l] = (w[l] - low * w[l - 1]) / denom
+    for l in range(n_z - 2, -1, -1):
+        w[l] -= cp[l] * w[l + 1]

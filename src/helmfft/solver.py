@@ -366,10 +366,18 @@ def solve_direct(problem, config: SolverConfig = SolverConfig()) -> Field3D:
 
 
 def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
-    """Like solve_direct but also returns the phase timing breakdown."""
+    """Like solve_direct but also returns the phase timing breakdown.
+
+    The right-hand side's z-chunks are built on the layout's parts x
+    workers threads, through the same stage runner as the solve.
+    """
     t0 = time.perf_counter()
-    rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid,
-                    dtype=None)
+    parts, workers = _layout(config.mode, problem.grid)
+    threads = parts * workers
+    with _executor(threads) as executor:
+        rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid,
+                        dtype=None,
+                        run=lambda extent, fn: _run_stage(executor, threads, extent, fn))
     rhs_s = time.perf_counter() - t0
     solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
                                        problem.profile, problem.grid, config)

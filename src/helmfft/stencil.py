@@ -207,11 +207,19 @@ def mode_cosines(grid: Grid3D):
     return cx, cy
 
 
-def eigenvalue_plane(a, b, c, d, cx, cy, cxy):
-    """Eigenvalues for every (n, m) at once, shape (len(cy), len(cx)).
+def eigenvalue_plane(a, b, c, d, cx, cy, cxy, out=None):
+    """Eigenvalues for every (n, m) at once, shape (..., len(cy), len(cx)).
 
-    a, b, c, d are one level's scalar weights; cx, cy come from mode_cosines
-    (cy may be a slice for a pencil range) and cxy is their outer product
-    cy[:, None] * cx, which does not depend on the level.
+    a, b, c, d are level weights that broadcast against a plane: one
+    level's scalars, or (L, 3, 1, 1) arrays for the three level operators
+    of L row levels, which the sweep evaluates in four full-size calls.
+    cx, cy come from mode_cosines (cy may be a slice for a pencil range)
+    and cxy is their outer product cy[:, None] * cx, which does not depend
+    on the level. The sum is ((4a cxy + 2b cx) + 2c cy) + d, written into
+    out when it is given.
     """
-    return 4.0 * a * cxy + 2.0 * b * cx + 2.0 * c * cy[:, None] + d
+    out = np.multiply(4.0 * a, cxy, out=out)
+    out += 2.0 * b * cx
+    out += 2.0 * c * cy[:, None]
+    out += d
+    return out

@@ -24,6 +24,14 @@ PIVOT_RTOL = 1e-14
 # the slab holds
 SWEEP_BLOCK_BYTES = 256 * 1024
 
+# bytes of scratch of one batch of levels in the sweep: four planes of the
+# m-block per level (three eigenvalue planes and the pivot magnitudes). A
+# batch holds as many levels as fit, at least one, so that fewer and larger
+# numpy calls build the eigenvalues. Twice this budget let the freed scratch
+# raise glibc's dynamic mmap threshold, after which some 159^3 two-part
+# socket solves kept one to three exchange blocks resident on the heap
+SWEEP_BATCH_BYTES = 1024 * 1024
+
 
 def solve_slab(values: np.ndarray, scheme: SchemeKind, profile: CoefficientProfile,
                grid: Grid3D, m_start: int = 0) -> None:
@@ -62,42 +70,61 @@ def _sweep(w, cp, table, cx, cy, m_offset=0):
 
     cp is scratch of w's shape for the elimination multipliers.
 
-    Pivots are screened against the magnitude of the generating stencil
-    weights (one scalar per sweep); eigenvalue magnitudes are bounded by a
-    small multiple of it, so a pivot far below that scale marks a resonant
-    system. Only on failure is the offending mode located.
+    The forward elimination runs in batches of L levels, L as many as fit
+    SWEEP_BATCH_BYTES at four planes a level. One eigenvalue_plane call
+    writes the batch's (L, 3, M, n_x) eigenvalue planes into one buffer;
+    each level then takes six out= calls, and its pivots overwrite its
+    middle plane. Every value is computed with the same operations in the
+    same order as one level at a time, so the result does not depend on L.
+
+    Pivots are screened once per batch against the magnitude of the
+    generating stencil weights (one scalar per sweep); eigenvalue
+    magnitudes are bounded by a small multiple of it, so a pivot far below
+    that scale marks a resonant system. The first failing level of the
+    batch and its first failing mode are named; the divisions past a zero
+    pivot raise no warning.
     """
     A, B, C, D = table
-    n_z = w.shape[0]
+    n_z, n_m, n_x = w.shape
     scale = max(float(np.abs(t).max()) for t in (A, B, C, D))
     threshold = PIVOT_RTOL * scale
     cxy = cy[:, None] * cx  # the same at every level
+    depth = max(1, min(n_z, SWEEP_BATCH_BYTES // (4 * w[0].nbytes)))
+    lam = np.empty((depth, 3, n_m, n_x), dtype=w.dtype)
+    weights = [t[:, :, None, None] for t in table]
 
-    def lam(l, k):
-        return eigenvalue_plane(A[l, k], B[l, k], C[l, k], D[l, k], cx, cy, cxy)
+    for l0 in range(0, n_z, depth):
+        l1 = min(l0 + depth, n_z)
+        batch = lam[:l1 - l0]
+        eigenvalue_plane(*(t[l0:l1] for t in weights), cx, cy, cxy, out=batch)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for l, (low, denom, up) in enumerate(batch, start=l0):
+                if l:  # denom = mid - low * cp[l-1], with cp[l] as scratch
+                    np.multiply(low, cp[l - 1], out=cp[l])
+                    np.subtract(denom, cp[l], out=denom)
+                np.divide(up, denom, out=cp[l])
+                if l:  # w[l] = (w[l] - low * w[l-1]) / denom
+                    np.multiply(low, w[l - 1], out=low)
+                    np.subtract(w[l], low, out=w[l])
+                np.divide(w[l], denom, out=w[l])
+        _screen(batch[:, 1], threshold, l0, m_offset)
+    tmp = lam[0, 0]  # a plane of scratch that stays in cache
+    for l in range(n_z - 2, -1, -1):  # w[l] -= cp[l] * w[l+1]
+        np.multiply(cp[l], w[l + 1], out=tmp)
+        np.subtract(w[l], tmp, out=w[l])
 
-    def check(denom, l):
-        if float(np.abs(denom).min()) >= threshold:
-            return
-        bad = np.abs(denom) < threshold
-        mi, ni = np.argwhere(bad)[0]
-        raise SingularSystemError(
-            f"vanishing pivot at row {l + 1} for mode "
-            f"(n={ni + 1}, m={m_offset + mi + 1})",
-            n=int(ni + 1), m=int(m_offset + mi + 1),
-        )
 
-    denom = lam(0, 1)
-    check(denom, 0)
-    cp[0] = lam(0, 2) / denom
-    w[0] = w[0] / denom
-    for l in range(1, n_z):
-        low = lam(l, 0)
-        mid = lam(l, 1)
-        denom = mid - low * cp[l - 1]
-        check(denom, l)
-        if l < n_z - 1:
-            cp[l] = lam(l, 2) / denom
-        w[l] = (w[l] - low * w[l - 1]) / denom
-    for l in range(n_z - 2, -1, -1):
-        w[l] -= cp[l] * w[l + 1]
+def _screen(pivots, threshold, l0, m_offset):
+    """Raise SingularSystemError at the first pivot of levels l0.. below threshold.
+
+    pivots is a batch's (L, M, n_x) pivot planes; a NaN pivot fails too.
+    """
+    mags = np.abs(pivots)
+    if mags.min() >= threshold:
+        return
+    k, mi, ni = np.argwhere(~(mags >= threshold))[0]
+    raise SingularSystemError(
+        f"vanishing pivot at row {l0 + k + 1} for mode "
+        f"(n={ni + 1}, m={m_offset + mi + 1})",
+        n=int(ni + 1), m=int(m_offset + mi + 1),
+    )

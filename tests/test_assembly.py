@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,9 @@ from helmfft.assembly import (BoundaryData, Field3D, SourceSpec, _accumulate,
 from helmfft.errors import NonFiniteInputError
 from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
 from helmfft.oracle import dense_boundary_fold, dense_matrix, row_index
-from helmfft.problems import helmholtz_problem
+from helmfft.problems import ProblemSpec, helmholtz_problem
+from helmfft.solver import Partitioned, Sequential, SharedWorkers, SolverConfig
+from helmfft import assembly, solver
 from helmfft.stencil import SchemeKind, coefficient_table
 
 PI = math.pi
@@ -478,3 +481,184 @@ class TestNonFiniteInput:
         ext[2, 2, 2] = np.nan  # an interior node: never read
         folded = self.fold(bnd=BoundaryData.from_array(ext))
         assert np.isfinite(folded.values).all()
+
+
+def chunk_case(scheme, kind):
+    """A 7 x 6 x 11 grid, whose n_z no chunk depth of 2 or 3 divides, with a
+    source and profile that are real (kind "real") or complex ("complex").
+
+    Sixth order gets h = 1/4 in every direction; the other schemes get three
+    different steps.
+    """
+    n_x, n_y, n_z = 7, 6, 11
+    if scheme is SchemeKind.SIXTH_ORDER:
+        domain = Domain(0, 0.25 * (n_x + 1), 0, 0.25 * (n_y + 1), 0, 0.25 * (n_z + 1))
+    else:
+        domain = Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0)
+    grid = make_grid(domain, n_x, n_y, n_z)
+    cplx = kind == "complex"
+    if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
+        profile = constant_profile(0.0, grid, gamma=-3.7 + (0.5j if cplx else 0))
+    else:
+        s = 1 + 0.3j if cplx else 1.0
+        profile = sample_profile(lambda z: 3 * s * np.cos(2 * z) + 5,
+                                 lambda z: -6 * s * np.sin(2 * z),
+                                 lambda z: -12 * s * np.cos(2 * z), 0.0, grid)
+
+    def wave(a, b):  # any callables will do: the test is of the arithmetic
+        if cplx:
+            return lambda x, y, z: np.exp(1j * (a * x - b * y)) * np.cos(a * z + b) - b
+        return lambda x, y, z: np.sin(a * x - b * y) * np.cos(a * z + b) - b
+
+    source = SourceSpec(f=wave(1.1, 0.3), f_z=wave(-0.7, 2.0), f_xx=wave(0.5, 1.2),
+                        f_yy=wave(-1.3, 0.4), f_zz=wave(2.1, -0.6), lap_f=wave(2.3, -1.0),
+                        d4_f=wave(0.4, 0.9), f_xxyy=wave(-1.6, 0.2),
+                        f_xxzz=wave(0.8, -2.2), f_yyzz=wave(3.0, 1.4))
+    return grid, source, profile
+
+
+def chunk_planes(monkeypatch, grid, planes, itemsize):
+    """Make every right-hand side chunk `planes` z-planes deep."""
+    monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", planes * grid.n_y * grid.n_x * itemsize)
+
+
+class TestChunkedBuild:
+    """build_rhs works z-chunk by z-chunk; small budgets force many chunks."""
+
+    @pytest.mark.parametrize("kind, dtype", [("real", None), ("real", complex),
+                                             ("complex", None)])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_chunks_bitwise_equal_one_chunk(self, monkeypatch, scheme, kind, dtype):
+        grid, src, prof = chunk_case(scheme, kind)
+        itemsize = 8 if (kind, dtype) == ("real", None) else 16
+        calls = []
+        f = src.f
+        src.f = lambda x, y, z: calls.append(np.size(z)) or f(x, y, z)
+        monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", 1 << 40)
+        whole = build_rhs(scheme, src, prof, grid, dtype=dtype).values
+        assert whole.dtype.itemsize == itemsize
+        for planes in (1, 2, 3):
+            calls.clear()
+            chunk_planes(monkeypatch, grid, planes, itemsize)
+            got = build_rhs(scheme, src, prof, grid, dtype=dtype).values
+            assert len(calls) == -(-grid.n_z // planes)  # one sample of f per chunk
+            assert got.dtype == whole.dtype
+            assert np.array_equal(bits(got), bits(whole)), planes
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_source_complex_in_a_later_chunk_gives_complex_build(self, monkeypatch, scheme):
+        # real profile; every sample is real on planes below z_cut and gains
+        # an imaginary part above it, so only later chunks return complex
+        grid, src, prof = chunk_case(scheme, "real")
+        z_cut = grid.z(grid.n_z - 2)
+
+        def later_complex(fn):
+            def sample(x, y, z):
+                values = fn(x, y, z)
+                if np.any(z > z_cut):
+                    values = values + 1j * np.maximum(z - z_cut, 0.0)
+                return values
+            return sample
+
+        src = SourceSpec(**{name: later_complex(getattr(src, name))
+                            for name in ("f", "f_z", "f_xx", "f_yy", "f_zz", "lap_f",
+                                         "d4_f", "f_xxyy", "f_xxzz", "f_yyzz")})
+        monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", 1 << 40)
+        whole = build_rhs(scheme, src, prof, grid, dtype=None).values
+        chunk_planes(monkeypatch, grid, 1, 8)
+        got = build_rhs(scheme, src, prof, grid, dtype=None).values
+        assert whole.dtype == got.dtype == np.complex128
+        assert np.any(got.imag)
+        assert np.array_equal(bits(got), bits(whole))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_solver_builds_on_its_layout_threads(self, monkeypatch, scheme, kind):
+        # the solver reaches the build through helmfft.solver.build_rhs and
+        # runs the chunks through its stage runner on a pool of the layout's
+        # parts x workers threads; Sequential builds on the caller's thread
+        grid, src, prof = chunk_case(scheme, kind)
+        problem = ProblemSpec(scheme=scheme, grid=grid, profile=prof, source=src,
+                              boundary=BoundaryData.zero())
+        built, runs, threads, planes = [], [], set(), []
+        build, run_stage, scheme_rhs = solver.build_rhs, solver._run_stage, assembly._scheme_rhs
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def recording_run(executor, workers, extent, fn):
+            if not built:  # inside the build
+                runs.append((executor is not None, workers, extent))
+            return run_stage(executor, workers, extent, fn)
+
+        def recording_chunk(scheme, source, profile, grid, chunk, out):
+            threads.add(threading.get_ident())
+            planes.extend(range(*chunk))
+            return scheme_rhs(scheme, source, profile, grid, chunk, out)
+
+        monkeypatch.setattr(solver, "build_rhs", recording_build)
+        monkeypatch.setattr(solver, "_run_stage", recording_run)
+        monkeypatch.setattr(assembly, "_scheme_rhs", recording_chunk)
+        chunk_planes(monkeypatch, grid, 1, 8 if kind == "real" else 16)
+        expect = None
+        for mode, n_threads in ((Sequential(), 1), (SharedWorkers(3), 3),
+                                (Partitioned(3, 2), 6)):
+            for record in (built, runs, threads, planes):
+                record.clear()
+            solution, _ = solver.solve_with_timings(problem, SolverConfig(mode=mode))
+            assert runs == [(n_threads > 1, n_threads, grid.n_z)], mode
+            assert len(built) == 1 and sorted(planes) == list(range(grid.n_z))
+            assert (threading.get_ident() in threads) == (n_threads == 1)
+            rhs = built[0].values
+            assert rhs.dtype == (np.float64 if kind == "real" else np.complex128)
+            if expect is None:
+                expect = rhs, solution.values
+            assert np.array_equal(bits(rhs), bits(expect[0])), mode
+            assert np.array_equal(bits(solution.values), bits(expect[1])), mode
+
+
+class TestRealResidual:
+    """A float64 solution with real profile and walls is checked in float64."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_real_path_is_real_part_of_complex_path(self, scheme):
+        grid, _, prof = chunk_case(scheme, "real")
+        rng = np.random.default_rng(61)
+        u = rng.standard_normal(grid.shape)
+        rhs = rng.standard_normal(grid.shape)
+        walls = BoundaryData.from_function(lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) - z)
+        for bnd in (walls, BoundaryData.zero()):
+            real = apply_stencil(Field3D(u), bnd, scheme, prof, grid).values
+            cplx = apply_stencil(Field3D(u.astype(complex)), bnd, scheme, prof, grid).values
+            assert real.dtype == np.float64 and cplx.dtype == np.complex128
+            assert np.array_equal(real, cplx.real)
+        res_real = residual_l2(Field3D(u), Field3D(rhs), scheme, prof, grid)
+        res_cplx = residual_l2(Field3D(u.astype(complex)), Field3D(rhs.astype(complex)),
+                               scheme, prof, grid)
+        assert abs(res_real - res_cplx) <= 1e-12 * res_cplx
+
+    def test_complex_data_keeps_complex_path(self):
+        grid, _, prof = chunk_case(SchemeKind.FOURTH_ORDER, "complex")
+        u = np.random.default_rng(62).standard_normal(grid.shape)
+        out = apply_stencil(Field3D(u), BoundaryData.zero(), SchemeKind.FOURTH_ORDER,
+                            prof, grid).values
+        assert out.dtype == np.complex128 and np.any(out.imag)
+
+    def test_real_residual_peak_allocation_lower(self):
+        p = helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0, SchemeKind.SIXTH_ORDER, 32)
+        rng = np.random.default_rng(63)
+        u, rhs = rng.standard_normal(p.grid.shape), rng.standard_normal(p.grid.shape)
+
+        def peak(u, rhs):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                residual_l2(Field3D(u), Field3D(rhs), p.scheme, p.profile, p.grid)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        real = peak(u, rhs)
+        cplx = peak(u.astype(complex), rhs.astype(complex))
+        assert real <= 0.6 * cplx, (real / u.nbytes, cplx / u.nbytes)

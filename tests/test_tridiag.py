@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from helmfft.assembly import Field3D
 from helmfft.errors import SingularSystemError
 from helmfft.grid import CoefficientProfile, Domain, constant_profile, make_grid
 from helmfft.oracle import (SpectralSystem, assemble_system, dense_matrix,
-                            dense_sine_matrix_2d, solve_system)
+                            dense_sine_matrix_2d, solve_system, sweep_reference)
 from helmfft import tridiag
 from helmfft.stencil import SchemeKind, coefficient_table, mode_cosines
 from helmfft.tridiag import solve_slab
@@ -243,3 +244,70 @@ class TestBlockedSweep:
                 solve_slab(values[:, start:, :], SchemeKind.SECOND_ORDER, prof, grid,
                            m_start=start)
             assert (err.value.n, err.value.m) == (3, 10)
+
+
+class TestBatchedSweep:
+    """_sweep eliminates in batches of levels; a small budget forces many."""
+
+    DEPTH = 4
+
+    @classmethod
+    def budget_levels(cls, monkeypatch, w):
+        # four planes of scratch per level
+        monkeypatch.setattr(tridiag, "SWEEP_BATCH_BYTES", cls.DEPTH * 4 * w[0].nbytes)
+
+    @staticmethod
+    def table_and_data(dtype, n_z, n_y, n_x, seed):
+        # random weights with a dominant centre: generic complex values make
+        # every product's rounding, and so its operand order, matter
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            values = rng.standard_normal(shape)
+            return values + 1j * rng.standard_normal(shape) if dtype is complex else values
+
+        A, B, C, D = (0.3 * draw(n_z, 3) for _ in range(4))
+        D[:, 1] += 8.0
+        cx = np.cos(PI * np.arange(1, n_x + 1) / (n_x + 1))
+        cy = np.cos(PI * np.arange(1, n_y + 1) / (n_y + 1))
+        return (A, B, C, D), draw(n_z, n_y, n_x), cx, cy
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n_z", [1, 2, DEPTH - 1, DEPTH, DEPTH + 1, 3 * DEPTH + 2])
+    def test_bitwise_equal_to_per_level_reference(self, monkeypatch, dtype, n_z):
+        table, data, cx, cy = self.table_and_data(dtype, n_z, 9, 7, seed=41 + n_z)
+        for m_offset in (0, 3):
+            expect = data[:, m_offset:].copy()
+            sweep_reference(expect, np.empty_like(expect), table, cx, cy[m_offset:],
+                            m_offset=m_offset)
+            got = data[:, m_offset:].copy()
+            self.budget_levels(monkeypatch, got)
+            tridiag._sweep(got, np.empty_like(got), table, cx, cy[m_offset:],
+                           m_offset=m_offset)
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_resonant_row_in_mid_batch_named(self, monkeypatch, dtype):
+        # level indices 4..7 form the second batch; row 6 (level index 5) has
+        # no coupling to the level below and a plane operator whose eigenvalue
+        # for mode (n, m) = (2, 5) is exactly 2 cx + 2 cy - 2 (cx + cy) = 0
+        n_z, n_y, n_x = 9, 7, 5
+        table, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=43)
+        A, B, C, D = (t.copy() for t in table)
+        row, n0, m0 = 5, 2, 5
+        for t in (A, B, C, D):
+            t[row] = 0.0
+        B[row, 1] = C[row, 1] = 1.0
+        D[row, 1] = -2.0 * (cx[n0 - 1] + cy[m0 - 1])
+        table = (A, B, C, D)
+        for sweep in (sweep_reference, tridiag._sweep):
+            w = data.copy()
+            self.budget_levels(monkeypatch, w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularSystemError) as err:
+                    sweep(w, np.empty_like(w), table, cx, cy)
+            assert (err.value.n, err.value.m) == (n0, m0)
+            assert f"row {row + 1} " in str(err.value)
+            assert f"(n={n0}, m={m0})" in str(err.value)
