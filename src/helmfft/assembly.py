@@ -67,7 +67,8 @@ class BoundaryData:
 
     Constructed either from a callable u(x, y, z) (must broadcast over numpy
     arrays) or from an explicit closed-box array of shape
-    (n_z+2, n_y+2, n_x+2) whose interior entries are ignored.
+    (n_z+2, n_y+2, n_x+2) whose interior entries are ignored. A real array
+    is kept as float64, any other as complex128.
     """
 
     def __init__(self, fn: Optional[Callable] = None, array: Optional[np.ndarray] = None,
@@ -75,7 +76,7 @@ class BoundaryData:
         if (fn is None) == (array is None):
             raise ValueError("provide exactly one of fn or array")
         self._fn = fn
-        self._array = None if array is None else np.asarray(array, dtype=complex)
+        self._array = None if array is None else _float_or_complex(array)
         self.known_zero = known_zero
 
     @classmethod
@@ -96,9 +97,9 @@ class BoundaryData:
 
         A z face has shape (n_y+2, n_x+2), a y face (n_z+2, n_x+2) and an x
         face (n_z+2, n_y+2). Where faces meet at an edge or corner, the later
-        face in this order holds the box's value. A callable's faces keep the
-        dtype it returns (real data stays real and half the size); the box
-        is complex.
+        face in this order holds the box's value. The faces keep the dtype
+        of the callable's values or of the array (real data stays real and
+        half the size); closed_box is complex.
         """
         shape = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
         if self._array is not None:
@@ -441,7 +442,8 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, scheme: SchemeKind,
 
 
 def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
-                   profile: CoefficientProfile, grid: Grid3D) -> Field3D:
+                   profile: CoefficientProfile, grid: Grid3D, copy: bool = True,
+                   table=None) -> Field3D:
     """Move known boundary values to a copy of the right-hand side.
 
     Every interior row loses the sum of (stencil weight x boundary value) over
@@ -454,6 +456,11 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     The copy is float64 when the right-hand side is float64 and the profile
     and the boundary faces have zero imaginary parts (a known-zero boundary
     counts as real), and complex128 otherwise; the solve runs in its dtype.
+    With copy=False a right-hand side that already has that dtype is folded
+    in its own array, which the result then shares: the caller gives it up.
+    A float64 right-hand side that the fold widens to complex is copied
+    either way. table is coefficient_table(scheme, profile, grid) when the
+    caller has it already.
     """
     if rhs.values.shape != grid.shape:
         raise ValueError(f"rhs shape {rhs.values.shape} != grid {grid.shape}")
@@ -462,17 +469,21 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     if faces is not None:
         _check_faces(faces, grid)
     real = _works_real(rhs.values, profile, faces)
-    values = np.empty(grid.shape, dtype=float if real else complex)
+    dtype = np.dtype(float if real else complex)
+    in_place = not copy and rhs.values.dtype == dtype
+    values = rhs.values if in_place else np.empty(grid.shape, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (plane, src) in enumerate(zip(values, rhs.values)):
-            np.copyto(plane, src)
+            if not in_place:
+                np.copyto(plane, src)
             # screened while the plane is in cache: a non-finite entry makes
             # the sum non-finite (so may an overflow, which the full check clears)
             if not np.isfinite(plane.sum()):
                 _check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
     if faces is None or not any(np.any(f) for f in faces):
         return Field3D(values)
-    table = coefficient_table(scheme, profile, grid)
+    if table is None:
+        table = coefficient_table(scheme, profile, grid)
     if real:  # the imaginary parts are zero, so dropping them is exact
         faces = tuple(np.real(f) for f in faces)
         table = tuple(w.real for w in table)

@@ -35,7 +35,7 @@ from .assembly import Field3D, BoundaryData, build_rhs, fold_dirichlet
 from .errors import InvalidPartitionError
 from .grid import CoefficientProfile, Grid3D
 from .spectral import make_plan, transform_stack
-from .stencil import SchemeKind
+from .stencil import SchemeKind, coefficient_table
 from .transport import (STAGE_FORWARD, STAGE_INVERSE, InProcessMesh)
 from . import tridiag
 
@@ -254,10 +254,10 @@ def _transform_stage(executor, workers, plan, values):
                lambda r: transform_stack(plan, values, r))
 
 
-def _sweep_stage(executor, workers, values, scheme, profile, grid, m_offset=0):
+def _sweep_stage(executor, workers, values, scheme, profile, grid, table, m_offset=0):
     _run_stage(executor, workers, values.shape[1],
                lambda r: tridiag.solve_slab(values[:, r[0]:r[1], :], scheme, profile,
-                                            grid, m_offset + r[0]))
+                                            grid, m_offset + r[0], table=table))
 
 
 def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
@@ -276,12 +276,23 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     skips both exchanges and opens no transport. A part that fails closes
     its transport, so a peer waiting for its blocks fails at once.
     """
+    return _solve(rhs, boundary, scheme, profile, grid, config, copy=True)
+
+
+def _solve(rhs, boundary, scheme, profile, grid, config, copy):
+    """solve_discrete; with copy=False the fold may work in rhs's own array.
+
+    The stages then run in that one array, which becomes the solution (see
+    fold_dirichlet), so a solver-built right-hand side is never copied.
+    """
     t_start = time.perf_counter()
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
-    # fold_dirichlet returns a new array, so the parts may work in it and
-    # hand it back as the solution
-    values = fold_dirichlet(rhs, boundary, scheme, profile, grid).values
+    # one table per solve serves the fold and every part's sweep
+    weights = coefficient_table(scheme, profile, grid)
+    values = fold_dirichlet(rhs, boundary, scheme, profile, grid, copy=copy,
+                            table=weights).values
+    table = tridiag.sweep_table(scheme, profile, grid, values.dtype, weights)
     setup_s = time.perf_counter() - t_start
 
     ex_plan = make_exchange_plan(grid, parts)
@@ -316,7 +327,7 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
                     y_slab = stage("exchange", lambda: exchange_forward(
                         ex_plan, transport, part, local))
                 stage("tridiag", lambda: _sweep_stage(executor, workers, y_slab, scheme,
-                                                      profile, grid, m_offset=y0))
+                                                      profile, grid, table, m_offset=y0))
                 if transport is not None:
                     local[...] = stage("exchange", lambda: exchange_inverse(
                         ex_plan, transport, part, y_slab))
@@ -369,7 +380,9 @@ def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
     """Like solve_direct but also returns the phase timing breakdown.
 
     The right-hand side's z-chunks are built on the layout's parts x
-    workers threads, through the same stage runner as the solve.
+    workers threads, through the same stage runner as the solve. The
+    solver owns that array, so the fold works in it and every stage after
+    runs in it: one working field from the build to the solution.
     """
     t0 = time.perf_counter()
     parts, workers = _layout(config.mode, problem.grid)
@@ -379,7 +392,7 @@ def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
                         dtype=None,
                         run=lambda extent, fn: _run_stage(executor, threads, extent, fn))
     rhs_s = time.perf_counter() - t0
-    solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
-                                       problem.profile, problem.grid, config)
+    solution, timings = _solve(rhs, problem.boundary, problem.scheme, problem.profile,
+                               problem.grid, config, copy=False)
     return solution, replace(timings, setup_s=timings.setup_s + rhs_s,
                              total_s=timings.total_s + rhs_s)

@@ -85,6 +85,19 @@ class TestBoundaryData:
         with pytest.raises(ValueError):
             BoundaryData.from_array(np.zeros((4, 4, 4))).closed_box(grid)
 
+    def test_real_array_kept_float64(self):
+        grid, _ = cube_grid(3)
+        box = np.random.default_rng(6).standard_normal((5, 5, 5))
+        bnd = BoundaryData.from_array(box)
+        faces = bnd.faces(grid)
+        assert all(f.dtype == np.float64 for f in faces)
+        assert np.shares_memory(faces[0], box)  # no closed-box copy
+        assert bnd.closed_box(grid).dtype == np.complex128
+        ints = BoundaryData.from_array(np.ones((5, 5, 5), dtype=int)).faces(grid)
+        assert ints[0].dtype == np.float64
+        cplx = BoundaryData.from_array(box + 1j).faces(grid)
+        assert cplx[0].dtype == np.complex128
+
 
 class TestBuildRhs:
     def test_zero_source_all_schemes(self):
@@ -184,6 +197,39 @@ class TestFoldDirichlet:
         folded = fold_dirichlet(rhs, bnd, SchemeKind.SECOND_ORDER, prof, grid)
         # the six face neighbors carry weights b, b, c, c, 1, 1 = 6 in total
         assert folded.values[0, 0, 0] == pytest.approx(-6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("walls", ["zero", "real", "complex"])
+    @pytest.mark.parametrize("rhs_kind", ["real", "complex"])
+    def test_fold_without_copy_works_in_the_rhs(self, rhs_kind, walls):
+        # copy=False folds in the right-hand side's own array when it has the
+        # working dtype, with the same bits as the copy; a real right-hand
+        # side that complex walls widen is copied all the same
+        grid, _, prof = chunk_case(SchemeKind.FOURTH_ORDER, "real")
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(grid.shape)
+        if rhs_kind == "complex":
+            values = values + 1j * rng.standard_normal(grid.shape)
+        shape = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
+        box = rng.standard_normal(shape)
+        bnd = {"zero": BoundaryData.zero(), "real": BoundaryData.from_array(box),
+               "complex": BoundaryData.from_array(box + 0.5j)}[walls]
+        expect = fold_dirichlet(Field3D(values), bnd, SchemeKind.FOURTH_ORDER, prof, grid)
+        assert not np.may_share_memory(expect.values, values)
+        rhs = Field3D(values.copy())
+        got = fold_dirichlet(rhs, bnd, SchemeKind.FOURTH_ORDER, prof, grid, copy=False)
+        widened = rhs_kind == "real" and walls == "complex"
+        assert np.shares_memory(got.values, rhs.values) == (not widened)
+        assert got.values.dtype == expect.values.dtype
+        assert np.array_equal(bits(got.values), bits(expect.values))
+
+    def test_passed_table_is_used(self, monkeypatch):
+        grid, prof = cube_grid(4, k2=2.0)
+        rhs, bnd = random_field(grid, 9), random_boundary(grid, 10)
+        table = coefficient_table(SchemeKind.SIXTH_ORDER, prof, grid)
+        expect = fold_dirichlet(rhs, bnd, SchemeKind.SIXTH_ORDER, prof, grid)
+        monkeypatch.setattr(assembly, "coefficient_table", None)  # not called
+        got = fold_dirichlet(rhs, bnd, SchemeKind.SIXTH_ORDER, prof, grid, table=table)
+        assert np.array_equal(bits(got.values), bits(expect.values))
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_fold_matches_dense_oracle(self, scheme):

@@ -3,12 +3,14 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helmfft.assembly import BoundaryData, Field3D, SourceSpec, build_rhs
 import helmfft.solver
+from helmfft import assembly, tridiag
 from helmfft.errors import (ExchangeError, InvalidPartitionError,
                             NonFiniteInputError, SingularSystemError)
 from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
@@ -532,6 +534,18 @@ class TestRealPath:
         assert u.values.dtype == np.float64
         assert np.array_equal(u.values, solve_direct(p).values)
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_float64_and_complex_typed_walls_bitwise_equal(self, scheme):
+        p = real_anisotropic_problem(scheme)
+        box = p.boundary.closed_box(p.grid).real
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        for name, config in REAL_PATH_MODES.items():
+            real, cplx = (solve_discrete(rhs, BoundaryData.from_array(walls), p.scheme,
+                                         p.profile, p.grid, config)[0].values
+                          for walls in (box, box.astype(complex)))
+            assert real.dtype == cplx.dtype == np.float64, name
+            assert np.array_equal(bits(real), bits(cplx)), name
+
     @pytest.mark.parametrize("mode", ["seq", "shared2", "parts2"])
     def test_non_finite_rhs_rejected_before_any_transform(self, mode, monkeypatch):
         transforms = []
@@ -569,3 +583,69 @@ class TestRealPath:
         grid, prof = cube(4, k2=1.0 + 0.5j)
         with pytest.raises(ValueError):
             solve_slab(np.ones(grid.shape), SchemeKind.SECOND_ORDER, prof, grid)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestOwnedRhsFold:
+    """solve_direct folds the right-hand side it built in place and solves in it."""
+
+    @staticmethod
+    def walls(kind, p):
+        if kind == "zero":
+            return BoundaryData.zero()
+        if kind == "function":
+            return p.boundary
+        if kind == "array":
+            return BoundaryData.from_array(p.boundary.closed_box(p.grid).real)
+        # complex walls around a real source: the fold widens to complex
+        return BoundaryData.from_function(lambda x, y, z: np.cos(x - y) * z + 0.5j * x)
+
+    @pytest.mark.parametrize("kind", ["zero", "function", "array", "widening"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_equal_to_discrete_on_built_rhs(self, scheme, kind, monkeypatch):
+        p = real_anisotropic_problem(scheme)
+        p = dataclasses.replace(p, boundary=self.walls(kind, p))
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        assert rhs.values.dtype == np.float64
+        before = rhs.values.copy()
+        build, built = helmfft.solver.build_rhs, []
+
+        def recording_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(helmfft.solver, "build_rhs", recording_build)
+        expect_dtype = np.complex128 if kind == "widening" else np.float64
+        for name, config in REAL_PATH_MODES.items():
+            built.clear()
+            expect, _ = solve_discrete(rhs, p.boundary, p.scheme, p.profile, p.grid, config)
+            got = solve_direct(p, config)
+            assert got.values.dtype == expect.values.dtype == expect_dtype, name
+            assert np.array_equal(bits(got.values), bits(expect.values)), name
+            # the built array is the solution, unless the fold had to widen it
+            assert np.shares_memory(got.values, built[0].values) == (kind != "widening")
+        assert np.array_equal(rhs.values, before)
+
+    def test_peak_allocation_holds_one_working_field(self, monkeypatch):
+        # two-plane build chunks and two-row sweep blocks keep the build's and
+        # the sweep's scratch small, so the peak counts whole fields: the
+        # working field and about 0.8 of a field of transform, fold and batch
+        # scratch at 48^3. A second copy of the right-hand side reads 2.8
+        n = 48
+        monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", 2 * n * n * 8)
+        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 2 * n * 8)
+        p = catalog_problem(SchemeKind.SIXTH_ORDER, n)
+        config = REAL_PATH_MODES["shared2"]
+        solve_direct(p, config)  # a warm solve: lazy imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u = solve_direct(p, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert u.values.dtype == np.float64
+        assert peak <= 2.25 * u.values.nbytes, peak / u.values.nbytes

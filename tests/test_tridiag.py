@@ -311,3 +311,32 @@ class TestBatchedSweep:
             assert (err.value.n, err.value.m) == (n0, m0)
             assert f"row {row + 1} " in str(err.value)
             assert f"(n={n0}, m={m0})" in str(err.value)
+
+
+class TestSweepTable:
+    """The solver builds one SweepTable per solve and passes it to each slab."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex-data", "complex-profile"])
+    def test_passed_table_bitwise_equal_own(self, monkeypatch, kind):
+        rng = np.random.default_rng(53)
+        grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 11, 7)
+        k2 = rng.standard_normal(9) + (0.4j * rng.standard_normal(9)
+                                       if kind == "complex-profile" else 0.0)
+        prof = CoefficientProfile(k2=k2, k2_z=rng.standard_normal(9),
+                                  k2_zz=rng.standard_normal(9))
+        data = rng.standard_normal(grid.shape)
+        if kind != "real":
+            data = data + 1j * rng.standard_normal(grid.shape)
+        scheme = SchemeKind.FOURTH_ORDER
+        table = tridiag.sweep_table(scheme, prof, grid, data.dtype)
+        assert all(a.dtype == data.dtype for a in
+                   table.weights + (table.cx, table.cy, table.cxy))
+        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 3 * grid.n_x * 16)
+        for m_start in (0, 4):
+            own = data[:, m_start:].copy()
+            solve_slab(own, scheme, prof, grid, m_start)
+            passed = data[:, m_start:].copy()
+            with monkeypatch.context() as m:
+                m.setattr(tridiag, "coefficient_table", None)  # not called
+                solve_slab(passed, scheme, prof, grid, m_start, table=table)
+            assert np.array_equal(passed.view(np.uint64), own.view(np.uint64))
