@@ -442,8 +442,7 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, scheme: SchemeKind,
 
 
 def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
-                   profile: CoefficientProfile, grid: Grid3D, copy: bool = True,
-                   table=None) -> Field3D:
+                   profile: CoefficientProfile, grid: Grid3D, copy: bool = True) -> Field3D:
     """Move known boundary values to a copy of the right-hand side.
 
     Every interior row loses the sum of (stencil weight x boundary value) over
@@ -459,8 +458,7 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     With copy=False a right-hand side that already has that dtype is folded
     in its own array, which the result then shares: the caller gives it up.
     A float64 right-hand side that the fold widens to complex is copied
-    either way. table is coefficient_table(scheme, profile, grid) when the
-    caller has it already.
+    either way.
     """
     if rhs.values.shape != grid.shape:
         raise ValueError(f"rhs shape {rhs.values.shape} != grid {grid.shape}")
@@ -482,8 +480,7 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
                 _check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
     if faces is None or not any(np.any(f) for f in faces):
         return Field3D(values)
-    if table is None:
-        table = coefficient_table(scheme, profile, grid)
+    table = coefficient_table(scheme, profile, grid)
     if real:  # the imaginary parts are zero, so dropping them is exact
         faces = tuple(np.real(f) for f in faces)
         table = tuple(w.real for w in table)

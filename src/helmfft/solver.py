@@ -288,11 +288,9 @@ def _solve(rhs, boundary, scheme, profile, grid, config, copy):
     t_start = time.perf_counter()
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
-    # one table per solve serves the fold and every part's sweep
-    weights = coefficient_table(scheme, profile, grid)
-    values = fold_dirichlet(rhs, boundary, scheme, profile, grid, copy=copy,
-                            table=weights).values
-    table = tridiag.sweep_table(scheme, profile, grid, values.dtype, weights)
+    values = fold_dirichlet(rhs, boundary, scheme, profile, grid, copy=copy).values
+    # one table per solve serves every part's sweep; the fold has checked the profile
+    table = coefficient_table(scheme, profile, grid)
     setup_s = time.perf_counter() - t_start
 
     ex_plan = make_exchange_plan(grid, parts)

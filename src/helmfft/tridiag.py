@@ -9,8 +9,6 @@ sweeps all modes of a y-range at once with vectorized Thomas elimination
 (`assemble_system`, `solve_system`) lives in `oracle`.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import SingularSystemError
@@ -35,60 +33,30 @@ SWEEP_BLOCK_BYTES = 256 * 1024
 SWEEP_BATCH_BYTES = 1024 * 1024
 
 
-class SweepTable(NamedTuple):
-    """What the sweep needs of the operator, in the working dtype.
-
-    weights are the (A, B, C, D) row weights of coefficient_table; cx, cy
-    and their outer product cxy = cy[:, None] * cx are the mode cosines.
-    For a complex slab all of them are complex128, cast once here instead
-    of on every eigenvalue_plane call; a cast sets a zero imaginary part,
-    as the cast inside a mixed float-complex product does, so the
-    eigenvalues keep their bits.
-    """
-
-    weights: tuple
-    cx: np.ndarray
-    cy: np.ndarray
-    cxy: np.ndarray
-
-
-def sweep_table(scheme: SchemeKind, profile: CoefficientProfile, grid: Grid3D,
-                dtype, weights=None) -> SweepTable:
-    """The SweepTable of a float64 or complex128 slab.
-
-    weights is coefficient_table(scheme, profile, grid) when the caller has
-    it already. A float64 slab is swept with the real part of the weights,
-    which needs a real profile.
-    """
-    if weights is None:
-        weights = coefficient_table(scheme, profile, grid)
-    cx, cy = mode_cosines(grid)
-    cxy = cy[:, None] * cx
-    if np.dtype(dtype) == np.complex128:
-        return SweepTable(tuple(weights), *(c.astype(complex) for c in (cx, cy, cxy)))
-    if any(np.any(w.imag) for w in weights):
-        raise ValueError("a float64 slab needs a real profile; this one has "
-                         "a nonzero imaginary part")
-    return SweepTable(tuple(w.real for w in weights), cx, cy, cxy)
-
-
 def solve_slab(values: np.ndarray, scheme: SchemeKind, profile: CoefficientProfile,
-               grid: Grid3D, m_start: int = 0, *, table: SweepTable = None) -> None:
+               grid: Grid3D, m_start: int = 0, *, table=None) -> None:
     """Sweep a (n_z, M, n_x) slab in place; local row j is global mode m_start + j.
 
     Each of a part's workers sweeps one y-range of the part's slab this way;
-    disjoint ranges may run concurrently, sharing one table: the solver
-    builds it once per solve with sweep_table(..., values.dtype), and
-    without it the slab builds its own. The slab is swept in m-blocks of
-    at most SWEEP_BLOCK_BYTES per level, so the per-level working set does
-    not grow with the slab; every line's arithmetic is the same as in one
-    sweep over the whole slab.
+    disjoint ranges may run concurrently. table is coefficient_table(scheme,
+    profile, grid), which the solver builds once per solve; without it the
+    slab builds its own. The slab is swept in m-blocks of at most
+    SWEEP_BLOCK_BYTES per level, so the per-level working set does not grow
+    with the slab; every line's arithmetic is the same as in one sweep over
+    the whole slab. A float64 slab is swept with the real part of the
+    coefficient table, which needs a real profile.
     """
     n_z, n_m, n_x = values.shape
     if n_m == 0:
         return
     if table is None:
-        table = sweep_table(scheme, profile, grid, values.dtype)
+        table = coefficient_table(scheme, profile, grid)
+    if not np.iscomplexobj(values):
+        if any(np.any(w.imag) for w in table):
+            raise ValueError("a float64 slab needs a real profile; this one has "
+                             "a nonzero imaginary part")
+        table = tuple(w.real for w in table)
+    cx, cy = mode_cosines(grid)
     rows = max(1, SWEEP_BLOCK_BYTES // (n_x * values.itemsize))
     n_blocks = -(-n_m // rows)
     bounds = [n_m * b // n_blocks for b in range(n_blocks + 1)]
@@ -96,16 +64,17 @@ def solve_slab(values: np.ndarray, scheme: SchemeKind, profile: CoefficientProfi
     cp = np.empty((n_z, -(-n_m // n_blocks), n_x), dtype=values.dtype)
     for m0, m1 in zip(bounds[:-1], bounds[1:]):
         m = m_start + m0
-        _sweep(values[:, m0:m1, :], cp[:, :m1 - m0, :], table.weights, table.cx,
-               table.cy[m:m_start + m1], m_offset=m, cxy=table.cxy[m:m_start + m1])
+        _sweep(values[:, m0:m1, :], cp[:, :m1 - m0, :], table, cx,
+               cy[m:m_start + m1], m_offset=m)
 
 
-def _sweep(w, cp, table, cx, cy, m_offset=0, cxy=None):
+def _sweep(w, cp, table, cx, cy, m_offset=0):
     """Vectorized Thomas sweep over every (n, m) line of a (n_z, M, n_x) slab.
 
-    cp is scratch of w's shape for the elimination multipliers; cx, cy and
-    cxy are the block's mode cosines as in SweepTable (cxy is formed here
-    when not given).
+    cp is scratch of w's shape for the elimination multipliers. The mode
+    cosines are cast to w's dtype once here, so that no eigenvalue_plane
+    call casts them; a cast sets a +0 imaginary part, as the cast inside a
+    mixed float-complex product does, so the eigenvalues keep their bits.
 
     The forward elimination runs in batches of L levels, L as many as fit
     SWEEP_BATCH_BYTES at four planes a level. One eigenvalue_plane call
@@ -125,8 +94,8 @@ def _sweep(w, cp, table, cx, cy, m_offset=0, cxy=None):
     n_z, n_m, n_x = w.shape
     scale = max(float(np.abs(t).max()) for t in (A, B, C, D))
     threshold = PIVOT_RTOL * scale
-    if cxy is None:
-        cxy = cy[:, None] * cx
+    cxy = (cy[:, None] * cx).astype(w.dtype, copy=False)  # the same at every level
+    cx, cy = (c.astype(w.dtype, copy=False) for c in (cx, cy))
     depth = max(1, min(n_z, SWEEP_BATCH_BYTES // (4 * w[0].nbytes)))
     lam = np.empty((depth, 3, n_m, n_x), dtype=w.dtype)
     weights = [t[:, :, None, None] for t in table]

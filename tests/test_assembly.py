@@ -222,15 +222,6 @@ class TestFoldDirichlet:
         assert got.values.dtype == expect.values.dtype
         assert np.array_equal(bits(got.values), bits(expect.values))
 
-    def test_passed_table_is_used(self, monkeypatch):
-        grid, prof = cube_grid(4, k2=2.0)
-        rhs, bnd = random_field(grid, 9), random_boundary(grid, 10)
-        table = coefficient_table(SchemeKind.SIXTH_ORDER, prof, grid)
-        expect = fold_dirichlet(rhs, bnd, SchemeKind.SIXTH_ORDER, prof, grid)
-        monkeypatch.setattr(assembly, "coefficient_table", None)  # not called
-        got = fold_dirichlet(rhs, bnd, SchemeKind.SIXTH_ORDER, prof, grid, table=table)
-        assert np.array_equal(bits(got.values), bits(expect.values))
-
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_fold_matches_dense_oracle(self, scheme):
         grid, prof = cube_grid(3, gamma=-2.0 if scheme

@@ -632,8 +632,9 @@ class TestOwnedRhsFold:
     def test_peak_allocation_holds_one_working_field(self, monkeypatch):
         # two-plane build chunks and two-row sweep blocks keep the build's and
         # the sweep's scratch small, so the peak counts whole fields: the
-        # working field and about 0.8 of a field of transform, fold and batch
-        # scratch at 48^3. A second copy of the right-hand side reads 2.8
+        # working field and 0.6-0.8 of a field of transform, fold and batch
+        # scratch at 48^3 (1.62-1.77 over 30 runs). A second copy of the
+        # right-hand side reads 2.6-2.7
         n = 48
         monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", 2 * n * n * 8)
         monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 2 * n * 8)

@@ -313,11 +313,11 @@ class TestBatchedSweep:
             assert f"(n={n0}, m={m0})" in str(err.value)
 
 
-class TestSweepTable:
-    """The solver builds one SweepTable per solve and passes it to each slab."""
+class TestPassedTable:
+    """The solver builds the coefficient table once per solve and passes it to each slab."""
 
     @pytest.mark.parametrize("kind", ["real", "complex-data", "complex-profile"])
-    def test_passed_table_bitwise_equal_own(self, monkeypatch, kind):
+    def test_passed_table_bitwise_equal_own_and_reference(self, monkeypatch, kind):
         rng = np.random.default_rng(53)
         grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 11, 7)
         k2 = rng.standard_normal(9) + (0.4j * rng.standard_normal(9)
@@ -328,9 +328,8 @@ class TestSweepTable:
         if kind != "real":
             data = data + 1j * rng.standard_normal(grid.shape)
         scheme = SchemeKind.FOURTH_ORDER
-        table = tridiag.sweep_table(scheme, prof, grid, data.dtype)
-        assert all(a.dtype == data.dtype for a in
-                   table.weights + (table.cx, table.cy, table.cxy))
+        table = coefficient_table(scheme, prof, grid)
+        cx, cy = mode_cosines(grid)
         monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 3 * grid.n_x * 16)
         for m_start in (0, 4):
             own = data[:, m_start:].copy()
@@ -340,3 +339,10 @@ class TestSweepTable:
                 m.setattr(tridiag, "coefficient_table", None)  # not called
                 solve_slab(passed, scheme, prof, grid, m_start, table=table)
             assert np.array_equal(passed.view(np.uint64), own.view(np.uint64))
+            # the sweep casts the real cosines to the slab's dtype; the
+            # reference takes them real, as numpy's mixed products cast them
+            expect = data[:, m_start:].copy()
+            weights = table if kind != "real" else tuple(w.real for w in table)
+            sweep_reference(expect, np.empty_like(expect), weights, cx, cy[m_start:],
+                            m_offset=m_start)
+            assert np.array_equal(passed.view(np.uint64), expect.view(np.uint64))
