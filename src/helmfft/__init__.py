@@ -4,6 +4,8 @@ The package solves the block-structured linear systems arising from compact
 second/fourth/sixth-order approximations of the 3D wave (Helmholtz) equation
 with a z-dependent coefficient, and a fourth-order compact approximation of
 the convection-diffusion equation, on rectangular boxes with Dirichlet data.
+Any other 27-point stencil whose weights have the same form, as a
+coefficient table, is solved the same way (solve_stencil).
 
 The solve is direct: a 2D sine transform decouples the horizontal planes,
 batched Thomas sweeps handle the resulting tridiagonal systems along z, and
@@ -15,10 +17,7 @@ from .errors import (ExchangeError, InvalidPartitionError, NonFiniteInputError,
                      SingularSystemError, UnsupportedSchemeError)
 from .grid import (CoefficientProfile, Domain, Grid3D, constant_profile,
                    make_grid, sample_profile)
-from .stencil import (SchemeKind, StencilCoefficients, coefficient_table,
-                      coefficients_convdiff, coefficients_for,
-                      coefficients_fourth, coefficients_second,
-                      coefficients_sixth)
+from .stencil import SchemeKind, coefficient_table
 from .assembly import (BoundaryData, Field3D, SourceSpec, apply_stencil,
                        build_rhs, fold_dirichlet, residual_l2)
 from .spectral import TransformPlan, dst2d, make_plan, transform_stack
@@ -28,7 +27,7 @@ from .solver import (ExchangePlan, Partitioned, PartitionPlan, PhaseTimings,
                      Sequential, SharedWorkers, SolverConfig, exchange_forward,
                      exchange_inverse, make_exchange_plan, make_partition_plan,
                      plan_partition, solve_direct, solve_discrete,
-                     solve_with_timings)
+                     solve_stencil, solve_with_timings)
 from .problems import (ProblemSpec, convdiff_problem, error_metrics,
                        helmholtz_problem)
 from .harness import (MetricsRow, emit_table, run_convergence, run_scaling)

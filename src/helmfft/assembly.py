@@ -5,8 +5,11 @@ x index varies fastest in memory; the flattened order matches the row
 ordering of the assembled linear system. A field is float64 or complex128.
 Boundary values never enter the unknown vector: they are folded into the
 right-hand side once, and the solver works with homogeneous data from then
-on. The fold decides the solve's dtype: float64 when the right-hand side,
-the profile and the boundary values are all real, complex128 otherwise.
+on. The operator enters every function here as its coefficient table (see
+stencil.coefficient_table); only the right-hand side build reads the scheme
+and the profile. The fold decides the solve's dtype: float64 when the
+right-hand side, the table and the boundary values are all real,
+complex128 otherwise.
 """
 
 from dataclasses import dataclass
@@ -14,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteInputError, UnsupportedSchemeError
+from .errors import UnsupportedSchemeError, check_finite
 from .grid import CoefficientProfile, Grid3D
-from .stencil import SchemeKind, coefficient_table
+from .stencil import SchemeKind
 
 # (di, dj) -> which weight of the level multiplies that neighbor
 _PLANE_OFFSETS = (
@@ -228,10 +231,11 @@ def _profile_is_real(profile: CoefficientProfile) -> bool:
     return all(_is_real(v) for v in (profile.k2, profile.k2_z, profile.k2_zz, profile.gamma))
 
 
-def _works_real(values: np.ndarray, profile: CoefficientProfile, faces) -> bool:
-    """values are float64 and the profile and the boundary faces (None for a
-    known-zero boundary) have zero imaginary parts, so float64 is exact."""
-    return (values.dtype == np.float64 and _profile_is_real(profile)
+def _works_real(values: np.ndarray, table, faces) -> bool:
+    """values are float64 and the coefficient table and the boundary faces
+    (None for a known-zero boundary) have zero imaginary parts, so float64
+    is exact. This is the one place where a solve's dtype is decided."""
+    return (values.dtype == np.float64 and all(_is_real(w) for w in table)
             and (faces is None or all(_is_real(f) for f in faces)))
 
 
@@ -413,20 +417,19 @@ def _accumulate(ext: np.ndarray, table) -> np.ndarray:
     return out
 
 
-def apply_stencil(u: Field3D, boundary: BoundaryData, scheme: SchemeKind,
-                  profile: CoefficientProfile, grid: Grid3D) -> Field3D:
+def apply_stencil(u: Field3D, boundary: BoundaryData, table, grid: Grid3D) -> Field3D:
     """Matrix-free A*u, including contributions from the boundary lattice.
 
-    A float64 u with a real profile and real boundary values (a known-zero
-    boundary counts as real) is painted and accumulated in float64, and the
-    result is float64: the real part of the complex path's result. Any
-    other input works in complex128.
+    table is the operator's (A, B, C, D) coefficient table. A float64 u with
+    a real table and real boundary values (a known-zero boundary counts as
+    real) is painted and accumulated in float64, and the result is float64:
+    the real part of the complex path's result. Any other input works in
+    complex128.
     """
     if u.values.shape != grid.shape:
         raise ValueError(f"field shape {u.values.shape} != grid {grid.shape}")
     faces = None if boundary.known_zero else boundary.faces(grid)
-    table = coefficient_table(scheme, profile, grid)
-    real = _works_real(u.values, profile, faces)
+    real = _works_real(u.values, table, faces)
     if real:  # the imaginary parts are zero, so dropping them is exact
         table = tuple(w.real for w in table)
         if faces is not None:
@@ -441,18 +444,19 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     return Field3D(_accumulate(ext, table))
 
 
-def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
-                   profile: CoefficientProfile, grid: Grid3D, copy: bool = True) -> Field3D:
+def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
+                   copy: bool = True) -> Field3D:
     """Move known boundary values to a copy of the right-hand side.
 
     Every interior row loses the sum of (stencil weight x boundary value) over
-    its neighbors on the boundary lattice; rows without boundary neighbors are
-    copied unchanged. Only the six boundary-adjacent layers are computed, so
-    the cost past the copy is O(n^2). The right-hand side, the profile and the
-    boundary values are checked first: a non-finite value raises
-    NonFiniteInputError naming the field and the node.
+    its neighbors on the boundary lattice, with the weights of the (A, B, C,
+    D) coefficient table; rows without boundary neighbors are copied
+    unchanged. Only the six boundary-adjacent layers are computed, so the
+    cost past the copy is O(n^2). The right-hand side and the boundary values
+    are checked first (the table's builder has checked the profile): a
+    non-finite value raises NonFiniteInputError naming the field and the node.
 
-    The copy is float64 when the right-hand side is float64 and the profile
+    The copy is float64 when the right-hand side is float64 and the table
     and the boundary faces have zero imaginary parts (a known-zero boundary
     counts as real), and complex128 otherwise; the solve runs in its dtype.
     With copy=False a right-hand side that already has that dtype is folded
@@ -462,11 +466,10 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     """
     if rhs.values.shape != grid.shape:
         raise ValueError(f"rhs shape {rhs.values.shape} != grid {grid.shape}")
-    _check_profile(profile)
     faces = None if boundary.known_zero else boundary.faces(grid)
     if faces is not None:
         _check_faces(faces, grid)
-    real = _works_real(rhs.values, profile, faces)
+    real = _works_real(rhs.values, table, faces)
     dtype = np.dtype(float if real else complex)
     in_place = not copy and rhs.values.dtype == dtype
     values = rhs.values if in_place else np.empty(grid.shape, dtype=dtype)
@@ -477,10 +480,9 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
             # screened while the plane is in cache: a non-finite entry makes
             # the sum non-finite (so may an overflow, which the full check clears)
             if not np.isfinite(plane.sum()):
-                _check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
+                check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
     if faces is None or not any(np.any(f) for f in faces):
         return Field3D(values)
-    table = coefficient_table(scheme, profile, grid)
     if real:  # the imaginary parts are zero, so dropping them is exact
         faces = tuple(np.real(f) for f in faces)
         table = tuple(w.real for w in table)
@@ -508,45 +510,25 @@ def _boundary_layers(grid: Grid3D):
     return boxes
 
 
-def _check_finite(name, values, node):
-    """Raise NonFiniteInputError at the first non-finite entry of values.
-
-    node maps the entry's index in values to the node index reported.
-    """
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = tuple(int(k) for k in np.argwhere(~finite)[0])
-        at = node(first)
-        raise NonFiniteInputError(
-            f"{name} is not finite at node {at}: {values[first]}", field=name, index=at)
-
-
-def _check_profile(profile: CoefficientProfile):
-    for name in ("k2", "k2_z", "k2_zz"):
-        _check_finite(name, np.asarray(getattr(profile, name)), lambda idx: idx)
-    _check_finite("gamma", np.asarray(profile.gamma), lambda idx: idx)
-
-
 def _check_faces(faces, grid: Grid3D):
     """Check the boundary faces; nodes are (l, j, i) on the closed grid."""
     last = (grid.n_z + 1, grid.n_y + 1, grid.n_x + 1)
     for k, face in enumerate(faces):
         axis, at = k // 2, (0, last[k // 2])[k % 2]
-        _check_finite("boundary", face,
-                      lambda idx, axis=axis, at=at: idx[:axis] + (at,) + idx[axis:])
+        check_finite("boundary", face,
+                     lambda idx, axis=axis, at=at: idx[:axis] + (at,) + idx[axis:])
 
 
-def residual_l2(u: Field3D, rhs_folded: Field3D, scheme: SchemeKind,
-                profile: CoefficientProfile, grid: Grid3D) -> float:
+def residual_l2(u: Field3D, rhs_folded: Field3D, table, grid: Grid3D) -> float:
     """Absolute Euclidean norm of A*u - F with boundary data already folded.
 
-    Because rhs_folded carries the boundary contribution, the operator is
-    applied here with homogeneous boundary values, in float64 when u and
-    the profile are real (see apply_stencil).
+    Because rhs_folded carries the boundary contribution, the operator (the
+    coefficient table) is applied here with homogeneous boundary values, in
+    float64 when u and the table are real (see apply_stencil).
     """
     if u.values.shape != rhs_folded.values.shape:
         raise ValueError(
             f"extent mismatch: {u.values.shape} vs {rhs_folded.values.shape}"
         )
-    au = apply_stencil(u, BoundaryData.zero(), scheme, profile, grid)
+    au = apply_stencil(u, BoundaryData.zero(), table, grid)
     return float(np.linalg.norm((au.values - rhs_folded.values).ravel()))

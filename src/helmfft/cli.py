@@ -21,7 +21,7 @@ from .harness import (emit_table, make_problem, measure, run_convergence,
                       run_scaling)
 from .oracle import dense_solve
 from .solver import Partitioned, Sequential, SharedWorkers, SolverConfig
-from .stencil import SchemeKind
+from .stencil import SchemeKind, coefficient_table
 
 _SCHEMES = {"2": SchemeKind.SECOND_ORDER, "4": SchemeKind.FOURTH_ORDER,
             "6": SchemeKind.SIXTH_ORDER, "cd4": SchemeKind.CONVECTION_DIFFUSION_4}
@@ -154,8 +154,8 @@ def _cmd_solve(args):
         from .assembly import build_rhs
         rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
         ext = problem.boundary.closed_box(problem.grid)
-        dense = dense_solve(rhs.values, ext, problem.scheme, problem.profile,
-                            problem.grid)
+        table = coefficient_table(problem.scheme, problem.profile, problem.grid)
+        dense = dense_solve(rhs.values, ext, table, problem.grid)
         diff = np.abs(solution.ravel() - dense)
         scale = max(float(np.abs(dense).max()), 1e-300)
         rel = float(diff.max()) / scale

@@ -1,5 +1,7 @@
 """Exception types shared across the solver stack."""
 
+import numpy as np
+
 
 class UnsupportedSchemeError(ValueError):
     """Scheme constraints violated (e.g. sixth order on an anisotropic grid)."""
@@ -8,16 +10,30 @@ class UnsupportedSchemeError(ValueError):
 class NonFiniteInputError(ValueError):
     """An input holds NaN or infinity.
 
-    field names the input ("rhs", "boundary", "k2", "k2_z", "k2_zz" or
-    "gamma") and index the node of its first non-finite value: (l, j, i)
-    for the right-hand side and the boundary, (l,) for a profile array and
-    () for gamma.
+    field names the input ("rhs", "boundary", "k2", "k2_z", "k2_zz",
+    "gamma" or "table") and index the node of its first non-finite value:
+    (l, j, i) for the right-hand side and the boundary, (l,) for a profile
+    array, () for gamma and (row level, level) for a coefficient table
+    entry, the weight at level l + offset of row level l.
     """
 
     def __init__(self, message, field=None, index=None):
         super().__init__(message)
         self.field = field
         self.index = index
+
+
+def check_finite(name, values, node=lambda idx: idx):
+    """Raise NonFiniteInputError at the first non-finite entry of values.
+
+    node maps the entry's index in values to the node index reported.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = tuple(int(k) for k in np.argwhere(~finite)[0])
+        at = node(first)
+        raise NonFiniteInputError(
+            f"{name} is not finite at node {at}: {values[first]}", field=name, index=at)
 
 
 class InvalidPartitionError(ValueError):

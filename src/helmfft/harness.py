@@ -8,8 +8,8 @@ import numpy as np
 
 from .assembly import build_rhs, fold_dirichlet, residual_l2
 from .problems import ProblemSpec, convdiff_problem, error_metrics, helmholtz_problem
-from .solver import SolverConfig, Sequential, SharedWorkers, Partitioned, solve_discrete
-from .stencil import SchemeKind
+from .solver import SolverConfig, Sequential, SharedWorkers, Partitioned, solve_stencil
+from .stencil import SchemeKind, coefficient_table
 
 # problem id -> factory(scheme, n); parameter sets follow the standard
 # benchmark configurations for this solver family
@@ -51,17 +51,18 @@ def _grid_label(grid) -> str:
 def measure(problem: ProblemSpec, config: SolverConfig, label_suffix: str = ""):
     """Solve one problem and collect every metric; returns (row, solution).
 
-    The right-hand side is built once, in the data's dtype as in
-    solve_with_timings; its time counts as setup, and the residual refolds it.
+    The coefficient table and the right-hand side are built once, the
+    latter in the data's dtype as in solve_with_timings; their time counts
+    as setup. The solve, the residual's refold and the residual share the
+    table.
     """
     t0 = time.perf_counter()
+    table = coefficient_table(problem.scheme, problem.profile, problem.grid)
     rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid, None)
     rhs_s = time.perf_counter() - t0
-    solution, timings = solve_discrete(rhs, problem.boundary, problem.scheme,
-                                       problem.profile, problem.grid, config)
-    folded = fold_dirichlet(rhs, problem.boundary, problem.scheme, problem.profile,
-                            problem.grid)
-    res = residual_l2(solution, folded, problem.scheme, problem.profile, problem.grid)
+    solution, timings = solve_stencil(table, rhs, problem.boundary, problem.grid, config)
+    folded = fold_dirichlet(rhs, problem.boundary, table, problem.grid)
+    res = residual_l2(solution, folded, table, problem.grid)
     if problem.analytic is not None:
         max_err, l2_err = error_metrics(solution, problem.analytic, problem.grid)
     else:

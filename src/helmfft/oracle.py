@@ -3,8 +3,10 @@
 Everything here is written as plain loops over the stencil, dense kernels or
 one mode at a time, so it shares no code path with the matrix-free
 application, the fast sine transform, or the batched Thomas sweeps it is used
-to verify. The dense matrices are intended for grids up to ~8^3 (the full
-matrix is (n_x n_y n_z)^2).
+to verify. The operator is the same input they take: the (A, B, C, D)
+coefficient table of stencil.coefficient_table or any other table of that
+form, read one weight at a time. The dense matrices are intended for grids
+up to ~8^3 (the full matrix is (n_x n_y n_z)^2).
 """
 
 from dataclasses import dataclass
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .grid import CoefficientProfile, Grid3D
-from .stencil import SchemeKind, StencilCoefficients, coefficients_for
+from .grid import Grid3D
 from .tridiag import PIVOT_RTOL
 
 _NEIGHBORS = (
@@ -25,8 +26,9 @@ _NEIGHBORS = (
 )
 
 
-def _weight(cf: StencilCoefficients, name: str, offset: int) -> complex:
-    return {"a": cf.a, "b": cf.b, "c": cf.c, "d": cf.d}[name][offset + 1]
+def _weight(table, name: str, l: int, offset: int) -> complex:
+    """Weight `name` at level l + offset of row level l (1-based)."""
+    return table["abcd".index(name)][l - 1, offset + 1]
 
 
 def row_index(i: int, j: int, l: int, grid: Grid3D) -> int:
@@ -34,13 +36,12 @@ def row_index(i: int, j: int, l: int, grid: Grid3D) -> int:
     return (i - 1) + grid.n_x * (j - 1) + grid.n_x * grid.n_y * (l - 1)
 
 
-def dense_matrix(scheme: SchemeKind, profile: CoefficientProfile,
-                 grid: Grid3D) -> np.ndarray:
-    """Full interior operator matrix, rows/columns in x-fastest order."""
+def dense_matrix(table, grid: Grid3D) -> np.ndarray:
+    """Full interior operator matrix of a coefficient table, rows/columns in
+    x-fastest order."""
     n = grid.n_x * grid.n_y * grid.n_z
     A = np.zeros((n, n), dtype=complex)
     for l in range(1, grid.n_z + 1):
-        cf = coefficients_for(scheme, profile, grid, l)
         for j in range(1, grid.n_y + 1):
             for i in range(1, grid.n_x + 1):
                 row = row_index(i, j, l, grid)
@@ -51,12 +52,11 @@ def dense_matrix(scheme: SchemeKind, profile: CoefficientProfile,
                     for di, dj, name in _NEIGHBORS:
                         ii, jj = i + di, j + dj
                         if 1 <= ii <= grid.n_x and 1 <= jj <= grid.n_y:
-                            A[row, row_index(ii, jj, ll, grid)] += _weight(cf, name, dl)
+                            A[row, row_index(ii, jj, ll, grid)] += _weight(table, name, l, dl)
     return A
 
 
-def dense_boundary_fold(boundary_ext: np.ndarray, scheme: SchemeKind,
-                        profile: CoefficientProfile, grid: Grid3D) -> np.ndarray:
+def dense_boundary_fold(boundary_ext: np.ndarray, table, grid: Grid3D) -> np.ndarray:
     """Per-row sum of stencil weight x boundary value, as a flat vector.
 
     boundary_ext is a closed-box array (n_z+2, n_y+2, n_x+2); only entries on
@@ -65,7 +65,6 @@ def dense_boundary_fold(boundary_ext: np.ndarray, scheme: SchemeKind,
     n = grid.n_x * grid.n_y * grid.n_z
     out = np.zeros(n, dtype=complex)
     for l in range(1, grid.n_z + 1):
-        cf = coefficients_for(scheme, profile, grid, l)
         for j in range(1, grid.n_y + 1):
             for i in range(1, grid.n_x + 1):
                 row = row_index(i, j, l, grid)
@@ -77,18 +76,17 @@ def dense_boundary_fold(boundary_ext: np.ndarray, scheme: SchemeKind,
                         on_boundary = (ii in (0, grid.n_x + 1) or jj in (0, grid.n_y + 1)
                                        or ll in (0, grid.n_z + 1))
                         if on_boundary:
-                            acc += _weight(cf, name, dl) * boundary_ext[ll, jj, ii]
+                            acc += _weight(table, name, l, dl) * boundary_ext[ll, jj, ii]
                 out[row] = acc
     return out
 
 
-def dense_solve(rhs_interior: np.ndarray, boundary_ext: np.ndarray,
-                scheme: SchemeKind, profile: CoefficientProfile,
+def dense_solve(rhs_interior: np.ndarray, boundary_ext: np.ndarray, table,
                 grid: Grid3D) -> np.ndarray:
     """LAPACK solve of the dense system with the boundary folded; flat result."""
-    A = dense_matrix(scheme, profile, grid)
+    A = dense_matrix(table, grid)
     f = np.asarray(rhs_interior, dtype=complex).reshape(-1).copy()
-    f -= dense_boundary_fold(boundary_ext, scheme, profile, grid)
+    f -= dense_boundary_fold(boundary_ext, table, grid)
     return np.linalg.solve(A, f)
 
 
@@ -126,13 +124,14 @@ def dst2d_reference(plan, plane: np.ndarray) -> np.ndarray:
     return dense_sine_matrix(plan.n_y) @ plane @ dense_sine_matrix(plan.n_x)
 
 
-def eigenvalue(coeffs: StencilCoefficients, level_offset: int, n: int, m: int,
+def eigenvalue(table, l: int, level_offset: int, n: int, m: int,
                grid: Grid3D) -> complex:
-    """Eigenvalue of the level's plane operator for sine mode (n, m), 1-based.
+    """Eigenvalue of a plane operator for sine mode (n, m), 1-based.
 
-    The plane operator with weights (a, b, c, d) acting on the interior grid
-    has eigenvectors sin(pi n i / (n_x + 1)) sin(pi m j / (n_y + 1)) and
-    eigenvalues
+    The operator is the one that row level l (1-based) of the coefficient
+    table applies to level l + level_offset. With weights (a, b, c, d) on
+    the interior grid it has eigenvectors
+    sin(pi n i / (n_x + 1)) sin(pi m j / (n_y + 1)) and eigenvalues
 
         4 a cos(pi n / (n_x+1)) cos(pi m / (n_y+1))
           + 2 b cos(pi n / (n_x+1)) + 2 c cos(pi m / (n_y+1)) + d.
@@ -141,7 +140,7 @@ def eigenvalue(coeffs: StencilCoefficients, level_offset: int, n: int, m: int,
         raise IndexError(f"mode n={n} outside 1..{grid.n_x}")
     if not 1 <= m <= grid.n_y:
         raise IndexError(f"mode m={m} outside 1..{grid.n_y}")
-    a, b, c, d = coeffs.level(level_offset)
+    a, b, c, d = (_weight(table, name, l, level_offset) for name in "abcd")
     cx = np.cos(np.pi * n / (grid.n_x + 1))
     cy = np.cos(np.pi * m / (grid.n_y + 1))
     return 4.0 * a * cx * cy + 2.0 * b * cx + 2.0 * c * cy + d
@@ -164,20 +163,18 @@ class SpectralSystem:
     sup: np.ndarray
 
 
-def assemble_system(n: int, m: int, scheme: SchemeKind, profile: CoefficientProfile,
-                    grid: Grid3D) -> SpectralSystem:
-    """Spectral system for mode (n, m), both 1-based."""
+def assemble_system(n: int, m: int, table, grid: Grid3D) -> SpectralSystem:
+    """Spectral system of a coefficient table for mode (n, m), both 1-based."""
     n_z = grid.n_z
     sub = np.zeros(n_z, dtype=complex)
     diag = np.zeros(n_z, dtype=complex)
     sup = np.zeros(n_z, dtype=complex)
     for l in range(1, n_z + 1):
-        cf = coefficients_for(scheme, profile, grid, l)
         if l > 1:
-            sub[l - 1] = eigenvalue(cf, -1, n, m, grid)
-        diag[l - 1] = eigenvalue(cf, 0, n, m, grid)
+            sub[l - 1] = eigenvalue(table, l, -1, n, m, grid)
+        diag[l - 1] = eigenvalue(table, l, 0, n, m, grid)
         if l < n_z:
-            sup[l - 1] = eigenvalue(cf, +1, n, m, grid)
+            sup[l - 1] = eigenvalue(table, l, +1, n, m, grid)
     return SpectralSystem(n=n, m=m, sub=sub, diag=diag, sup=sup)
 
 

@@ -26,7 +26,7 @@ import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -35,7 +35,7 @@ from .assembly import Field3D, BoundaryData, build_rhs, fold_dirichlet
 from .errors import InvalidPartitionError
 from .grid import CoefficientProfile, Grid3D
 from .spectral import make_plan, transform_stack
-from .stencil import SchemeKind, coefficient_table
+from .stencil import SchemeKind, check_table, coefficient_table
 from .transport import (STAGE_FORWARD, STAGE_INVERSE, InProcessMesh)
 from . import tridiag
 
@@ -254,21 +254,38 @@ def _transform_stage(executor, workers, plan, values):
                lambda r: transform_stack(plan, values, r))
 
 
-def _sweep_stage(executor, workers, values, scheme, profile, grid, table, m_offset=0):
+def _sweep_stage(executor, workers, values, table, grid, m_offset=0):
     _run_stage(executor, workers, values.shape[1],
-               lambda r: tridiag.solve_slab(values[:, r[0]:r[1], :], scheme, profile,
-                                            grid, m_offset + r[0], table=table))
+               lambda r: tridiag.solve_slab(values[:, r[0]:r[1], :], table, grid,
+                                            m_offset + r[0]))
 
 
 def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
                    profile: CoefficientProfile, grid: Grid3D,
                    config: SolverConfig = SolverConfig()):
-    """Solve the 27-point system for a prebuilt right-hand side.
+    """Solve a catalog scheme's 27-point system for a prebuilt right-hand side.
 
-    Returns (solution Field3D, PhaseTimings). rhs is the unfolded right-hand
-    side; boundary values are folded here as part of setup. The solve runs
-    in the folded copy's dtype (see fold_dirichlet), so the solution of a
-    real problem is float64.
+    The scheme and the profile become the coefficient table once, and the
+    solve is solve_stencil's on that table.
+    """
+    t_start = time.perf_counter()
+    table = coefficient_table(scheme, profile, grid)
+    return _solve(t_start, lambda: rhs, boundary, table, grid, config, copy=True)
+
+
+def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,
+                  config: SolverConfig = SolverConfig()):
+    """Solve the 27-point system of any coefficient table for a prebuilt right-hand side.
+
+    table is four (n_z, 3) arrays (A, B, C, D) of row level by level offset
+    (see stencil.coefficient_table); it is checked before any work (a wrong
+    shape raises ValueError, a non-finite entry NonFiniteInputError). The
+    solver needs the form only, not a catalog scheme, and solves any table
+    whose spectral systems are not resonant. Returns (solution Field3D,
+    PhaseTimings). rhs is the unfolded right-hand side; boundary values are
+    folded here as part of setup. The solve runs in the folded copy's dtype
+    (see fold_dirichlet): float64 when the right-hand side, the table and
+    the boundary values are real.
 
     Every mode runs the same stages on its (parts, workers) layout: the
     caller's thread runs part 0 and each other part gets a thread of its
@@ -276,21 +293,25 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     skips both exchanges and opens no transport. A part that fails closes
     its transport, so a peer waiting for its blocks fails at once.
     """
-    return _solve(rhs, boundary, scheme, profile, grid, config, copy=True)
-
-
-def _solve(rhs, boundary, scheme, profile, grid, config, copy):
-    """solve_discrete; with copy=False the fold may work in rhs's own array.
-
-    The stages then run in that one array, which becomes the solution (see
-    fold_dirichlet), so a solver-built right-hand side is never copied.
-    """
     t_start = time.perf_counter()
+    table = check_table(table, grid)
+    return _solve(t_start, lambda: rhs, boundary, table, grid, config, copy=True)
+
+
+def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
+    """solve_stencil on a checked table, timed from t_start.
+
+    take_rhs() returns the right-hand side, which only the fold holds. With
+    copy=False the fold may work in its array; the stages then run in that
+    one array, which becomes the solution (see fold_dirichlet), so a
+    solver-built right-hand side is never copied, and one that the fold
+    widens to complex is freed when the fold returns.
+    """
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
-    values = fold_dirichlet(rhs, boundary, scheme, profile, grid, copy=copy).values
-    # one table per solve serves every part's sweep; the fold has checked the profile
-    table = coefficient_table(scheme, profile, grid)
+    values = fold_dirichlet(take_rhs(), boundary, table, grid, copy=copy).values
+    if values.dtype == np.float64:  # the fold found the table real
+        table = tuple(w.real for w in table)
     setup_s = time.perf_counter() - t_start
 
     ex_plan = make_exchange_plan(grid, parts)
@@ -324,8 +345,8 @@ def _solve(rhs, boundary, scheme, profile, grid, config, copy):
                 if transport is not None:
                     y_slab = stage("exchange", lambda: exchange_forward(
                         ex_plan, transport, part, local))
-                stage("tridiag", lambda: _sweep_stage(executor, workers, y_slab, scheme,
-                                                      profile, grid, table, m_offset=y0))
+                stage("tridiag", lambda: _sweep_stage(executor, workers, y_slab, table,
+                                                      grid, m_offset=y0))
                 if transport is not None:
                     local[...] = stage("exchange", lambda: exchange_inverse(
                         ex_plan, transport, part, y_slab))
@@ -377,20 +398,23 @@ def solve_direct(problem, config: SolverConfig = SolverConfig()) -> Field3D:
 def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
     """Like solve_direct but also returns the phase timing breakdown.
 
-    The right-hand side's z-chunks are built on the layout's parts x
-    workers threads, through the same stage runner as the solve. The
-    solver owns that array, so the fold works in it and every stage after
-    runs in it: one working field from the build to the solution.
+    The coefficient table is built first, which checks the profile. The
+    right-hand side's z-chunks are then built on the layout's parts x
+    workers threads, through the same stage runner as the solve, and
+    count as setup. The solver owns that array, so the fold works in it
+    and every stage after runs in it: one working field from the build to
+    the solution.
     """
-    t0 = time.perf_counter()
-    parts, workers = _layout(config.mode, problem.grid)
+    t_start = time.perf_counter()
+    grid = problem.grid
+    table = coefficient_table(problem.scheme, problem.profile, grid)
+    parts, workers = _layout(config.mode, grid)
     threads = parts * workers
-    with _executor(threads) as executor:
-        rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid,
-                        dtype=None,
-                        run=lambda extent, fn: _run_stage(executor, threads, extent, fn))
-    rhs_s = time.perf_counter() - t0
-    solution, timings = _solve(rhs, problem.boundary, problem.scheme, problem.profile,
-                               problem.grid, config, copy=False)
-    return solution, replace(timings, setup_s=timings.setup_s + rhs_s,
-                             total_s=timings.total_s + rhs_s)
+
+    def build():
+        with _executor(threads) as executor:
+            return build_rhs(problem.scheme, problem.source, problem.profile, grid,
+                             dtype=None,
+                             run=lambda extent, fn: _run_stage(executor, threads, extent, fn))
+
+    return _solve(t_start, build, problem.boundary, table, grid, config, copy=False)

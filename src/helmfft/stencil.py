@@ -1,4 +1,4 @@
-"""27-point stencil weights for each scheme and the plane-operator eigenvalues.
+"""27-point stencil weights as one table per scheme, and the plane-operator eigenvalues.
 
 Every scheme couples three consecutive z-levels. At a given row level l the
 weights form a 3 x 3 x 3 cube described by four values per level nu in
@@ -8,6 +8,12 @@ weights form a 3 x 3 x 3 cube described by four values per level nu in
     b_nu  -> the two x-neighbors (i +- 1, j)
     c_nu  -> the two y-neighbors (i, j +- 1)
     d_nu  -> the center (i, j)
+
+`coefficient_table` turns a scheme and a sampled profile into these weights
+for every row at once: four (n_z, 3) arrays (A, B, C, D), row level by level
+offset. That table is the operator; the fold, the residual, the spectral
+sweep and the dense oracle all take it, so any table of this form is solved
+the same way (see solver.solve_stencil), not only the catalog schemes.
 
 The in-plane operator built from one level's (a, b, c, d) is diagonalized by
 the 2D type-I sine basis; `eigenvalue_plane` gives its spectrum in closed form
@@ -23,11 +29,10 @@ that scaling via the step ratios R_zx = h_z^2/h_x^2 and R_zy = h_z^2/h_y^2.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedSchemeError
+from .errors import UnsupportedSchemeError, check_finite
 from .grid import CoefficientProfile, Grid3D
 
 
@@ -38,166 +43,104 @@ class SchemeKind(enum.Enum):
     CONVECTION_DIFFUSION_4 = "cd4"
 
 
-@dataclass(frozen=True)
-class StencilCoefficients:
-    """Weights (a, b, c, d) at levels (l-1, l, l+1) for one row level.
-
-    Each field is a complex ndarray of shape (3,) indexed by level offset + 1,
-    i.e. index 0 is level l-1, index 1 is level l, index 2 is level l+1.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    r_zx: float
-    r_zy: float
-
-    def level(self, offset):
-        """(a, b, c, d) at level l + offset, offset in {-1, 0, +1}."""
-        k = offset + 1
-        return self.a[k], self.b[k], self.c[k], self.d[k]
-
-    def row_sum(self):
-        """Weighted sum over all 27 positions (4a + 2b + 2c + d per level)."""
-        return complex(np.sum(4 * self.a + 2 * self.b + 2 * self.c + self.d))
-
-
-def _check_level(grid, l):
-    if not 1 <= l <= grid.n_z:
-        raise IndexError(f"row level {l} outside 1..{grid.n_z}")
-
-
-def _ratios(grid):
-    return grid.h_z**2 / grid.h_x**2, grid.h_z**2 / grid.h_y**2
-
-
-def coefficients_second(profile: CoefficientProfile, grid: Grid3D, l: int) -> StencilCoefficients:
-    """Second-order weights: five nonzero values per row."""
-    _check_level(grid, l)
-    r_zx, r_zy = _ratios(grid)
-    a = np.zeros(3, dtype=complex)
-    b = np.zeros(3, dtype=complex)
-    c = np.zeros(3, dtype=complex)
-    d = np.zeros(3, dtype=complex)
-    b[1] = r_zx
-    c[1] = r_zy
-    d[0] = d[2] = 1.0
-    d[1] = -2.0 * (r_zx + r_zy + 1.0) + grid.h_z**2 * profile.k2[l]
-    return StencilCoefficients(a, b, c, d, r_zx, r_zy)
-
-
-def coefficients_fourth(profile: CoefficientProfile, grid: Grid3D, l: int) -> StencilCoefficients:
-    """Fourth-order compact weights; corners appear on the center level only."""
-    _check_level(grid, l)
-    r_zx, r_zy = _ratios(grid)
-    hz2 = grid.h_z**2
-    k2m, k2c, k2p = profile.k2[l - 1], profile.k2[l], profile.k2[l + 1]
-
-    a = np.zeros(3, dtype=complex)
-    b = np.zeros(3, dtype=complex)
-    c = np.zeros(3, dtype=complex)
-    d = np.zeros(3, dtype=complex)
-    b[0] = b[2] = (1.0 + r_zx) / 12.0
-    c[0] = c[2] = (1.0 + r_zy) / 12.0
-    d[0] = 2.0 / 3.0 - (r_zx + r_zy) / 6.0 + hz2 * k2m / 12.0
-    d[2] = 2.0 / 3.0 - (r_zx + r_zy) / 6.0 + hz2 * k2p / 12.0
-    a[1] = (r_zx + r_zy) / 12.0
-    b[1] = (4.0 * r_zx - r_zy - 1.0 + hz2 * k2c / 2.0) / 6.0
-    c[1] = (4.0 * r_zy - r_zx - 1.0 + hz2 * k2c / 2.0) / 6.0
-    d[1] = -4.0 * (1.0 + r_zx + r_zy) / 3.0 + hz2 * k2c / 2.0
-    return StencilCoefficients(a, b, c, d, r_zx, r_zy)
-
-
-def coefficients_sixth(profile: CoefficientProfile, grid: Grid3D, l: int) -> StencilCoefficients:
-    """Sixth-order compact weights; requires a uniform step in all directions."""
-    _check_level(grid, l)
-    if not grid.uniform:
-        raise UnsupportedSchemeError(
-            f"sixth-order scheme needs h_x = h_y = h_z, "
-            f"got ({grid.h_x}, {grid.h_y}, {grid.h_z})"
-        )
-    h = grid.h_z
-    h2, h3, h4 = h**2, h**3, h**4
-    k2m, k2c, k2p = profile.k2[l - 1], profile.k2[l], profile.k2[l + 1]
-    k2z = profile.k2_z[l]
-    k2zz = profile.k2_zz[l]
-
-    a = np.zeros(3, dtype=complex)
-    b = np.zeros(3, dtype=complex)
-    c = np.zeros(3, dtype=complex)
-    d = np.zeros(3, dtype=complex)
-    a[0] = a[2] = 1.0 / 30.0
-    b[0] = c[0] = 1.0 / 10.0 + h2 * k2m / 90.0 - h3 * k2z / 120.0
-    b[2] = c[2] = 1.0 / 10.0 + h2 * k2p / 90.0 + h3 * k2z / 120.0
-    d[0] = 7.0 / 15.0 - h2 * k2m / 90.0 - (h3 * k2z / 20.0) * (1.0 / 3.0 + h2 * k2m / 6.0)
-    d[2] = 7.0 / 15.0 - h2 * k2p / 90.0 + (h3 * k2z / 20.0) * (1.0 / 3.0 + h2 * k2p / 6.0)
-    a[1] = 1.0 / 10.0 + h2 * k2c / 90.0
-    b[1] = c[1] = 7.0 / 15.0 - h2 * k2c / 90.0
-    d[1] = -64.0 / 15.0 + 14.0 * h2 * k2c / 15.0 - h4 * k2c**2 / 20.0 + h4 * k2zz / 20.0
-    return StencilCoefficients(a, b, c, d, 1.0, 1.0)
-
-
-def coefficients_convdiff(profile: CoefficientProfile, grid: Grid3D, l: int) -> StencilCoefficients:
-    """Fourth-order weights for diffusion with z-direction convection gamma.
-
-    Built on top of the plain fourth-order weights (the profile must carry
-    k2 = 0 for convection problems), so gamma = 0 reduces to them bit for
-    bit. The convection number g = gamma h_z skews the up/down levels.
-    """
-    if profile.k2.any():
-        raise ValueError("convection-diffusion weights expect a zero k^2 profile")
-    base = coefficients_fourth(profile, grid, l)
-    r_zx, r_zy = base.r_zx, base.r_zy
-    g = profile.gamma * grid.h_z
-
-    a = base.a.copy()
-    b = base.b.copy()
-    c = base.c.copy()
-    d = base.d.copy()
-    # (1 + R)(2 +- g)/24 written as the diffusion weight times (1 +- g/2)
-    b[0] = base.b[0] * (1.0 - g / 2.0)
-    b[2] = base.b[2] * (1.0 + g / 2.0)
-    c[0] = base.c[0] * (1.0 - g / 2.0)
-    c[2] = base.c[2] * (1.0 + g / 2.0)
-    d[0] = base.d[0] - (g / 12.0) * (4.0 - r_zx - r_zy - g)
-    d[2] = base.d[2] + (g / 12.0) * (4.0 - r_zx - r_zy + g)
-    d[1] = base.d[1] - g**2 / 6.0
-    return StencilCoefficients(a, b, c, d, r_zx, r_zy)
-
-
-_BUILDERS = {
-    SchemeKind.SECOND_ORDER: coefficients_second,
-    SchemeKind.FOURTH_ORDER: coefficients_fourth,
-    SchemeKind.SIXTH_ORDER: coefficients_sixth,
-    SchemeKind.CONVECTION_DIFFUSION_4: coefficients_convdiff,
-}
-
-
-def coefficients_for(scheme: SchemeKind, profile, grid, l) -> StencilCoefficients:
-    """Dispatch to the scheme's coefficient builder."""
-    return _BUILDERS[scheme](profile, grid, l)
-
-
-def coefficient_table(scheme: SchemeKind, profile, grid):
-    """All row coefficients as (n_z, 3) arrays (A, B, C, D).
+def coefficient_table(scheme: SchemeKind, profile: CoefficientProfile, grid: Grid3D):
+    """All row weights as complex (n_z, 3) arrays (A, B, C, D).
 
     Row index is 0-based (row 0 is level l = 1); the second axis is the level
-    offset + 1 as in StencilCoefficients. Coefficients are O(n_z) in memory
-    because they depend on z only; nothing per-plane is ever materialized.
+    offset + 1, so [:, 0] is level l-1, [:, 1] level l and [:, 2] level l+1.
+    The weights depend on z only, so the table is O(n_z) in memory and is
+    built for all rows at once. The profile is checked first: a non-finite
+    value raises NonFiniteInputError naming the array and the index.
+
+    Second order has five nonzero weights per row. Fourth order is compact,
+    with corners on the center level only. Sixth order needs one step in
+    every direction. Convection-diffusion is the fourth-order table (the
+    profile must carry k2 = 0) with the up and down levels skewed by the
+    convection number g = gamma h_z, so gamma = 0 gives the fourth-order
+    table bit for bit.
     """
+    _check_profile(profile)
     n_z = grid.n_z
-    A = np.empty((n_z, 3), dtype=complex)
-    B = np.empty((n_z, 3), dtype=complex)
-    C = np.empty((n_z, 3), dtype=complex)
-    D = np.empty((n_z, 3), dtype=complex)
-    for l in range(1, n_z + 1):
-        cf = coefficients_for(scheme, profile, grid, l)
-        A[l - 1] = cf.a
-        B[l - 1] = cf.b
-        C[l - 1] = cf.c
-        D[l - 1] = cf.d
+    A, B, C, D = (np.zeros((n_z, 3), dtype=complex) for _ in range(4))
+    hz2 = grid.h_z**2
+    r_zx, r_zy = hz2 / grid.h_x**2, hz2 / grid.h_y**2
+    k2m, k2c, k2p = profile.k2[:n_z], profile.k2[1:n_z + 1], profile.k2[2:n_z + 2]
+
+    if scheme is SchemeKind.SECOND_ORDER:
+        B[:, 1] = r_zx
+        C[:, 1] = r_zy
+        D[:, 0] = D[:, 2] = 1.0
+        D[:, 1] = -2.0 * (r_zx + r_zy + 1.0) + hz2 * k2c
+
+    elif scheme is SchemeKind.SIXTH_ORDER:
+        if not grid.uniform:
+            raise UnsupportedSchemeError(
+                f"sixth-order scheme needs h_x = h_y = h_z, "
+                f"got ({grid.h_x}, {grid.h_y}, {grid.h_z})"
+            )
+        h = grid.h_z
+        h2, h3, h4 = h**2, h**3, h**4
+        k2z = profile.k2_z[1:n_z + 1]
+        k2zz = profile.k2_zz[1:n_z + 1]
+        A[:, 0] = A[:, 2] = 1.0 / 30.0
+        B[:, 0] = C[:, 0] = 1.0 / 10.0 + h2 * k2m / 90.0 - h3 * k2z / 120.0
+        B[:, 2] = C[:, 2] = 1.0 / 10.0 + h2 * k2p / 90.0 + h3 * k2z / 120.0
+        D[:, 0] = 7.0 / 15.0 - h2 * k2m / 90.0 - (h3 * k2z / 20.0) * (1.0 / 3.0 + h2 * k2m / 6.0)
+        D[:, 2] = 7.0 / 15.0 - h2 * k2p / 90.0 + (h3 * k2z / 20.0) * (1.0 / 3.0 + h2 * k2p / 6.0)
+        A[:, 1] = 1.0 / 10.0 + h2 * k2c / 90.0
+        B[:, 1] = C[:, 1] = 7.0 / 15.0 - h2 * k2c / 90.0
+        # np.power, not **: an array's square is a product, which rounds
+        # differently from the scalar power
+        D[:, 1] = (-64.0 / 15.0 + 14.0 * h2 * k2c / 15.0 - h4 * np.power(k2c, 2.0) / 20.0
+                   + h4 * k2zz / 20.0)
+
+    elif scheme in (SchemeKind.FOURTH_ORDER, SchemeKind.CONVECTION_DIFFUSION_4):
+        if scheme is SchemeKind.CONVECTION_DIFFUSION_4 and profile.k2.any():
+            raise ValueError("convection-diffusion weights expect a zero k^2 profile")
+        B[:, 0] = B[:, 2] = (1.0 + r_zx) / 12.0
+        C[:, 0] = C[:, 2] = (1.0 + r_zy) / 12.0
+        D[:, 0] = 2.0 / 3.0 - (r_zx + r_zy) / 6.0 + hz2 * k2m / 12.0
+        D[:, 2] = 2.0 / 3.0 - (r_zx + r_zy) / 6.0 + hz2 * k2p / 12.0
+        A[:, 1] = (r_zx + r_zy) / 12.0
+        B[:, 1] = (4.0 * r_zx - r_zy - 1.0 + hz2 * k2c / 2.0) / 6.0
+        C[:, 1] = (4.0 * r_zy - r_zx - 1.0 + hz2 * k2c / 2.0) / 6.0
+        D[:, 1] = -4.0 * (1.0 + r_zx + r_zy) / 3.0 + hz2 * k2c / 2.0
+        if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
+            g = profile.gamma * grid.h_z
+            # (1 + R)(2 +- g)/24 written as the diffusion weight times (1 +- g/2)
+            B[:, 0] *= 1.0 - g / 2.0
+            B[:, 2] *= 1.0 + g / 2.0
+            C[:, 0] *= 1.0 - g / 2.0
+            C[:, 2] *= 1.0 + g / 2.0
+            D[:, 0] -= (g / 12.0) * (4.0 - r_zx - r_zy - g)
+            D[:, 2] += (g / 12.0) * (4.0 - r_zx - r_zy + g)
+            D[:, 1] -= g**2 / 6.0
+
+    else:
+        raise ValueError(f"unknown scheme {scheme}")
     return A, B, C, D
+
+
+def _check_profile(profile: CoefficientProfile):
+    for name in ("k2", "k2_z", "k2_zz", "gamma"):
+        check_finite(name, np.asarray(getattr(profile, name)))
+
+
+def check_table(table, grid: Grid3D):
+    """table as four complex128 (n_z, 3) arrays (A, B, C, D), every entry finite.
+
+    A wrong count or shape raises ValueError; a non-finite entry raises
+    NonFiniteInputError with field "table" and index (l, l + offset) for
+    the weight at level l + offset of row level l.
+    """
+    table = tuple(np.asarray(w, dtype=complex) for w in table)
+    shapes = [w.shape for w in table]
+    if shapes != [(grid.n_z, 3)] * 4:
+        raise ValueError(f"a coefficient table is four ({grid.n_z}, 3) arrays, "
+                         f"got shapes {shapes}")
+    for w in table:
+        check_finite("table", w, lambda idx: (idx[0] + 1, idx[0] + idx[1]))
+    return table
 
 
 def mode_cosines(grid: Grid3D):

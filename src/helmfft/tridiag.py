@@ -12,8 +12,8 @@ sweeps all modes of a y-range at once with vectorized Thomas elimination
 import numpy as np
 
 from .errors import SingularSystemError
-from .grid import CoefficientProfile, Grid3D
-from .stencil import SchemeKind, coefficient_table, eigenvalue_plane, mode_cosines
+from .grid import Grid3D
+from .stencil import eigenvalue_plane, mode_cosines
 
 # pivot smaller than this multiple of the system's band scale is treated as
 # a resonant (singular) spectral system
@@ -33,29 +33,20 @@ SWEEP_BLOCK_BYTES = 256 * 1024
 SWEEP_BATCH_BYTES = 1024 * 1024
 
 
-def solve_slab(values: np.ndarray, scheme: SchemeKind, profile: CoefficientProfile,
-               grid: Grid3D, m_start: int = 0, *, table=None) -> None:
+def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> None:
     """Sweep a (n_z, M, n_x) slab in place; local row j is global mode m_start + j.
 
     Each of a part's workers sweeps one y-range of the part's slab this way;
-    disjoint ranges may run concurrently. table is coefficient_table(scheme,
-    profile, grid), which the solver builds once per solve; without it the
-    slab builds its own. The slab is swept in m-blocks of at most
-    SWEEP_BLOCK_BYTES per level, so the per-level working set does not grow
-    with the slab; every line's arithmetic is the same as in one sweep over
-    the whole slab. A float64 slab is swept with the real part of the
-    coefficient table, which needs a real profile.
+    disjoint ranges may run concurrently. table is the (A, B, C, D)
+    coefficient table in the slab's dtype (the solver casts it once per
+    solve: a float64 slab takes a real table). The slab is swept in m-blocks
+    of at most SWEEP_BLOCK_BYTES per level, so the per-level working set does
+    not grow with the slab; every line's arithmetic is the same as in one
+    sweep over the whole slab.
     """
     n_z, n_m, n_x = values.shape
     if n_m == 0:
         return
-    if table is None:
-        table = coefficient_table(scheme, profile, grid)
-    if not np.iscomplexobj(values):
-        if any(np.any(w.imag) for w in table):
-            raise ValueError("a float64 slab needs a real profile; this one has "
-                             "a nonzero imaginary part")
-        table = tuple(w.real for w in table)
     cx, cy = mode_cosines(grid)
     rows = max(1, SWEEP_BLOCK_BYTES // (n_x * values.itemsize))
     n_blocks = -(-n_m // rows)

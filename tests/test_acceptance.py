@@ -27,8 +27,7 @@ from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig
                             make_exchange_plan, plan_partition, solve_discrete,
                             solve_with_timings)
 from helmfft.spectral import dst2d, make_plan
-from helmfft.stencil import (SchemeKind, coefficients_convdiff,
-                             coefficients_for, coefficients_fourth)
+from helmfft.stencil import SchemeKind, coefficient_table
 from helmfft.transport import InProcessMesh
 
 HELMHOLTZ_SCHEMES = {
@@ -70,10 +69,9 @@ def run_problem(problem):
     solution, timings = solve_with_timings(problem, SolverConfig())
     max_err, l2_err = error_metrics(solution, problem.analytic, problem.grid)
     rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
-    folded = fold_dirichlet(rhs, problem.boundary, problem.scheme,
-                            problem.profile, problem.grid)
-    res = residual_l2(solution, folded, problem.scheme, problem.profile,
-                      problem.grid)
+    table = coefficient_table(problem.scheme, problem.profile, problem.grid)
+    folded = fold_dirichlet(rhs, problem.boundary, table, problem.grid)
+    res = residual_l2(solution, folded, table, problem.grid)
     return {"max_err": max_err, "l2_err": l2_err, "l2_res": res,
             "h": problem.grid.h_z, "total_s": timings.total_s}
 
@@ -178,7 +176,8 @@ def test_criterion_06_dense_oracle_equivalence(capfd):
             bnd = BoundaryData.from_array(rng.standard_normal(shape)
                                           + 1j * rng.standard_normal(shape))
             solution, _ = solve_discrete(rhs, bnd, scheme, prof, grid)
-            expect = dense_solve(rhs.values, bnd.closed_box(grid), scheme, prof, grid)
+            expect = dense_solve(rhs.values, bnd.closed_box(grid),
+                                 coefficient_table(scheme, prof, grid), grid)
             rel = np.abs(solution.ravel() - expect).max() / np.abs(expect).max()
             worst = max(worst, rel)
     ok = report(6, worst <= 1e-12,
@@ -202,16 +201,16 @@ def test_criterion_07_diagonalization_property(capfd):
                     k2=rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2),
                     k2_z=rng.standard_normal(n + 2) + 0j,
                     k2_zz=rng.standard_normal(n + 2) + 0j)
-            cf = coefficients_for(scheme, prof, grid, 2)
+            table = coefficient_table(scheme, prof, grid)
             for offset in (-1, 0, 1):
-                a, b, c, d = cf.level(offset)
+                a, b, c, d = (w[1, offset + 1] for w in table)  # row level 2
                 D = V.T @ dense_plane_matrix(a, b, c, d, n, n) @ V
                 off = D - np.diag(np.diag(D))
                 worst_off = max(worst_off, float(np.abs(off).max()))
                 for m in range(1, n + 1):
                     for nn in range(1, n + 1):
                         idx = (nn - 1) + n * (m - 1)
-                        lam = eigenvalue(cf, offset, nn, m, grid)
+                        lam = eigenvalue(table, 2, offset, nn, m, grid)
                         worst_eig = max(worst_eig, abs(D[idx, idx] - lam))
     ok = report(7, worst_off <= 1e-12 and worst_eig <= 1e-12,
                 f"plane operators diagonalized: off-diag {worst_off:.3e}, "
@@ -234,16 +233,15 @@ def test_criterion_08_structural_invariants(capfd):
             grid = make_grid(Domain(0, 5 * hz / math.sqrt(rx), 0,
                                     5 * hz / math.sqrt(ry), 0, 1.0), 4, 4, 4)
             prof = constant_profile(0.0, grid)
-        cf = coefficients_for(scheme, prof, grid, 2)
-        checks.append(abs(cf.row_sum()) < 1e-13)
+        A, B, C, D = coefficient_table(scheme, prof, grid)
+        checks.append(abs(np.sum(4 * A[1] + 2 * B[1] + 2 * C[1] + D[1])) < 1e-13)
 
     # convection weights reduce to the diffusion-only ones exactly
     grid = make_grid(Domain(0, 1, 0, 2, 0, 3), 5, 5, 5)
     prof = constant_profile(0.0, grid, gamma=0.0)
-    cd = coefficients_convdiff(prof, grid, 3)
-    f4 = coefficients_fourth(prof, grid, 3)
-    checks.append(all(np.array_equal(getattr(cd, nm), getattr(f4, nm))
-                      for nm in ("a", "b", "c", "d")))
+    cd = coefficient_table(SchemeKind.CONVECTION_DIFFUSION_4, prof, grid)
+    f4 = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+    checks.append(all(np.array_equal(w_cd, w_4) for w_cd, w_4 in zip(cd, f4)))
 
     # transform involution and norm preservation
     plan = make_plan(13, 9)

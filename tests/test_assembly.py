@@ -185,8 +185,8 @@ class TestFoldDirichlet:
     def test_zero_boundary_is_identity(self):
         grid, prof = cube_grid(3, k2=2.0)
         rhs = random_field(grid, 1)
-        folded = fold_dirichlet(rhs, BoundaryData.zero(), SchemeKind.FOURTH_ORDER,
-                                prof, grid)
+        folded = fold_dirichlet(rhs, BoundaryData.zero(),
+                                coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid), grid)
         assert np.array_equal(folded.values, rhs.values)
 
     def test_single_unknown_unit_boundary(self):
@@ -194,7 +194,8 @@ class TestFoldDirichlet:
         rhs = Field3D.zeros(grid)
         bnd = BoundaryData.from_function(
             lambda x, y, z: np.ones(np.broadcast(x, y, z).shape))
-        folded = fold_dirichlet(rhs, bnd, SchemeKind.SECOND_ORDER, prof, grid)
+        folded = fold_dirichlet(rhs, bnd, coefficient_table(SchemeKind.SECOND_ORDER, prof, grid),
+                                grid)
         # the six face neighbors carry weights b, b, c, c, 1, 1 = 6 in total
         assert folded.values[0, 0, 0] == pytest.approx(-6.0, rel=1e-14)
 
@@ -213,10 +214,12 @@ class TestFoldDirichlet:
         box = rng.standard_normal(shape)
         bnd = {"zero": BoundaryData.zero(), "real": BoundaryData.from_array(box),
                "complex": BoundaryData.from_array(box + 0.5j)}[walls]
-        expect = fold_dirichlet(Field3D(values), bnd, SchemeKind.FOURTH_ORDER, prof, grid)
+        expect = fold_dirichlet(Field3D(values), bnd,
+                                coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid), grid)
         assert not np.may_share_memory(expect.values, values)
         rhs = Field3D(values.copy())
-        got = fold_dirichlet(rhs, bnd, SchemeKind.FOURTH_ORDER, prof, grid, copy=False)
+        got = fold_dirichlet(rhs, bnd, coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid),
+                             grid, copy=False)
         widened = rhs_kind == "real" and walls == "complex"
         assert np.shares_memory(got.values, rhs.values) == (not widened)
         assert got.values.dtype == expect.values.dtype
@@ -228,9 +231,9 @@ class TestFoldDirichlet:
                                is SchemeKind.CONVECTION_DIFFUSION_4 else 0.0)
         rhs = random_field(grid, 2)
         bnd = random_boundary(grid, 3)
-        folded = fold_dirichlet(rhs, bnd, scheme, prof, grid)
-        oracle = rhs.ravel() - dense_boundary_fold(bnd.closed_box(grid), scheme,
-                                                   prof, grid)
+        folded = fold_dirichlet(rhs, bnd, coefficient_table(scheme, prof, grid), grid)
+        oracle = rhs.ravel() - dense_boundary_fold(bnd.closed_box(grid),
+                                                   coefficient_table(scheme, prof, grid), grid)
         assert np.abs(folded.ravel() - oracle).max() < 1e-13
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -244,10 +247,11 @@ class TestFoldDirichlet:
                                    is SchemeKind.CONVECTION_DIFFUSION_4 else 0.0)
             u = random_field(grid, 4)
             bnd = random_boundary(grid, 5)
-            with_bnd = apply_stencil(u, bnd, scheme, prof, grid)
-            without = apply_stencil(u, BoundaryData.zero(), scheme, prof, grid)
+            table = coefficient_table(scheme, prof, grid)
+            with_bnd = apply_stencil(u, bnd, table, grid)
+            without = apply_stencil(u, BoundaryData.zero(), table, grid)
             zero = Field3D.zeros(grid)
-            contrib = -fold_dirichlet(zero, bnd, scheme, prof, grid).values
+            contrib = -fold_dirichlet(zero, bnd, table, grid).values
             assert np.abs(with_bnd.values - (without.values + contrib)).max() < 1e-13
 
 
@@ -259,55 +263,55 @@ class TestApplyStencil:
         ones = Field3D(np.ones(grid.shape, dtype=complex))
         bnd = BoundaryData.from_function(
             lambda x, y, z: np.ones(np.broadcast(x, y, z).shape))
-        out = apply_stencil(ones, bnd, scheme, prof, grid)
+        out = apply_stencil(ones, bnd, coefficient_table(scheme, prof, grid), grid)
         assert np.abs(out.values).max() < 1e-13
 
     def test_zero_in_zero_out(self):
         grid, prof = cube_grid(4, k2=9.0)
         out = apply_stencil(Field3D.zeros(grid), BoundaryData.zero(),
-                            SchemeKind.SECOND_ORDER, prof, grid)
+                            coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
         assert not np.any(out.values)
 
     def test_matches_dense_matvec(self):
         grid, prof = cube_grid(4, k2=3.0 + 0.5j)
         u = random_field(grid, 6)
-        out = apply_stencil(u, BoundaryData.zero(), SchemeKind.SECOND_ORDER, prof, grid)
-        A = dense_matrix(SchemeKind.SECOND_ORDER, prof, grid)
+        out = apply_stencil(u, BoundaryData.zero(),
+                            coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
+        A = dense_matrix(coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
         assert np.abs(out.ravel() - A @ u.ravel()).max() < 1e-13
 
     def test_extent_mismatch(self):
         grid, prof = cube_grid(4)
         small = Field3D(np.zeros((2, 2, 2), dtype=complex))
         with pytest.raises(ValueError):
-            apply_stencil(small, BoundaryData.zero(), SchemeKind.SECOND_ORDER,
-                          prof, grid)
+            apply_stencil(small, BoundaryData.zero(),
+                          coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
 
 
 class TestResidual:
     def test_zero_everything(self):
         grid, prof = cube_grid(3)
         assert residual_l2(Field3D.zeros(grid), Field3D.zeros(grid),
-                           SchemeKind.SECOND_ORDER, prof, grid) == 0.0
+                           coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid) == 0.0
 
     def test_single_entry_perturbation_is_column_norm(self):
         grid, prof = cube_grid(3, k2=2.0)
         scheme = SchemeKind.FOURTH_ORDER
-        A = dense_matrix(scheme, prof, grid)
+        A = dense_matrix(coefficient_table(scheme, prof, grid), grid)
         u = random_field(grid, 7)
-        rhs = apply_stencil(u, BoundaryData.zero(), scheme, prof, grid)
+        rhs = apply_stencil(u, BoundaryData.zero(), coefficient_table(scheme, prof, grid), grid)
         eps = 1e-4
         k = row_index(2, 2, 2, grid)
         perturbed = u.copy()
         perturbed.values[1, 1, 1] += eps
-        res = residual_l2(perturbed, rhs, scheme, prof, grid)
+        res = residual_l2(perturbed, rhs, coefficient_table(scheme, prof, grid), grid)
         assert res == pytest.approx(eps * np.linalg.norm(A[:, k]), rel=1e-10)
 
     def test_extent_mismatch(self):
         grid, prof = cube_grid(3)
         with pytest.raises(ValueError):
-            residual_l2(Field3D.zeros(grid),
-                        Field3D(np.zeros((2, 2, 2), dtype=complex)),
-                        SchemeKind.SECOND_ORDER, prof, grid)
+            residual_l2(Field3D.zeros(grid), Field3D(np.zeros((2, 2, 2), dtype=complex)),
+                        coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
 
 
 # (n_x, n_y, n_z): faces that overlap (extent 1 or 2) or leave no inner rows
@@ -355,7 +359,7 @@ class TestFoldLayers:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_bitwise_full_volume_fold(self, scheme, extents, boundary_kind):
         grid, prof, rhs, bnd = layer_case(scheme, extents, boundary_kind)
-        folded = fold_dirichlet(rhs, bnd, scheme, prof, grid)
+        folded = fold_dirichlet(rhs, bnd, coefficient_table(scheme, prof, grid), grid)
         table = coefficient_table(scheme, prof, grid)
         expect = rhs.values - _accumulate(bnd.closed_box(grid), table)
         assert np.array_equal(bits(folded.values), bits(expect))
@@ -363,7 +367,7 @@ class TestFoldLayers:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_rows_without_boundary_neighbor_unchanged(self, scheme):
         grid, prof, rhs, bnd = layer_case(scheme, (6, 5, 7), "function")
-        folded = fold_dirichlet(rhs, bnd, scheme, prof, grid)
+        folded = fold_dirichlet(rhs, bnd, coefficient_table(scheme, prof, grid), grid)
         inner = (slice(1, -1),) * 3
         assert np.array_equal(bits(folded.values[inner]), bits(rhs.values[inner]))
         assert not np.array_equal(folded.values[0], rhs.values[0])
@@ -376,7 +380,8 @@ class TestFoldLayers:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            folded = fold_dirichlet(rhs, p.boundary, p.scheme, p.profile, p.grid)
+            folded = fold_dirichlet(rhs, p.boundary,
+                                    coefficient_table(p.scheme, p.profile, p.grid), p.grid)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -455,8 +460,9 @@ class TestNonFiniteInput:
         self.bnd = random_boundary(self.grid, 14)
 
     def fold(self, rhs=None, bnd=None, prof=None):
-        return fold_dirichlet(rhs or self.rhs, bnd or self.bnd, SchemeKind.FOURTH_ORDER,
-                              prof or self.prof, self.grid)
+        # a profile is checked where it becomes a table
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof or self.prof, self.grid)
+        return fold_dirichlet(rhs or self.rhs, bnd or self.bnd, table, self.grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
     def test_rhs_names_first_node(self, bad):
@@ -665,21 +671,22 @@ class TestRealResidual:
         u = rng.standard_normal(grid.shape)
         rhs = rng.standard_normal(grid.shape)
         walls = BoundaryData.from_function(lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) - z)
+        table = coefficient_table(scheme, prof, grid)
         for bnd in (walls, BoundaryData.zero()):
-            real = apply_stencil(Field3D(u), bnd, scheme, prof, grid).values
-            cplx = apply_stencil(Field3D(u.astype(complex)), bnd, scheme, prof, grid).values
+            real = apply_stencil(Field3D(u), bnd, table, grid).values
+            cplx = apply_stencil(Field3D(u.astype(complex)), bnd, table, grid).values
             assert real.dtype == np.float64 and cplx.dtype == np.complex128
             assert np.array_equal(real, cplx.real)
-        res_real = residual_l2(Field3D(u), Field3D(rhs), scheme, prof, grid)
+        res_real = residual_l2(Field3D(u), Field3D(rhs), table, grid)
         res_cplx = residual_l2(Field3D(u.astype(complex)), Field3D(rhs.astype(complex)),
-                               scheme, prof, grid)
+                               table, grid)
         assert abs(res_real - res_cplx) <= 1e-12 * res_cplx
 
     def test_complex_data_keeps_complex_path(self):
         grid, _, prof = chunk_case(SchemeKind.FOURTH_ORDER, "complex")
         u = np.random.default_rng(62).standard_normal(grid.shape)
-        out = apply_stencil(Field3D(u), BoundaryData.zero(), SchemeKind.FOURTH_ORDER,
-                            prof, grid).values
+        out = apply_stencil(Field3D(u), BoundaryData.zero(),
+                            coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid), grid).values
         assert out.dtype == np.complex128 and np.any(out.imag)
 
     def test_real_residual_peak_allocation_lower(self):
@@ -691,7 +698,8 @@ class TestRealResidual:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                residual_l2(Field3D(u), Field3D(rhs), p.scheme, p.profile, p.grid)
+                residual_l2(Field3D(u), Field3D(rhs),
+                            coefficient_table(p.scheme, p.profile, p.grid), p.grid)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()

@@ -11,7 +11,7 @@ from helmfft.harness import (CSV_COLUMNS, MetricsRow, emit_table, make_problem,
                              measure, observed_orders, run_convergence,
                              run_scaling)
 from helmfft.solver import SolverConfig
-from helmfft.stencil import SchemeKind
+from helmfft.stencil import SchemeKind, coefficient_table
 
 
 def sample_row():
@@ -137,10 +137,9 @@ class TestMeasure:
         assert len(calls) == 1
         # the residual of a separately built and folded right-hand side
         rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
-        folded = fold_dirichlet(rhs, problem.boundary, problem.scheme,
-                                problem.profile, problem.grid)
-        assert row.l2_res == residual_l2(solution, folded, problem.scheme,
-                                         problem.profile, problem.grid)
+        table = coefficient_table(problem.scheme, problem.profile, problem.grid)
+        folded = fold_dirichlet(rhs, problem.boundary, table, problem.grid)
+        assert row.l2_res == residual_l2(solution, folded, table, problem.grid)
         assert row.setup_s <= row.total_s
 
 

@@ -4,6 +4,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +21,9 @@ from helmfft.problems import ProblemSpec, convdiff_problem, helmholtz_problem
 from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig,
                             exchange_forward, exchange_inverse,
                             make_exchange_plan, plan_partition, solve_direct,
-                            solve_discrete)
-from helmfft.stencil import SchemeKind, mode_cosines
+                            solve_discrete, solve_stencil)
+from helmfft.stencil import SchemeKind, coefficient_table, mode_cosines
 from helmfft.transport import InProcessMesh, socket_mesh
-from helmfft.tridiag import solve_slab
 
 PI = math.pi
 
@@ -176,7 +177,8 @@ class TestSolveDiscrete:
         rhs = random_field(grid, 41)
         bnd = random_boundary(grid, 43)
         u, _ = solve_discrete(rhs, bnd, scheme, prof, grid)
-        expect = dense_solve(rhs.values, bnd.closed_box(grid), scheme, prof, grid)
+        expect = dense_solve(rhs.values, bnd.closed_box(grid),
+                             coefficient_table(scheme, prof, grid), grid)
         scale = np.abs(expect).max()
         assert np.abs(u.ravel() - expect).max() < 1e-12 * scale
 
@@ -187,7 +189,8 @@ class TestSolveDiscrete:
         bnd = random_boundary(grid, 89)
         for scheme in (SchemeKind.SECOND_ORDER, SchemeKind.FOURTH_ORDER):
             u, _ = solve_discrete(rhs, bnd, scheme, prof, grid)
-            expect = dense_solve(rhs.values, bnd.closed_box(grid), scheme, prof, grid)
+            expect = dense_solve(rhs.values, bnd.closed_box(grid),
+                                 coefficient_table(scheme, prof, grid), grid)
             assert np.abs(u.ravel() - expect).max() < 1e-12 * np.abs(expect).max()
 
     def test_anisotropic_extents_mode_equivalence(self):
@@ -579,11 +582,6 @@ class TestRealPath:
                            SchemeKind.SECOND_ORDER, constant_profile(k2, grid), grid)
         assert (err.value.n, err.value.m) == (3, 10)
 
-    def test_real_slab_with_complex_profile_rejected(self):
-        grid, prof = cube(4, k2=1.0 + 0.5j)
-        with pytest.raises(ValueError):
-            solve_slab(np.ones(grid.shape), SchemeKind.SECOND_ORDER, prof, grid)
-
 
 def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
@@ -650,3 +648,154 @@ class TestOwnedRhsFold:
             tracemalloc.stop()
         assert u.values.dtype == np.float64
         assert peak <= 2.25 * u.values.nbytes, peak / u.values.nbytes
+
+    @pytest.mark.parametrize("mode", list(REAL_PATH_MODES))
+    def test_widened_rhs_released_at_the_fold(self, mode, monkeypatch):
+        # complex walls around a real source: the fold copies the float64
+        # build into a complex field, after which nothing holds the build
+        p = real_anisotropic_problem(SchemeKind.FOURTH_ORDER)
+        p = dataclasses.replace(p, boundary=self.walls("widening", p))
+        build, sweep = helmfft.solver.build_rhs, tridiag.solve_slab
+        built, alive = [], []
+
+        def recording_build(*args, **kwargs):
+            rhs = build(*args, **kwargs)
+            built.append((rhs.values.dtype, weakref.ref(rhs.values)))
+            return rhs
+
+        def recording_sweep(values, *args, **kwargs):
+            if not alive:
+                alive.append(built[0][1]() is not None)
+            return sweep(values, *args, **kwargs)
+
+        monkeypatch.setattr(helmfft.solver, "build_rhs", recording_build)
+        monkeypatch.setattr(tridiag, "solve_slab", recording_sweep)
+        u = solve_direct(p, REAL_PATH_MODES[mode])
+        assert u.values.dtype == np.complex128
+        assert built[0][0] == np.float64
+        assert alive == [False]
+
+
+def counting_coefficient_table(monkeypatch):
+    """Route every helmfft module's coefficient_table through a counter."""
+    original, calls = helmfft.stencil.coefficient_table, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "helmfft" and \
+                getattr(module, "coefficient_table", None) is original:
+            monkeypatch.setattr(module, "coefficient_table", counting)
+    return calls
+
+
+def counting_transforms(monkeypatch):
+    transforms = []
+    monkeypatch.setattr(helmfft.solver, "transform_stack",
+                        lambda *args: transforms.append(args))
+    return transforms
+
+
+class TestSolveStencil:
+    """solve_stencil takes the operator as its coefficient table."""
+
+    def test_catalog_table_bitwise_equal_solve_discrete(self):
+        p = real_anisotropic_problem(SchemeKind.FOURTH_ORDER)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        table = coefficient_table(p.scheme, p.profile, p.grid)
+        for name, config in REAL_PATH_MODES.items():
+            expect, _ = solve_discrete(rhs, p.boundary, p.scheme, p.profile, p.grid, config)
+            got, _ = solve_stencil(table, rhs, p.boundary, p.grid, config)
+            assert got.values.dtype == np.float64, name
+            assert np.array_equal(bits(got.values), bits(expect.values)), name
+
+    def test_real_table_of_any_dtype_solves_float64(self):
+        p = real_anisotropic_problem(SchemeKind.SECOND_ORDER)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        table = coefficient_table(p.scheme, p.profile, p.grid)
+        expect, _ = solve_stencil(table, rhs, p.boundary, p.grid)
+        got, _ = solve_stencil([w.real.tolist() for w in table], rhs, p.boundary, p.grid)
+        assert got.values.dtype == expect.values.dtype == np.float64
+        assert np.array_equal(bits(got.values), bits(expect.values))
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.SECOND_ORDER, SchemeKind.FOURTH_ORDER,
+                                        SchemeKind.SIXTH_ORDER])
+    def test_complex_k2_z_alone_keeps_second_and_fourth_order_real(self, scheme):
+        # only the sixth-order weights read k2_z, so only its table turns complex
+        p = real_anisotropic_problem(scheme)
+        prof = dataclasses.replace(p.profile, k2_z=p.profile.k2_z + 0.5j)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        u, _ = solve_discrete(rhs, p.boundary, scheme, prof, p.grid)
+        real = scheme is not SchemeKind.SIXTH_ORDER
+        assert u.values.dtype == (np.float64 if real else np.complex128)
+        if real:
+            v, _ = solve_discrete(rhs, p.boundary, scheme, p.profile, p.grid)
+            assert np.array_equal(bits(u.values), bits(v.values))
+
+    @pytest.mark.parametrize("shapes", [
+        [(11, 3)] * 3, [(11, 3)] * 5, [(11, 3)] * 3 + [(11, 2)],
+        [(12, 3)] * 4, [(11, 3)] * 3 + [(33,)],
+    ], ids=["three", "five", "narrow", "long", "flat"])
+    def test_wrong_table_shape_rejected_before_any_transform(self, shapes, monkeypatch):
+        transforms = counting_transforms(monkeypatch)
+        p = real_anisotropic_problem(SchemeKind.SECOND_ORDER)
+        rhs = Field3D(np.ones(p.grid.shape))
+        table = [np.ones(shape) for shape in shapes]
+        with pytest.raises(ValueError, match="coefficient table"):
+            solve_stencil(table, rhs, p.boundary, p.grid)
+        assert transforms == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("which, row, offset", [(0, 0, 0), (1, 4, 2), (3, 10, 1)])
+    def test_non_finite_entry_names_row_and_level(self, which, row, offset, bad,
+                                                  monkeypatch):
+        transforms = counting_transforms(monkeypatch)
+        p = real_anisotropic_problem(SchemeKind.FOURTH_ORDER)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        table = [w.copy() for w in coefficient_table(p.scheme, p.profile, p.grid)]
+        table[which][row, offset] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInputError) as err:
+                solve_stencil(table, rhs, p.boundary, p.grid, REAL_PATH_MODES["parts2"])
+        # row level l = row + 1 and the weight's level l + offset - 1
+        assert (err.value.field, err.value.index) == ("table", (row + 1, row + offset))
+        assert transforms == []
+
+    @pytest.mark.parametrize("name", ["k2", "k2_z", "k2_zz", "gamma"])
+    def test_nan_profile_rejected_before_any_transform(self, name, monkeypatch):
+        transforms = counting_transforms(monkeypatch)
+        p = real_anisotropic_problem(SchemeKind.SIXTH_ORDER)
+        if name == "gamma":
+            prof = dataclasses.replace(p.profile, gamma=complex(np.nan))
+        else:
+            values = getattr(p.profile, name).copy()
+            values[4] = np.nan
+            prof = dataclasses.replace(p.profile, **{name: values})
+        bad = dataclasses.replace(p, profile=prof)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: solve_direct(bad),
+                          lambda: solve_discrete(rhs, p.boundary, p.scheme, prof, p.grid)):
+                with pytest.raises(NonFiniteInputError) as err:
+                    solve()
+                assert err.value.field == name
+        assert transforms == []
+
+    @pytest.mark.parametrize("kind", ["real", "widening"])
+    def test_table_built_once_per_solve(self, kind, monkeypatch):
+        p = real_anisotropic_problem(SchemeKind.SIXTH_ORDER)
+        p = dataclasses.replace(p, boundary=TestOwnedRhsFold.walls(
+            "function" if kind == "real" else "widening", p))
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        calls = counting_coefficient_table(monkeypatch)
+        for name, config in REAL_PATH_MODES.items():
+            calls.clear()
+            solve_discrete(rhs, p.boundary, p.scheme, p.profile, p.grid, config)
+            assert len(calls) == 1, name
+            calls.clear()
+            solve_direct(p, config)
+            assert len(calls) == 1, name

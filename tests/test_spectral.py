@@ -8,7 +8,7 @@ from helmfft.assembly import Field3D
 from helmfft.grid import Domain, constant_profile, make_grid
 from helmfft.oracle import dense_plane_matrix, dst2d_reference, eigenvalue
 from helmfft.spectral import dst2d, dst_lines, make_plan, transform_stack
-from helmfft.stencil import SchemeKind, coefficients_for
+from helmfft.stencil import SchemeKind, coefficient_table
 
 
 def random_plane(n_y, n_x, seed=0):
@@ -80,10 +80,10 @@ class TestDiagonalization:
         grid = make_grid(Domain(0, math.pi, 0, math.pi, 0, math.pi), n, n, n)
         prof = constant_profile(2.0, grid) if scheme is not \
             SchemeKind.CONVECTION_DIFFUSION_4 else constant_profile(0.0, grid, gamma=-4.0)
-        cf = coefficients_for(scheme, prof, grid, 2)
+        table = coefficient_table(scheme, prof, grid)
         plan = make_plan(n, n)
         for offset in (-1, 0, 1):
-            a, b, c, d = cf.level(offset)
+            a, b, c, d = (w[1, offset + 1] for w in table)  # row level 2
             C = dense_plane_matrix(a, b, c, d, n, n)
             for (n0, m0) in [(1, 1), (2, 5), (4, 3)]:
                 mode = np.zeros((n, n), dtype=complex)
@@ -91,7 +91,7 @@ class TestDiagonalization:
                 plane = dst2d(plan, mode)
                 applied = (C @ plane.reshape(-1)).reshape(n, n)
                 back = dst2d(plan, applied)
-                lam = eigenvalue(cf, offset, n0, m0, grid)
+                lam = eigenvalue(table, 2, offset, n0, m0, grid)
                 assert np.abs(back - lam * mode).max() < 1e-12
 
 

@@ -63,7 +63,8 @@ class TestAssembleSystem:
         # z extent chosen so all three steps equal pi/2
         grid = make_grid(Domain(0, PI, 0, PI, 0, 2 * PI), 1, 1, 3)
         prof = constant_profile(0.0, grid)
-        system = assemble_system(1, 1, SchemeKind.SECOND_ORDER, prof, grid)
+        table = coefficient_table(SchemeKind.SECOND_ORDER, prof, grid)
+        system = assemble_system(1, 1, table, grid)
         assert np.allclose(system.diag, -6.0, atol=1e-14)
         assert np.allclose(system.sub[1:], 1.0, atol=1e-15)
         assert np.allclose(system.sup[:-1], 1.0, atol=1e-15)
@@ -71,7 +72,8 @@ class TestAssembleSystem:
     def test_constant_coefficient_rows_identical(self):
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 4, 4, 6)
         prof = constant_profile(5.0, grid)
-        system = assemble_system(2, 3, SchemeKind.FOURTH_ORDER, prof, grid)
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+        system = assemble_system(2, 3, table, grid)
         assert np.allclose(system.diag, system.diag[0], atol=0)
         assert np.allclose(system.sub[1:], system.sub[1], atol=0)
         assert np.allclose(system.sup[:-1], system.sup[0], atol=0)
@@ -89,13 +91,14 @@ class TestAssembleSystem:
             k2=rng.standard_normal(n + 2) + 0.2j * rng.standard_normal(n + 2),
             k2_z=rng.standard_normal(n + 2) + 0j,
             k2_zz=rng.standard_normal(n + 2) + 0j)
-        A = dense_matrix(scheme, prof, grid)
+        table = coefficient_table(scheme, prof, grid)
+        A = dense_matrix(table, grid)
         V = dense_sine_matrix_2d(n, n)
         Q = np.kron(np.eye(n), V)  # block-diagonal transform over z-levels
         B = Q.T @ A @ Q
         plane = n * n
         for (n0, m0) in [(1, 1), (2, 3), (4, 4)]:
-            system = assemble_system(n0, m0, scheme, prof, grid)
+            system = assemble_system(n0, m0, table, grid)
             idx = (n0 - 1) + n * (m0 - 1)
             for l in range(n):
                 row = l * plane + idx
@@ -118,7 +121,7 @@ class TestSolveSlabRanges:
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 4, 4, 4)
         prof = constant_profile(1.0, grid)
         field = Field3D.zeros(grid)
-        solve_slab(field.values, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(field.values, coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
         assert not np.any(field.values)
 
     def test_disjoint_ranges_bitwise_equal(self):
@@ -127,10 +130,11 @@ class TestSolveSlabRanges:
         prof = constant_profile(3.0, grid)
         data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         full = Field3D(data.copy())
-        solve_slab(full.values, SchemeKind.FOURTH_ORDER, prof, grid)
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+        solve_slab(full.values, table, grid)
         split = Field3D(data.copy())
-        solve_slab(split.values[:, 0:2, :], SchemeKind.FOURTH_ORDER, prof, grid, m_start=0)
-        solve_slab(split.values[:, 2:6, :], SchemeKind.FOURTH_ORDER, prof, grid, m_start=2)
+        solve_slab(split.values[:, 0:2, :], table, grid, m_start=0)
+        solve_slab(split.values[:, 2:6, :], table, grid, m_start=2)
         assert np.array_equal(full.values, split.values)
 
     def test_mode_order_independence(self):
@@ -138,14 +142,13 @@ class TestSolveSlabRanges:
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 4, 5, 3)
         prof = constant_profile(2.0, grid)
         data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        table = coefficient_table(SchemeKind.SECOND_ORDER, prof, grid)
         forward = Field3D(data.copy())
         for m in range(5):
-            solve_slab(forward.values[:, m:m + 1, :], SchemeKind.SECOND_ORDER, prof, grid,
-                       m_start=m)
+            solve_slab(forward.values[:, m:m + 1, :], table, grid, m_start=m)
         backward = Field3D(data.copy())
         for m in reversed(range(5)):
-            solve_slab(backward.values[:, m:m + 1, :], SchemeKind.SECOND_ORDER, prof, grid,
-                       m_start=m)
+            solve_slab(backward.values[:, m:m + 1, :], table, grid, m_start=m)
         assert np.array_equal(forward.values, backward.values)
 
     def test_matches_per_line_solver(self):
@@ -157,10 +160,11 @@ class TestSolveSlabRanges:
             k2_zz=rng.standard_normal(7) + 0j)
         data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         batched = Field3D(data.copy())
-        solve_slab(batched.values, SchemeKind.FOURTH_ORDER, prof, grid)
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+        solve_slab(batched.values, table, grid)
         for m0 in range(1, 5):
             for n0 in range(1, 4):
-                system = assemble_system(n0, m0, SchemeKind.FOURTH_ORDER, prof, grid)
+                system = assemble_system(n0, m0, table, grid)
                 line = solve_system(system, data[:, m0 - 1, n0 - 1])
                 assert np.abs(batched.values[:, m0 - 1, n0 - 1] - line).max() < 1e-13
 
@@ -172,11 +176,12 @@ class TestSolveSlabRanges:
         f2 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         alpha, beta = 0.7 - 0.2j, 1.3 + 0.4j
         combo = Field3D(alpha * f1 + beta * f2)
-        solve_slab(combo.values, SchemeKind.SECOND_ORDER, prof, grid)
+        table = coefficient_table(SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(combo.values, table, grid)
         s1 = Field3D(f1.copy())
         s2 = Field3D(f2.copy())
-        solve_slab(s1.values, SchemeKind.SECOND_ORDER, prof, grid)
-        solve_slab(s2.values, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(s1.values, table, grid)
+        solve_slab(s2.values, table, grid)
         expect = alpha * s1.values + beta * s2.values
         assert np.abs(combo.values - expect).max() < 1e-12 * np.abs(expect).max()
 
@@ -186,7 +191,7 @@ class TestSolveSlabRanges:
         prof = constant_profile(7.0, grid)  # real coefficient
         data = rng.standard_normal(grid.shape).astype(complex)
         field = Field3D(data)
-        solve_slab(field.values, SchemeKind.SECOND_ORDER, prof, grid)
+        solve_slab(field.values, coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
         assert np.abs(field.values.imag).max() <= 1e-14
 
     def test_resonant_mode_reported(self):
@@ -196,7 +201,7 @@ class TestSolveSlabRanges:
         prof = constant_profile(6.0 / grid.h_z**2, grid)
         field = Field3D(np.ones(grid.shape, dtype=complex))
         with pytest.raises(SingularSystemError) as err:
-            solve_slab(field.values, SchemeKind.SECOND_ORDER, prof, grid)
+            solve_slab(field.values, coefficient_table(SchemeKind.SECOND_ORDER, prof, grid), grid)
         assert err.value.n == 1 and err.value.m == 1
 
 
@@ -224,7 +229,7 @@ class TestBlockedSweep:
             tridiag._sweep(whole, np.empty_like(whole), table, cx, cy[m_start:],
                            m_offset=m_start)
             blocked = data[:, m_start:].copy()
-            solve_slab(blocked, scheme, prof, grid, m_start=m_start)
+            solve_slab(blocked, table, grid, m_start=m_start)
             assert np.array_equal(blocked, whole)
 
     def test_resonant_mode_in_later_block_named_globally(self, monkeypatch):
@@ -238,11 +243,11 @@ class TestBlockedSweep:
         k2 = 2.0 * (r_zx + r_zy + 1.0 - r_zx * cx[2] - r_zy * cy[9]) / grid.h_z**2
         prof = constant_profile(k2, grid)
         self.budget_rows(monkeypatch, 2, grid.n_x)
+        table = coefficient_table(SchemeKind.SECOND_ORDER, prof, grid)
         for start in (0, 6):
             values = np.ones(grid.shape, dtype=complex)
             with pytest.raises(SingularSystemError) as err:
-                solve_slab(values[:, start:, :], SchemeKind.SECOND_ORDER, prof, grid,
-                           m_start=start)
+                solve_slab(values[:, start:, :], table, grid, m_start=start)
             assert (err.value.n, err.value.m) == (3, 10)
 
 
@@ -314,10 +319,11 @@ class TestBatchedSweep:
 
 
 class TestPassedTable:
-    """The solver builds the coefficient table once per solve and passes it to each slab."""
+    """The solver builds the coefficient table once per solve and passes it,
+    in the slab's dtype, to each slab."""
 
     @pytest.mark.parametrize("kind", ["real", "complex-data", "complex-profile"])
-    def test_passed_table_bitwise_equal_own_and_reference(self, monkeypatch, kind):
+    def test_passed_table_bitwise_equal_reference(self, monkeypatch, kind):
         rng = np.random.default_rng(53)
         grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 11, 7)
         k2 = rng.standard_normal(9) + (0.4j * rng.standard_normal(9)
@@ -327,22 +333,17 @@ class TestPassedTable:
         data = rng.standard_normal(grid.shape)
         if kind != "real":
             data = data + 1j * rng.standard_normal(grid.shape)
-        scheme = SchemeKind.FOURTH_ORDER
-        table = coefficient_table(scheme, prof, grid)
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+        if kind == "real":  # a float64 slab takes the real table
+            table = tuple(w.real for w in table)
         cx, cy = mode_cosines(grid)
         monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 3 * grid.n_x * 16)
         for m_start in (0, 4):
-            own = data[:, m_start:].copy()
-            solve_slab(own, scheme, prof, grid, m_start)
             passed = data[:, m_start:].copy()
-            with monkeypatch.context() as m:
-                m.setattr(tridiag, "coefficient_table", None)  # not called
-                solve_slab(passed, scheme, prof, grid, m_start, table=table)
-            assert np.array_equal(passed.view(np.uint64), own.view(np.uint64))
+            solve_slab(passed, table, grid, m_start)
             # the sweep casts the real cosines to the slab's dtype; the
             # reference takes them real, as numpy's mixed products cast them
             expect = data[:, m_start:].copy()
-            weights = table if kind != "real" else tuple(w.real for w in table)
-            sweep_reference(expect, np.empty_like(expect), weights, cx, cy[m_start:],
+            sweep_reference(expect, np.empty_like(expect), table, cx, cy[m_start:],
                             m_offset=m_start)
             assert np.array_equal(passed.view(np.uint64), expect.view(np.uint64))

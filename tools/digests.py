@@ -1,20 +1,24 @@
-"""BLAKE2b digests of the solver's solutions, for showing a change is bitwise.
+"""BLAKE2b digests of the solver's solutions and coefficient tables, for
+showing a change is bitwise.
 
     python3 tools/digests.py [--n 33] [--big]
 
 Run from the repository root; the program is imported from `src/`. Each
-line is `case  mode  dtype  digest`. The cases are the criterion-9
-problems (the catalog Helmholtz problem at 2nd, 4th and 6th order and the
-convection-diffusion problem on an n^3 grid), each solved twice:
+line is `case  mode  dtype  digest`; the mode `table` is the digest of the
+case's coefficient_table (A, B, C and D in turn). The cases are the
+criterion-9 problems (the catalog Helmholtz problem at 2nd, 4th and 6th
+order and the convection-diffusion problem on an n^3 grid), each solved
+twice:
 
 - `direct`: solve_direct, the real path for these real problems
 - `discrete`: solve_discrete on the complex build_rhs, as criterion 9 does
 
 plus a fourth-order anisotropic problem with a complex profile, RHS and
-walls, and a real problem with complex walls (a fold that widens to
-complex). `--big` adds the 125^3 sixth-order case of the README. Every
-case runs in every mode; the last line says whether all modes agreed
-bitwise. Run it on two checkouts and diff the output.
+walls, a sixth-order problem with a complex profile, RHS and walls, and a
+real problem with complex walls (a fold that widens to complex). `--big`
+adds the 125^3 sixth-order case of the README. Every case runs in every
+mode; the last line says whether all modes agreed bitwise. Run it on two
+checkouts and diff the output.
 """
 
 import argparse
@@ -45,45 +49,56 @@ def catalog(scheme, n):
     return hf.helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0, scheme, n)
 
 
-def complex_anisotropic():
-    """(rhs, boundary, scheme, profile, grid) of an 11 x 9 x 13 complex solve."""
-    grid = hf.make_grid(hf.Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 11, 9, 13)
+def complex_case(scheme, grid, seed):
+    """(rhs, boundary, scheme, profile, grid) of a solve with a complex
+    profile, right-hand side and walls."""
     profile = hf.sample_profile(lambda z: (3.0 + 1.0j) * np.cos(2 * z) + 5.0,
                                 lambda z: -(6.0 + 2.0j) * np.sin(2 * z),
                                 lambda z: -(12.0 + 4.0j) * np.cos(2 * z), 0.0, grid)
     boundary = hf.BoundaryData.from_function(
         lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) * np.cos(z) + 0.5j * x)
-    rng = np.random.default_rng(103)
+    rng = np.random.default_rng(seed)
     rhs = hf.Field3D(rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    return rhs, boundary, hf.SchemeKind.FOURTH_ORDER, profile, grid
+    return rhs, boundary, scheme, profile, grid
 
 
 def cases(n, big):
-    """(name, solve(config) -> Field3D) pairs."""
+    """(name, (scheme, profile, grid), solve(config) -> Field3D) triples."""
     for label, scheme in (("2nd", hf.SchemeKind.SECOND_ORDER),
                           ("4th", hf.SchemeKind.FOURTH_ORDER),
                           ("6th", hf.SchemeKind.SIXTH_ORDER),
                           ("cd4", hf.SchemeKind.CONVECTION_DIFFUSION_4)):
         p = catalog(scheme, n)
-        yield f"{label}-{n}-direct", lambda cfg, p=p: hf.solve_direct(p, cfg)
+        operator = (p.scheme, p.profile, p.grid)
+        yield f"{label}-{n}-direct", operator, lambda cfg, p=p: hf.solve_direct(p, cfg)
         rhs = hf.build_rhs(p.scheme, p.source, p.profile, p.grid)
-        yield f"{label}-{n}-discrete", lambda cfg, p=p, rhs=rhs: hf.solve_discrete(
+        yield f"{label}-{n}-discrete", operator, lambda cfg, p=p, rhs=rhs: hf.solve_discrete(
             rhs, p.boundary, p.scheme, p.profile, p.grid, cfg)[0]
-    args = complex_anisotropic()
-    yield "cplx-aniso", lambda cfg: hf.solve_discrete(*args, cfg)[0]
+    for name, scheme, grid, seed in (
+            ("cplx-aniso", hf.SchemeKind.FOURTH_ORDER,
+             hf.make_grid(hf.Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 11, 9, 13), 103),
+            ("cplx-6th", hf.SchemeKind.SIXTH_ORDER,
+             hf.make_grid(hf.Domain(0, 1.4, 0, 1.4, 0, 1.4), 13, 13, 13), 107)):
+        args = complex_case(scheme, grid, seed)
+        yield name, args[2:], lambda cfg, args=args: hf.solve_discrete(*args, cfg)[0]
     p = catalog(hf.SchemeKind.FOURTH_ORDER, n)
     exact = p.analytic
     widened = hf.ProblemSpec(p.scheme, p.grid, p.profile, p.source,
                              hf.BoundaryData.from_function(
                                  lambda x, y, z: exact(x, y, z) + 0.25j * x))
-    yield f"widen-{n}", lambda cfg: hf.solve_direct(widened, cfg)
+    yield f"widen-{n}", (p.scheme, p.profile, p.grid), \
+        lambda cfg: hf.solve_direct(widened, cfg)
     if big:
         p = catalog(hf.SchemeKind.SIXTH_ORDER, 125)
-        yield "6th-125-direct", lambda cfg: hf.solve_direct(p, cfg)
+        yield "6th-125-direct", (p.scheme, p.profile, p.grid), \
+            lambda cfg: hf.solve_direct(p, cfg)
 
 
-def digest(values):
-    return hashlib.blake2b(np.ascontiguousarray(values).tobytes(), digest_size=16).hexdigest()
+def digest(*arrays):
+    h = hashlib.blake2b(digest_size=16)
+    for values in arrays:
+        h.update(np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
 
 
 def main():
@@ -92,7 +107,9 @@ def main():
     parser.add_argument("--big", action="store_true", help="add the 125^3 sixth-order case")
     args = parser.parse_args()
     agree = True
-    for name, solve in cases(args.n, args.big):
+    for name, operator, solve in cases(args.n, args.big):
+        table = hf.coefficient_table(*operator)
+        print(f"{name:18s} {'table':9s} {table[0].dtype}  {digest(*table)}", flush=True)
         seen = set()
         for mode, config in MODES.items():
             u = solve(config).values
