@@ -226,11 +226,6 @@ def _is_real(values) -> bool:
     return not np.iscomplexobj(values) or not np.any(np.imag(values))
 
 
-def _profile_is_real(profile: CoefficientProfile) -> bool:
-    """k2, k2_z, k2_zz and gamma have zero imaginary parts (an O(n_z) test)."""
-    return all(_is_real(v) for v in (profile.k2, profile.k2_z, profile.k2_zz, profile.gamma))
-
-
 def _works_real(values: np.ndarray, table, faces) -> bool:
     """values are float64 and the coefficient table and the boundary faces
     (None for a known-zero boundary) have zero imaginary parts, so float64
@@ -275,14 +270,18 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
 
     With the default dtype, complex, the field is complex128, as callers
     that combine it with complex data need. With dtype=None it follows the
-    data: float64 when the profile and every source sample are real, which
-    is how the solver builds it, and complex128 otherwise (a complex sample
-    in any chunk restarts the whole build in complex).
+    data: float64 when every source sample and the profile fields the
+    scheme's formula reads (k2 and k2_z at sixth order, gamma for
+    convection-diffusion) are real, which is how the solver builds it, and
+    complex128 otherwise (a complex sample in any chunk restarts the whole
+    build in complex).
     """
     run = run or _inline
     _check_source(scheme, source, grid)
     if dtype is None:
-        if _profile_is_real(profile):
+        read = {SchemeKind.SIXTH_ORDER: (profile.k2, profile.k2_z),
+                SchemeKind.CONVECTION_DIFFUSION_4: (profile.gamma,)}.get(scheme, ())
+        if all(_is_real(v) for v in read):
             try:
                 return Field3D(_chunked_rhs(scheme, source, profile, grid, True, run))
             except _ComplexSample:

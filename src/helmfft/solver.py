@@ -10,9 +10,11 @@ layout of one runner, p parts of t threads each:
   side, which they transform in place, and a y-slab of private storage;
   between the transform and tridiagonal stages every part sends each other
   part one block of extents n_x x kpy x kpz through a Transport, then the
-  inverse redistribution runs after the solves. Each part's t threads split
-  its z-planes and mode pencils. Blocks are sent in ascending
-  destination-part order.
+  inverse redistribution runs after the solves, straight back into the
+  z-slab. Each part's t threads split its z-planes and mode pencils.
+  Blocks are sent in ascending destination-part order, as views. Between
+  the two exchanges the z-slab is dead and holds the sweep's multipliers,
+  so a part holds its two slabs and no other slab-sized array.
 - SharedWorkers(w) is the one-part layout (1, w) and Sequential is (1, 1).
   With no peers the z-slab is the y-slab: no exchange runs and no transport
   opens.
@@ -83,13 +85,8 @@ def plan_partition(extent: int, parts: int):
     if parts < 1 or parts > extent:
         raise InvalidPartitionError(f"cannot split {extent} indices into {parts} parts")
     base, rem = divmod(extent, parts)
-    ranges = []
-    start = 0
-    for p in range(parts):
-        size = base + (1 if p < rem else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
+    bounds = [p * base + min(p, rem) for p in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -142,62 +139,56 @@ def make_exchange_plan(grid: Grid3D, parts: int) -> ExchangePlan:
                         partition=make_partition_plan(grid, parts))
 
 
-def exchange_forward(plan: ExchangePlan, transport, part: int,
-                     z_slab: np.ndarray) -> np.ndarray:
-    """Redistribute this part's z-slab into its y-slab.
+def exchange_forward(plan: ExchangePlan, transport, part: int, slabs) -> np.ndarray:
+    """Redistribute this part's z-slab into its y-slab; returns the y-slab.
 
-    z_slab has shape (kpz, n_y, n_x); the result has shape (n_z, kpy, n_x)
-    and preserves every value's (i, j, l) identity. Blocks go out in
-    ascending destination-part order.
+    slabs is the part's (z_slab, y_slab) pair, of shapes (kpz, n_y, n_x)
+    and (n_z, kpy, n_x). The y-slab is overwritten and every value keeps
+    its (i, j, l) identity.
     """
-    z_ranges, y_ranges = plan.partition.z_ranges, plan.partition.y_ranges
-    z0, z1 = z_ranges[part]
-    y0, y1 = y_ranges[part]
-    if z_slab.shape != (z1 - z0, plan.n_y, plan.n_x):
-        raise ValueError(f"z-slab shape {z_slab.shape} != "
-                         f"{(z1 - z0, plan.n_y, plan.n_x)}")
-    y_slab = np.empty((plan.n_z, y1 - y0, plan.n_x), dtype=z_slab.dtype)
-    for q in range(plan.n_parts):
-        qy0, qy1 = y_ranges[q]
-        if q == part:
-            y_slab[z0:z1] = z_slab[:, y0:y1, :]
-        else:
-            transport.send(q, STAGE_FORWARD,
-                           np.ascontiguousarray(z_slab[:, qy0:qy1, :]))
-    for q in range(plan.n_parts):
-        if q == part:
-            continue
-        qz0, qz1 = z_ranges[q]
-        block = transport.receive(q, STAGE_FORWARD, plan.block_extents(q, part))
-        y_slab[qz0:qz1] = block
-    return y_slab
+    return _redistribute(plan, transport, part, slabs, STAGE_FORWARD)[1]
 
 
-def exchange_inverse(plan: ExchangePlan, transport, part: int,
-                     y_slab: np.ndarray) -> np.ndarray:
-    """Inverse of exchange_forward: y-slab back to the z-slab layout."""
-    z_ranges, y_ranges = plan.partition.z_ranges, plan.partition.y_ranges
-    z0, z1 = z_ranges[part]
-    y0, y1 = y_ranges[part]
-    if y_slab.shape != (plan.n_z, y1 - y0, plan.n_x):
-        raise ValueError(f"y-slab shape {y_slab.shape} != "
-                         f"{(plan.n_z, y1 - y0, plan.n_x)}")
-    z_slab = np.empty((z1 - z0, plan.n_y, plan.n_x), dtype=y_slab.dtype)
+def exchange_inverse(plan: ExchangePlan, transport, part: int, slabs) -> np.ndarray:
+    """Inverse of exchange_forward: the y-slab back into the z-slab; returns the z-slab."""
+    return _redistribute(plan, transport, part, slabs, STAGE_INVERSE)[0]
+
+
+def _redistribute(plan: ExchangePlan, transport, part: int, slabs, stage):
+    """Send every other part q its block and write the block q sends into
+    place; this part's own block is copied across. Returns slabs.
+
+    The z-slab's block q is its y-range of part q and the y-slab's block q
+    its z-range of part q; the forward stage moves z-slab blocks into
+    y-slab blocks and the inverse stage back. Blocks go out in ascending
+    destination-part order as views, which the transport does not copy,
+    and received blocks are written straight into place, so no slab-sized
+    staging array is made.
+    """
+    z_slab, y_slab = slabs
+    (z0, z1), (y0, y1) = plan.partition.z_ranges[part], plan.partition.y_ranges[part]
+    for name, slab, shape in (("z-slab", z_slab, (z1 - z0, plan.n_y, plan.n_x)),
+                              ("y-slab", y_slab, (plan.n_z, y1 - y0, plan.n_x))):
+        if slab.shape != shape:
+            raise ValueError(f"{name} shape {slab.shape} != {shape}")
+
+    def z_block(q):
+        return z_slab[:, slice(*plan.partition.y_ranges[q])]
+
+    def y_block(q):
+        return y_slab[slice(*plan.partition.z_ranges[q])]
+
+    source, target = (z_block, y_block) if stage == STAGE_FORWARD else (y_block, z_block)
     for q in range(plan.n_parts):
-        qz0, qz1 = z_ranges[q]
         if q == part:
-            z_slab[:, y0:y1, :] = y_slab[z0:z1]
+            target(q)[...] = source(q)
         else:
-            transport.send(q, STAGE_INVERSE,
-                           np.ascontiguousarray(y_slab[qz0:qz1]))
+            transport.send(q, stage, source(q))
     for q in range(plan.n_parts):
-        if q == part:
-            continue
-        qy0, qy1 = y_ranges[q]
-        ext_x, ext_y, ext_z = plan.block_extents(part, q)
-        block = transport.receive(q, STAGE_INVERSE, (ext_x, qy1 - qy0, ext_z))
-        z_slab[:, qy0:qy1, :] = block
-    return z_slab
+        if q != part:
+            block = target(q)
+            block[...] = transport.receive(q, stage, block.shape[::-1])
+    return slabs
 
 
 def _layout(mode: Mode, grid: Grid3D):
@@ -254,10 +245,17 @@ def _transform_stage(executor, workers, plan, values):
                lambda r: transform_stack(plan, values, r))
 
 
-def _sweep_stage(executor, workers, values, table, grid, m_offset=0):
-    _run_stage(executor, workers, values.shape[1],
-               lambda r: tridiag.solve_slab(values[:, r[0]:r[1], :], table, grid,
-                                            m_offset + r[0]))
+def _sweep_stage(executor, workers, values, table, grid, m_offset, scratch):
+    """Sweep the y-ranges of values on the workers; each takes the share of
+    the contiguous scratch (None: its own) in proportion to its range."""
+    n_m = values.shape[1]
+    flat = None if scratch is None else scratch.reshape(-1)
+
+    def sweep(r):
+        share = None if flat is None else flat[r[0] * flat.size // n_m:r[1] * flat.size // n_m]
+        tridiag.solve_slab(values[:, r[0]:r[1], :], table, grid, m_offset + r[0], share)
+
+    _run_stage(executor, workers, n_m, sweep)
 
 
 def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
@@ -338,19 +336,24 @@ def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
         transport = transports[part]
         try:
             z0, z1 = ex_plan.partition.z_ranges[part]
-            y0, _y1 = ex_plan.partition.y_ranges[part]
-            local = y_slab = values[z0:z1]
+            y0, y1 = ex_plan.partition.y_ranges[part]
+            z_slab = values[z0:z1]
+            # one part's z-slab is its y-slab; with peers the z-slab is dead
+            # between the exchanges and holds the sweep's multipliers
+            y_slab, scratch = (z_slab, None) if transport is None else (
+                np.empty((grid.n_z, y1 - y0, grid.n_x), values.dtype), z_slab)
             with _executor(workers) as executor:
-                stage("transform", lambda: _transform_stage(executor, workers, plan, local))
+                stage("transform", lambda: _transform_stage(executor, workers, plan, z_slab))
                 if transport is not None:
-                    y_slab = stage("exchange", lambda: exchange_forward(
-                        ex_plan, transport, part, local))
+                    stage("exchange", lambda: exchange_forward(
+                        ex_plan, transport, part, (z_slab, y_slab)))
                 stage("tridiag", lambda: _sweep_stage(executor, workers, y_slab, table,
-                                                      grid, m_offset=y0))
+                                                      grid, y0, scratch))
                 if transport is not None:
-                    local[...] = stage("exchange", lambda: exchange_inverse(
-                        ex_plan, transport, part, y_slab))
-                stage("transform", lambda: _transform_stage(executor, workers, plan, local))
+                    stage("exchange", lambda: exchange_inverse(
+                        ex_plan, transport, part, (z_slab, y_slab)))
+                y_slab = None  # freed before the inverse transform
+                stage("transform", lambda: _transform_stage(executor, workers, plan, z_slab))
         except BaseException as exc:  # propagate to the caller, release peers
             errors.append(exc)
             barrier.abort()
@@ -375,13 +378,9 @@ def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
                 raise exc
         raise errors[0]
 
-    timings = PhaseTimings(
-        setup_s=setup_s,
-        transform_s=max(t["transform"] for t in part_times),
-        exchange_s=max(t["exchange"] for t in part_times),
-        tridiag_s=max(t["tridiag"] for t in part_times),
-        total_s=time.perf_counter() - t_start,
-    )
+    timings = PhaseTimings(setup_s=setup_s, total_s=time.perf_counter() - t_start,
+                           **{f"{name}_s": max(t[name] for t in part_times)
+                              for name in part_times[0]})
     return Field3D(values), timings
 
 

@@ -15,6 +15,11 @@ expected block has been received, and the solver places a barrier between
 stages on top of that. Closing an endpoint ends its outgoing streams, so a
 peer's pending or later receive from it raises ExchangeError at once.
 
+A sent block may be a view whose planes are each C-contiguous (a y-range
+of a z-slab). InProcessTransport passes it by reference, SocketTransport
+sends it from its own memory in the same wire format, and the sender leaves
+it unchanged until the stage barrier.
+
 Frame layout (all integers little-endian unsigned 32-bit):
 
     [payload_len][from_part][to_part][tag][ext_x][ext_y][ext_z]
@@ -27,6 +32,7 @@ float64 block. payload_len counts every byte after the length word itself,
 and must equal the header plus the values the extents and the tag declare.
 """
 
+import os
 import queue
 import socket
 import struct
@@ -42,10 +48,34 @@ REAL_TAG = 0x100  # added to a frame's stage tag when its values are float64
 
 _HEADER = struct.Struct("<6I")  # from, to, tag, ext_x, ext_y, ext_z
 _LEN = struct.Struct("<I")
+# buffers one sendmsg call may take (1024 on Linux; 16 is the POSIX minimum)
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
+
+
+def _take(channel, timeout, sender, receiver):
+    """The channel's next item; a timeout raises ExchangeError naming the edge."""
+    try:
+        return channel.get(timeout=timeout)
+    except queue.Empty:
+        raise ExchangeError(f"timed out waiting for block {sender} -> {receiver}",
+                            sender=sender, receiver=receiver) from None
+
+
+def _check_extents(block, extents, sender, receiver):
+    """The block, if its (ext_x, ext_y, ext_z) are extents; else ExchangeError."""
+    if block.shape[::-1] != tuple(extents):
+        raise ExchangeError(f"block extents {block.shape[::-1]} != expected "
+                            f"{tuple(extents)} on edge ({sender}, {receiver})",
+                            sender=sender, receiver=receiver)
+    return block
 
 
 class InProcessTransport:
-    """Endpoint of a shared-memory mesh; obtain via InProcessMesh.endpoint()."""
+    """Endpoint of a shared-memory mesh; obtain via InProcessMesh.endpoint().
+
+    A sent block, view or not, is passed by reference: the receiver reads
+    the sender's memory, which stays unchanged until the stage barrier.
+    """
 
     def __init__(self, mesh, part):
         self._mesh = mesh
@@ -58,13 +88,8 @@ class InProcessTransport:
         self._mesh.channel(self.part, to_part).put((stage, block))
 
     def receive(self, from_part, stage, extents):
-        try:
-            got_stage, block = self._mesh.channel(from_part, self.part).get(
-                timeout=self._mesh.timeout)
-        except queue.Empty:
-            raise ExchangeError(
-                f"timed out waiting for block {from_part} -> {self.part}",
-                sender=from_part, receiver=self.part) from None
+        got_stage, block = _take(self._mesh.channel(from_part, self.part),
+                                 self._mesh.timeout, from_part, self.part)
         if got_stage is None:  # end of stream, kept for later receives too
             self._mesh.channel(from_part, self.part).put((None, None))
             raise ExchangeError(f"part {from_part} closed edge ({from_part}, {self.part})",
@@ -74,13 +99,7 @@ class InProcessTransport:
                 f"stage mismatch on edge ({from_part}, {self.part}): "
                 f"expected {stage}, got {got_stage}",
                 sender=from_part, receiver=self.part)
-        n_z, n_y, n_x = block.shape
-        if (n_x, n_y, n_z) != tuple(extents):
-            raise ExchangeError(
-                f"block extents {(n_x, n_y, n_z)} != expected {tuple(extents)} "
-                f"on edge ({from_part}, {self.part})",
-                sender=from_part, receiver=self.part)
-        return block
+        return _check_extents(block, extents, from_part, self.part)
 
     def close(self):
         """End this part's outgoing streams: a peer's receive from it fails at once."""
@@ -108,13 +127,14 @@ class InProcessMesh:
 
 
 def _wire_block(block) -> np.ndarray:
-    """The block as contiguous little-endian float64 or complex128 values.
-
-    The solver's blocks already are, so on a little-endian host this copies
-    nothing.
-    """
+    """The block as little-endian float64 or complex128 values whose planes
+    are each C-contiguous: on a little-endian host, the solver's blocks as
+    they are, and any other block copied."""
     block = np.asarray(block)
-    return np.ascontiguousarray(block, dtype="<c16" if np.iscomplexobj(block) else "<f8")
+    dtype = np.dtype("<c16" if np.iscomplexobj(block) else "<f8")
+    if block.dtype == dtype and all(plane.flags.c_contiguous for plane in block):
+        return block
+    return np.ascontiguousarray(block, dtype=dtype)
 
 
 def _frame_header(from_part, to_part, stage, block: np.ndarray) -> bytes:
@@ -158,15 +178,17 @@ def decode_frame(payload):
 
 
 def _send_buffers(sock, buffers):
-    """Send every byte of buffers, in order, from their own memory."""
+    """Send every byte of buffers, in order, from their own memory, at most
+    _IOV_MAX buffers a sendmsg call."""
     views = [memoryview(b).cast("B") for b in buffers]
-    while views:
-        sent = sock.sendmsg(views)
-        while views and sent >= views[0].nbytes:
-            sent -= views[0].nbytes
-            views.pop(0)
+    first = 0
+    while first < len(views):
+        sent = sock.sendmsg(views[first:first + _IOV_MAX])
+        while first < len(views) and sent >= views[first].nbytes:
+            sent -= views[first].nbytes
+            first += 1
         if sent:
-            views[0] = views[0][sent:]
+            views[first] = views[first][sent:]
 
 
 def _read_exact(sock, count):
@@ -242,27 +264,17 @@ class SocketTransport:
             raise ExchangeError(f"no connection from {self.part} to {to_part}",
                                 sender=self.part, receiver=to_part)
         block = _wire_block(block)
-        _send_buffers(sock, [_frame_header(self.part, to_part, stage, block), block])
+        values = [block] if block.flags.c_contiguous else list(block)  # one per plane
+        _send_buffers(sock, [_frame_header(self.part, to_part, stage, block), *values])
 
     def receive(self, from_part, stage, extents, timeout=60.0):
-        try:
-            block = self._queue(from_part, stage).get(timeout=timeout)
-        except queue.Empty:
-            raise ExchangeError(
-                f"timed out waiting for block {from_part} -> {self.part}",
-                sender=from_part, receiver=self.part) from None
+        block = _take(self._queue(from_part, stage), timeout, from_part, self.part)
         if isinstance(block, Exception):
             self._queue(from_part, stage).put(block)  # later receives fail too
             raise ExchangeError(
                 f"connection {from_part} -> {self.part} failed: {block}",
                 sender=from_part, receiver=self.part) from block
-        n_z, n_y, n_x = block.shape
-        if (n_x, n_y, n_z) != tuple(extents):
-            raise ExchangeError(
-                f"block extents {(n_x, n_y, n_z)} != expected {tuple(extents)} "
-                f"on edge ({from_part}, {self.part})",
-                sender=from_part, receiver=self.part)
-        return block
+        return _check_extents(block, extents, from_part, self.part)
 
     def close(self):
         """Shut the connections down, wait for the readers, then close.
@@ -289,42 +301,25 @@ def socket_mesh(n_parts, host="127.0.0.1"):
     Intended for tests and single-host experiments; a distributed deployment
     would establish the same pairwise connections across machines.
     """
-    listeners = {}
-    ports = {}
-    for p in range(n_parts):
+    listeners = []
+    for _ in range(n_parts):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((host, 0))
         srv.listen(n_parts)
-        listeners[p] = srv
-        ports[p] = srv.getsockname()[1]
-
-    peers = {p: {} for p in range(n_parts)}
-    lock = threading.Lock()
-
-    def accept_for(p, expected):
-        for _ in range(expected):
-            conn, _addr = listeners[p].accept()
-            (who,) = _LEN.unpack(_read_exact(conn, _LEN.size))
-            with lock:
-                peers[p][who] = conn
-
-    threads = []
-    for p in range(n_parts):
-        expected = p  # parts connect to all lower-numbered parts
-        if expected:
-            t = threading.Thread(target=accept_for, args=(p, expected))
-            t.start()
-            threads.append(t)
+        listeners.append(srv)
+    peers = [{} for _ in range(n_parts)]
+    # every part connects to each higher-numbered part and names itself; the
+    # listen backlog holds the connections until they are accepted below
     for p in range(n_parts):
         for q in range(p + 1, n_parts):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.connect((host, ports[q]))
+            sock = socket.create_connection(listeners[q].getsockname())
             sock.sendall(_LEN.pack(p))
-            with lock:
-                peers[p][q] = sock
-    for t in threads:
-        t.join()
-    for srv in listeners.values():
+            peers[p][q] = sock
+    for q, srv in enumerate(listeners):
+        for _ in range(q):
+            conn, _addr = srv.accept()
+            (who,) = _LEN.unpack(_read_exact(conn, _LEN.size))
+            peers[q][who] = conn
         srv.close()
     return [SocketTransport(p, peers[p]) for p in range(n_parts)]

@@ -33,7 +33,8 @@ SWEEP_BLOCK_BYTES = 256 * 1024
 SWEEP_BATCH_BYTES = 1024 * 1024
 
 
-def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> None:
+def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0,
+               scratch=None) -> None:
     """Sweep a (n_z, M, n_x) slab in place; local row j is global mode m_start + j.
 
     Each of a part's workers sweeps one y-range of the part's slab this way;
@@ -43,16 +44,22 @@ def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> Non
     of at most SWEEP_BLOCK_BYTES per level, so the per-level working set does
     not grow with the slab; every line's arithmetic is the same as in one
     sweep over the whole slab.
+
+    A 1-D scratch of the slab's dtype, apart from the slab, holds the
+    multipliers; the m-blocks shrink to the rows it holds. Without one, or
+    with one too small for a row of n_z levels, the sweep allocates its own.
     """
     n_z, n_m, n_x = values.shape
     if n_m == 0:
         return
     cx, cy = mode_cosines(grid)
-    rows = max(1, SWEEP_BLOCK_BYTES // (n_x * values.itemsize))
+    held = 0 if scratch is None else scratch.size // (n_z * n_x)  # rows of scratch
+    rows = min(max(1, SWEEP_BLOCK_BYTES // (n_x * values.itemsize)), held or n_m)
     n_blocks = -(-n_m // rows)
     bounds = [n_m * b // n_blocks for b in range(n_blocks + 1)]
     # one multiplier buffer serves every block: its pages fault in once per slab
-    cp = np.empty((n_z, -(-n_m // n_blocks), n_x), dtype=values.dtype)
+    shape = (n_z, -(-n_m // n_blocks), n_x)
+    cp = scratch[:np.prod(shape)].reshape(shape) if held else np.empty(shape, values.dtype)
     for m0, m1 in zip(bounds[:-1], bounds[1:]):
         m = m_start + m0
         _sweep(values[:, m0:m1, :], cp[:, :m1 - m0, :], table, cx,

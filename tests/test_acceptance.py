@@ -263,10 +263,13 @@ def test_criterion_08_structural_invariants(capfd):
 
         def worker(part):
             z0, z1 = plan_ex.partition.z_ranges[part]
+            y0, y1 = plan_ex.partition.y_ranges[part]
+            z_slab = values[z0:z1].copy()
             y_slab = exchange_forward(plan_ex, mesh.endpoint(part), part,
-                                      values[z0:z1].copy())
+                                      (z_slab, np.empty((6, y1 - y0, 6), dtype=complex)))
             barrier.wait()
-            out[z0:z1] = exchange_inverse(plan_ex, mesh.endpoint(part), part, y_slab)
+            out[z0:z1] = exchange_inverse(plan_ex, mesh.endpoint(part), part,
+                                          (z_slab, y_slab))
 
         threads = [threading.Thread(target=worker, args=(p,))
                    for p in range(parts)]

@@ -565,6 +565,10 @@ def chunk_planes(monkeypatch, grid, planes, itemsize):
     monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", planes * grid.n_y * grid.n_x * itemsize)
 
 
+# the schemes whose right-hand side reads no profile field
+NO_PROFILE_RHS = (SchemeKind.SECOND_ORDER, SchemeKind.FOURTH_ORDER)
+
+
 class TestChunkedBuild:
     """build_rhs works z-chunk by z-chunk; small budgets force many chunks."""
 
@@ -574,6 +578,10 @@ class TestChunkedBuild:
     def test_chunks_bitwise_equal_one_chunk(self, monkeypatch, scheme, kind, dtype):
         grid, src, prof = chunk_case(scheme, kind)
         itemsize = 8 if (kind, dtype) == ("real", None) else 16
+        # second and fourth order read no profile field, so their complex
+        # source is found at the float64 build's first sample of f, and the
+        # build starts again in complex
+        restarts = int(dtype is None and kind == "complex" and scheme in NO_PROFILE_RHS)
         calls = []
         f = src.f
         src.f = lambda x, y, z: calls.append(np.size(z)) or f(x, y, z)
@@ -584,7 +592,8 @@ class TestChunkedBuild:
             calls.clear()
             chunk_planes(monkeypatch, grid, planes, itemsize)
             got = build_rhs(scheme, src, prof, grid, dtype=dtype).values
-            assert len(calls) == -(-grid.n_z // planes)  # one sample of f per chunk
+            # one sample of f per chunk
+            assert len(calls) == -(-grid.n_z // planes) + restarts
             assert got.dtype == whole.dtype
             assert np.array_equal(bits(got), bits(whole)), planes
 
@@ -637,20 +646,23 @@ class TestChunkedBuild:
 
         def recording_chunk(scheme, source, profile, grid, chunk, out):
             threads.add(threading.get_ident())
-            planes.extend(range(*chunk))
-            return scheme_rhs(scheme, source, profile, grid, chunk, out)
+            scheme_rhs(scheme, source, profile, grid, chunk, out)
+            planes.extend(range(*chunk))  # not a chunk that found complex samples
 
         monkeypatch.setattr(solver, "build_rhs", recording_build)
         monkeypatch.setattr(solver, "_run_stage", recording_run)
         monkeypatch.setattr(assembly, "_scheme_rhs", recording_chunk)
         chunk_planes(monkeypatch, grid, 1, 8 if kind == "real" else 16)
+        # a complex source under a profile the formula does not read fails
+        # the float64 build at its first chunks, and the build runs again
+        attempts = 2 if kind == "complex" and scheme in NO_PROFILE_RHS else 1
         expect = None
         for mode, n_threads in ((Sequential(), 1), (SharedWorkers(3), 3),
                                 (Partitioned(3, 2), 6)):
             for record in (built, runs, threads, planes):
                 record.clear()
             solution, _ = solver.solve_with_timings(problem, SolverConfig(mode=mode))
-            assert runs == [(n_threads > 1, n_threads, grid.n_z)], mode
+            assert runs == [(n_threads > 1, n_threads, grid.n_z)] * attempts, mode
             assert len(built) == 1 and sorted(planes) == list(range(grid.n_z))
             assert (threading.get_ident() in threads) == (n_threads == 1)
             rhs = built[0].values

@@ -88,6 +88,11 @@ class TestExchangePlan:
         assert plan.total_volume() == grid.n_x * grid.n_y * grid.n_z
 
 
+def empty_y_slab(plan, part, dtype):
+    y0, y1 = plan.partition.y_ranges[part]
+    return np.empty((plan.n_z, y1 - y0, plan.n_x), dtype=dtype)
+
+
 def run_exchange_roundtrip(field_values, parts):
     """All parts do forward then inverse exchange; returns the reassembled field."""
     n_z = field_values.shape[0]
@@ -103,10 +108,11 @@ def run_exchange_roundtrip(field_values, parts):
     def worker(part):
         z0, z1 = ex_plan.partition.z_ranges[part]
         local = field_values[z0:z1].copy()
-        y_slab = exchange_forward(ex_plan, mesh.endpoint(part), part, local)
+        y_slab = exchange_forward(ex_plan, mesh.endpoint(part), part,
+                                  (local, empty_y_slab(ex_plan, part, local.dtype)))
         y_slabs[part] = y_slab.copy()
         barrier.wait()
-        back = exchange_inverse(ex_plan, mesh.endpoint(part), part, y_slab)
+        back = exchange_inverse(ex_plan, mesh.endpoint(part), part, (local, y_slab))
         out[z0:z1] = back
 
     threads = [threading.Thread(target=worker, args=(p,)) for p in range(parts)]
@@ -130,9 +136,10 @@ class TestExchange:
             def receive(self, *a, **k):
                 raise AssertionError("single part must not receive")
 
-        y_slab = exchange_forward(plan, NoTransport(), 0, values.copy())
+        y_slab = exchange_forward(plan, NoTransport(), 0,
+                                  (values.copy(), np.empty_like(values)))
         assert np.array_equal(y_slab, values)
-        back = exchange_inverse(plan, NoTransport(), 0, y_slab)
+        back = exchange_inverse(plan, NoTransport(), 0, (np.empty_like(values), y_slab))
         assert np.array_equal(back, values)
 
     @pytest.mark.parametrize("parts", [2, 3, 4])
@@ -154,10 +161,12 @@ class TestExchange:
         mesh = InProcessMesh(2)
         with pytest.raises(ValueError):
             exchange_forward(plan, mesh.endpoint(0), 0,
-                             np.zeros((1, 6, 6), dtype=complex))
+                             (np.zeros((1, 6, 6), dtype=complex),
+                              np.zeros((6, 3, 6), dtype=complex)))
         with pytest.raises(ValueError):
             exchange_inverse(plan, mesh.endpoint(0), 0,
-                             np.zeros((1, 3, 6), dtype=complex))
+                             (np.zeros((3, 6, 6), dtype=complex),
+                              np.zeros((1, 3, 6), dtype=complex)))
 
 
 class TestSolveDiscrete:
@@ -529,6 +538,20 @@ class TestRealPath:
         expect = np.float64 if complex_input is None else np.complex128
         assert u.values.dtype == expect
 
+    @pytest.mark.parametrize("scheme", [SchemeKind.SECOND_ORDER, SchemeKind.FOURTH_ORDER])
+    def test_complex_k2_z_alone_builds_a_float64_rhs(self, scheme):
+        # neither the right-hand side nor the table of these schemes reads k2_z
+        p = catalog_problem(scheme, 9)
+        p = dataclasses.replace(
+            p, profile=dataclasses.replace(p.profile, k2_z=p.profile.k2_z + 0.5j))
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        assert rhs.values.dtype == np.float64
+        for name, config in REAL_PATH_MODES.items():
+            expect, _ = solve_discrete(rhs, p.boundary, p.scheme, p.profile, p.grid, config)
+            got = solve_direct(p, config)
+            assert got.values.dtype == expect.values.dtype == np.float64, name
+            assert np.array_equal(bits(got.values), bits(expect.values)), name
+
     def test_complex_typed_walls_with_zero_imaginary_part_solve_real(self):
         p = real_anisotropic_problem(SchemeKind.SECOND_ORDER)
         walls = BoundaryData.from_array(p.boundary.closed_box(p.grid))  # complex128
@@ -799,3 +822,80 @@ class TestSolveStencil:
             calls.clear()
             solve_direct(p, config)
             assert len(calls) == 1, name
+
+
+def odd_anisotropic_case(seed):
+    """(rhs, boundary, scheme, profile, grid) of a complex fourth-order solve
+    on a 9 x 5 x 13 grid. A z-slab share of Partitioned(3) holds fewer mode
+    rows than its y-range, and some workers' shares of Partitioned(2, 2)
+    hold not one."""
+    grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 5, 13)
+    profile = sample_profile(lambda z: (3.0 + 1.0j) * np.cos(2 * z) + 5.0,
+                             lambda z: -(6.0 + 2.0j) * np.sin(2 * z),
+                             lambda z: -(12.0 + 4.0j) * np.cos(2 * z), 0.0, grid)
+    return (random_field(grid, seed), random_boundary(grid, seed + 1),
+            SchemeKind.FOURTH_ORDER, profile, grid)
+
+
+class TestTwoSlabLayout:
+    """A part holds its z-slab and its y-slab, and nothing else slab-sized:
+    the sweep's multipliers live in the z-slab, dead between the exchanges."""
+
+    @pytest.mark.parametrize("transport_factory", [None, socket_mesh],
+                             ids=["in-process", "sockets"])
+    def test_peak_allocation_holds_two_slabs(self, transport_factory, monkeypatch):
+        # the working field and the y-slabs, plus the received blocks over
+        # sockets (half a field in two parts): 2.2 fields in process and 2.53
+        # over sockets at 48^3. A z-slab staged between the exchanges, copied
+        # sends and a slab-sized multiplier buffer read 3.2 and 3.5
+        monkeypatch.setattr(tridiag, "SWEEP_BATCH_BYTES", 0)  # one level per batch
+        grid, prof = cube(48, k2=3.0)
+        rhs = random_field(grid, 5)
+        config = SolverConfig(mode=Partitioned(2), transport_factory=transport_factory)
+
+        def solve():
+            return solve_discrete(rhs, BoundaryData.zero(), SchemeKind.FOURTH_ORDER,
+                                  prof, grid, config)[0]
+
+        solve()  # a warm solve: lazy imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u = solve()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * u.values.nbytes, peak / u.values.nbytes
+
+    @pytest.mark.parametrize("mode", [Sequential(), SharedWorkers(2), Partitioned(2),
+                                      Partitioned(3, 2)], ids=repr)
+    def test_partitioned_multipliers_live_in_the_working_field(self, mode, monkeypatch):
+        sweep, multipliers = tridiag._sweep, []
+
+        def recording_sweep(w, cp, *args, **kwargs):
+            multipliers.append(cp)
+            return sweep(w, cp, *args, **kwargs)
+
+        monkeypatch.setattr(tridiag, "_sweep", recording_sweep)
+        grid, prof = cube(12, k2=3.0)
+        u, _ = solve_discrete(random_field(grid, 6), BoundaryData.zero(),
+                              SchemeKind.SECOND_ORDER, prof, grid, SolverConfig(mode=mode))
+        shared = {np.shares_memory(cp, u.values) for cp in multipliers}
+        assert shared == {isinstance(mode, Partitioned)}
+
+    def test_odd_anisotropic_grid_bitwise_equal_sequential(self, monkeypatch):
+        slab, outcomes = tridiag.solve_slab, set()
+
+        def recording_slab(values, table, grid, m_start, scratch):
+            n_z, n_m, n_x = values.shape
+            rows = scratch.size // (n_z * n_x)
+            outcomes.add("fallback" if rows == 0 else "shrunk" if rows < n_m else "whole")
+            return slab(values, table, grid, m_start, scratch)
+
+        args = odd_anisotropic_case(31)
+        ref, _ = solve_discrete(*args, SolverConfig(mode=Sequential()))
+        monkeypatch.setattr(tridiag, "solve_slab", recording_slab)
+        for mode in (Partitioned(2, 2), Partitioned(3)):
+            u, _ = solve_discrete(*args, SolverConfig(mode=mode))
+            assert np.array_equal(bits(u.values), bits(ref.values)), mode
+        assert outcomes == {"fallback", "shrunk", "whole"}

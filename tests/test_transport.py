@@ -101,6 +101,14 @@ class TestInProcessTransport:
         with pytest.raises(ExchangeError):
             mesh.endpoint(1).receive(0, STAGE_FORWARD, (3, 1, 1))
 
+    def test_view_is_passed_by_reference(self):
+        mesh = InProcessMesh(2, timeout=5.0)
+        z_slab = np.arange(4 * 5 * 3, dtype=complex).reshape(4, 5, 3)
+        view = z_slab[:, 1:3, :]
+        mesh.endpoint(0).send(1, STAGE_FORWARD, view)
+        got = mesh.endpoint(1).receive(0, STAGE_FORWARD, (3, 2, 4))
+        assert got is view
+
     def test_timeout_names_edge(self):
         mesh = InProcessMesh(2, timeout=0.05)
         with pytest.raises(ExchangeError) as err:
@@ -241,6 +249,41 @@ class TestSocketTransport:
         assert (from_p, to_p, stage) == (0, 1, STAGE_FORWARD)
         assert got.dtype == block.dtype and np.array_equal(got, block)
 
+    def test_strided_block_of_many_planes_goes_out_plane_by_plane(self):
+        # more planes than one sendmsg call takes buffers (IOV_MAX, 1024 on Linux)
+        rng = np.random.default_rng(11)
+        z_slab = rng.standard_normal((1100, 5, 3)) + 1j * rng.standard_normal((1100, 5, 3))
+        block = z_slab[:, 1:4, :]  # a y-range: each plane C-contiguous, the block not
+        assert not block.flags.c_contiguous and block[0].flags.c_contiguous
+        transports = socket_mesh(2)
+        try:
+            transports[0].send(1, STAGE_FORWARD, block)
+            got = transports[1].receive(0, STAGE_FORWARD, (3, 3, 1100), timeout=10.0)
+        finally:
+            for t in transports:
+                t.close()
+        assert np.array_equal(got, block)
+
+        expect = encode_frame(0, 1, STAGE_FORWARD, np.ascontiguousarray(block))
+        a, b = socket.socketpair()
+        received = bytearray()
+
+        def drain():
+            while len(received) < len(expect):
+                received.extend(b.recv(1 << 16))
+
+        transport = SocketTransport(0, {1: a})
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            transport.send(1, STAGE_FORWARD, block)
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+        finally:
+            transport.close()
+            b.close()
+        assert bytes(received) == expect
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_blocks_round_trip_bitwise_in_their_dtype(self, dtype):
         rng = np.random.default_rng(4)
@@ -269,12 +312,13 @@ class TestSocketTransport:
 
         def worker(part):
             z0, z1 = plan.partition.z_ranges[part]
-            y_slab = exchange_forward(plan, transports[part], part,
-                                      values[z0:z1].copy())
             y0, y1 = plan.partition.y_ranges[part]
+            z_slab = values[z0:z1].copy()
+            y_slab = exchange_forward(plan, transports[part], part,
+                                      (z_slab, np.empty((7, y1 - y0, 4), dtype=complex)))
             assert np.array_equal(y_slab, values[:, y0:y1, :])
             barrier.wait()
-            out[z0:z1] = exchange_inverse(plan, transports[part], part, y_slab)
+            out[z0:z1] = exchange_inverse(plan, transports[part], part, (z_slab, y_slab))
 
         threads = [threading.Thread(target=worker, args=(p,)) for p in range(parts)]
         for t in threads:

@@ -14,11 +14,13 @@ twice:
 - `discrete`: solve_discrete on the complex build_rhs, as criterion 9 does
 
 plus a fourth-order anisotropic problem with a complex profile, RHS and
-walls, a sixth-order problem with a complex profile, RHS and walls, and a
-real problem with complex walls (a fold that widens to complex). `--big`
-adds the 125^3 sixth-order case of the README. Every case runs in every
-mode; the last line says whether all modes agreed bitwise. Run it on two
-checkouts and diff the output.
+walls, a sixth-order problem with a complex profile, RHS and walls, the
+fourth-order complex problem on an odd 9 x 5 x 13 grid (whose z-slabs in
+three parts hold fewer mode rows of sweep multipliers than the y-slabs,
+or not one), and a real problem with complex walls (a fold that widens to
+complex). `--big` adds the 125^3 sixth-order case of the README. Every case
+runs in every mode; the last line says whether all modes agreed bitwise.
+Run it on two checkouts and diff the output.
 """
 
 import argparse
@@ -38,8 +40,11 @@ MODES = {
     "shared2": hf.SolverConfig(mode=hf.SharedWorkers(2)),
     "parts2": hf.SolverConfig(mode=hf.Partitioned(2)),
     "parts3x2": hf.SolverConfig(mode=hf.Partitioned(3, 2)),
+    "parts3": hf.SolverConfig(mode=hf.Partitioned(3)),
     "sockets2": hf.SolverConfig(mode=hf.Partitioned(2),
                                 transport_factory=hf.transport.socket_mesh),
+    "sockets2x2": hf.SolverConfig(mode=hf.Partitioned(2, 2),
+                                  transport_factory=hf.transport.socket_mesh),
 }
 
 
@@ -78,7 +83,9 @@ def cases(n, big):
             ("cplx-aniso", hf.SchemeKind.FOURTH_ORDER,
              hf.make_grid(hf.Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 11, 9, 13), 103),
             ("cplx-6th", hf.SchemeKind.SIXTH_ORDER,
-             hf.make_grid(hf.Domain(0, 1.4, 0, 1.4, 0, 1.4), 13, 13, 13), 107)):
+             hf.make_grid(hf.Domain(0, 1.4, 0, 1.4, 0, 1.4), 13, 13, 13), 107),
+            ("odd-aniso", hf.SchemeKind.FOURTH_ORDER,
+             hf.make_grid(hf.Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 5, 13), 109)):
         args = complex_case(scheme, grid, seed)
         yield name, args[2:], lambda cfg, args=args: hf.solve_discrete(*args, cfg)[0]
     p = catalog(hf.SchemeKind.FOURTH_ORDER, n)
@@ -109,12 +116,12 @@ def main():
     agree = True
     for name, operator, solve in cases(args.n, args.big):
         table = hf.coefficient_table(*operator)
-        print(f"{name:18s} {'table':9s} {table[0].dtype}  {digest(*table)}", flush=True)
+        print(f"{name:18s} {'table':10s} {table[0].dtype}  {digest(*table)}", flush=True)
         seen = set()
         for mode, config in MODES.items():
             u = solve(config).values
             seen.add(digest(u))
-            print(f"{name:18s} {mode:9s} {u.dtype}  {digest(u)}", flush=True)
+            print(f"{name:18s} {mode:10s} {u.dtype}  {digest(u)}", flush=True)
         agree = agree and len(seen) == 1
     print("all modes bitwise equal:", agree)
     return 0 if agree else 1
