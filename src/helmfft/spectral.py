@@ -6,15 +6,38 @@ no normalization flag exists to get wrong. The 2D transform is the x-pass
 followed by the y-pass; every mode of the solver shares this exact arithmetic,
 which keeps results bit-identical across worker counts.
 
-The 1D pass is scipy's O(N log N) sine transform; the dense reference used to
-cross-check it is `oracle.dst2d_reference`.
+The 1D pass is pocketfft's O(N log N) DST-I, scipy's compiled
+`scipy.fft._pocketfft.pypocketfft`, loaded from its file under that name: this
+skips the `scipy.fft` package init, several times the rest of the import, and a
+later `import scipy.fft` reuses it. If the file is not found, a plain import of
+that name gives the same module. The dense reference is `oracle.dst2d_reference`.
 """
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib import import_module, machinery, util
 from typing import Optional
 
 import numpy as np
-import scipy.fft
+
+_PFFT_NAME = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """scipy's pocketfft extension, without running scipy.fft's package init."""
+    scipy_spec, spec = util.find_spec("scipy"), None  # find_spec imports nothing
+    if scipy_spec is not None and _PFFT_NAME not in sys.modules:
+        folder = os.path.join(scipy_spec.submodule_search_locations[0], "fft", "_pocketfft")
+        spec = machinery.FileFinder(folder, (machinery.ExtensionFileLoader,
+                                             machinery.EXTENSION_SUFFIXES)).find_spec(_PFFT_NAME)
+    if spec is not None:
+        sys.modules[_PFFT_NAME] = module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return import_module(_PFFT_NAME)  # the module just loaded, else the plain import
+
+
+_pfft = _load_pocketfft()
 
 
 @dataclass(frozen=True)
@@ -33,8 +56,24 @@ def make_plan(n_x: int, n_y: int) -> TransformPlan:
 
 
 def dst_lines(values: np.ndarray, axis: int, overwrite_x: bool = False) -> np.ndarray:
-    """Orthonormal DST-I along one axis of an array (the 1D pass)."""
-    return scipy.fft.dst(values, type=1, norm="ortho", axis=axis, overwrite_x=overwrite_x)
+    """Orthonormal DST-I along one axis of an array (the 1D pass).
+
+    Bit for bit scipy.fft.dst(type=1, norm="ortho"), with its input rules:
+    float16 becomes float32, other non-float types float64, a complex array is
+    two real passes, and the input is written only if overwrite_x is set.
+    """
+    values = np.asarray(values)
+    dtype = values.dtype
+    if dtype.kind not in "fc" or dtype == np.float16 or not dtype.isnative:
+        values = values.astype(np.float32 if dtype == np.float16 else  # pocketfft rejects these
+                               dtype.newbyteorder("=") if dtype.kind in "fc" else np.float64)
+        overwrite_x = True
+    if values.dtype.kind != "c":  # norm 1 is "ortho"; the last 1 is one thread
+        return _pfft.dst(values, 1, (axis,), 1, values if overwrite_x else None, 1)
+    out = values if overwrite_x else np.empty_like(values)
+    _pfft.dst(values.real, 1, (axis,), 1, out.real, 1)
+    _pfft.dst(values.imag, 1, (axis,), 1, out.imag, 1)
+    return out
 
 
 def dst2d(plan: TransformPlan, plane: np.ndarray) -> np.ndarray:

@@ -1,9 +1,15 @@
+import contextlib
+import importlib
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from helmfft import spectral
 from helmfft.assembly import Field3D
 from helmfft.grid import Domain, constant_profile, make_grid
 from helmfft.oracle import dense_plane_matrix, dst2d_reference, eigenvalue
@@ -11,9 +17,51 @@ from helmfft.spectral import dst2d, dst_lines, make_plan, transform_stack
 from helmfft.stencil import SchemeKind, coefficient_table
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def random_plane(n_y, n_x, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_y, n_x)) + 1j * rng.standard_normal((n_y, n_x))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def reloaded_spectral(mp):
+    """Reload helmfft.spectral under mp's patches, yielding the names its file
+    loader loaded; the module's first namespace, classes included, is restored."""
+    saved, loaded = dict(vars(spectral)), []
+    module_from_spec = importlib.util.module_from_spec
+    mp.setattr(importlib.util, "module_from_spec",
+               lambda spec: loaded.append(spec.name) or module_from_spec(spec))
+    try:
+        importlib.reload(spectral)
+        yield loaded
+    finally:
+        vars(spectral).update(saved)
+
+
+@pytest.fixture(params=["direct", "plain"])
+def route(request, tmp_path):
+    """helmfft.spectral with pocketfft loaded from its file (as imported), or
+    reloaded with the file looking missing, so the plain import supplies it."""
+    if request.param == "direct":
+        yield spectral
+        return
+    find_spec = importlib.util.find_spec
+    no_file = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    no_file.submodule_search_locations.append(str(tmp_path))  # a scipy without pocketfft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.util, "find_spec",
+                   lambda n, package=None: no_file if n == "scipy" else find_spec(n, package))
+        mp.delitem(sys.modules, spectral._PFFT_NAME)
+        with reloaded_spectral(mp) as loaded:
+            assert loaded == []  # not the file loader, so the plain import
+            assert spectral._pfft is sys.modules[spectral._PFFT_NAME]
+            yield spectral
 
 
 class TestPlan:
@@ -150,9 +198,7 @@ class TestTransformStack:
             assert np.abs(big[l][window] - dst2d_reference(plan, plane)).max() < 1e-12
         assert np.array_equal(big[~inside], original[~inside])
 
-    def test_result_lands_in_place_when_backend_copies(self, monkeypatch):
-        from helmfft import spectral
-
+    def test_result_lands_in_place_when_backend_copies(self, monkeypatch, route):
         def copying_dst(values, axis, overwrite_x=False):
             return dst_lines(values.copy(), axis)
 
@@ -160,8 +206,8 @@ class TestTransformStack:
         data = rng.standard_normal((2, 5, 6)) + 1j * rng.standard_normal((2, 5, 6))
         plan = make_plan(6, 5)
         field = data.copy()
-        monkeypatch.setattr(spectral, "dst_lines", copying_dst)
-        transform_stack(plan, field)
+        monkeypatch.setattr(route, "dst_lines", copying_dst)
+        route.transform_stack(plan, field)
         for l in range(2):
             assert np.array_equal(field[l], dst2d(plan, data[l]))
 
@@ -172,6 +218,82 @@ class TestTransformStack:
         with pytest.raises(ValueError):
             transform_stack(make_plan(4, 5), big[:, :, ::2])
         assert np.array_equal(big, original)
+
+
+def contract_input(case):
+    rng = np.random.default_rng(53)
+    base = rng.standard_normal((6, 9))
+    unaligned = np.zeros(base.nbytes + 1, np.uint8)[1:].view(np.float64).reshape(base.shape)
+    unaligned[...] = base
+    return {"unaligned": unaligned,
+            "float16": base.astype(np.float16),
+            "int32": np.round(100 * base).astype(np.int32),
+            "bool": base > 0,
+            "float32": base.astype(np.float32),
+            "big-endian": base.astype(">f8"),
+            "complex128": base + 1j * rng.standard_normal((6, 9)),
+            "complex64": (base + 1j * rng.standard_normal((6, 9))).astype(np.complex64),
+            "strided": rng.standard_normal((12, 19))[::2, 1::2],
+            "strided-complex": random_plane(13, 9, seed=5)[1::2, :]}[case]
+
+
+class TestInputContract:
+    """dst_lines takes what scipy.fft.dst(type=1, norm="ortho") takes, bit for bit."""
+
+    @pytest.mark.parametrize("axis", [0, 1, -1, -2])
+    @pytest.mark.parametrize("case", ["float16", "int32", "bool", "float32", "big-endian",
+                                      "unaligned", "complex128", "complex64", "strided",
+                                      "strided-complex"])
+    def test_bitwise_scipy(self, case, axis):
+        import scipy.fft
+
+        values = contract_input(case)
+        original = values.copy()
+        expect = scipy.fft.dst(values.copy(), type=1, norm="ortho", axis=axis)
+        assert same_bits(dst_lines(values, axis), expect)
+        assert same_bits(values, original)  # overwrite_x=False never writes the input
+        assert same_bits(dst_lines(values.copy(), axis, overwrite_x=True), expect)
+
+    @pytest.mark.parametrize("case", ["float32", "complex128"])
+    def test_overwrite_lands_in_the_input(self, case):
+        values = contract_input(case)
+        assert dst_lines(values, 0, overwrite_x=True) is values
+
+
+class TestLoadRoutes:
+    def test_stack_bitwise_scipy_on_each_route(self, route):
+        import scipy.fft
+
+        rng = np.random.default_rng(59)
+        real = rng.standard_normal((3, 7, 10))
+        plan = make_plan(10, 7)
+        for data in (real, real + 1j * rng.standard_normal(real.shape)):
+            field = data.copy()
+            route.transform_stack(plan, field)
+            expect = scipy.fft.dst(scipy.fft.dst(data, type=1, norm="ortho", axis=2),
+                                   type=1, norm="ortho", axis=1)
+            assert same_bits(field, expect)
+
+    def test_registered_module_is_reused(self, monkeypatch):
+        """Once the module is imported (by scipy.fft, say), a load reuses it."""
+        with reloaded_spectral(monkeypatch) as loaded:
+            assert loaded == [] and spectral._pfft is sys.modules[spectral._PFFT_NAME]
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        """A fresh `import helmfft` loads pocketfft alone; scipy.fft reuses it."""
+        code = ("import sys, numpy as np, helmfft\n"
+                "assert 'scipy.fft' not in sys.modules, sorted(sys.modules)\n"
+                "import scipy.fft\n"
+                "pfft = sys.modules['scipy.fft._pocketfft.pypocketfft']\n"
+                "assert pfft is helmfft.spectral._pfft\n"
+                "assert scipy.fft._pocketfft.realtransforms.pfft is pfft\n"
+                "x = np.arange(1.0, 8.0)\n"
+                "assert np.array_equal(scipy.fft.dst(x, type=1, norm='ortho'),\n"
+                "                      helmfft.spectral.dst_lines(x, 0))\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestScalingShape:
