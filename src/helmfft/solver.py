@@ -162,8 +162,8 @@ def _redistribute(plan: ExchangePlan, transport, part: int, slabs, stage):
     its z-range of part q; the forward stage moves z-slab blocks into
     y-slab blocks and the inverse stage back. Blocks go out in ascending
     destination-part order as views, which the transport does not copy,
-    and received blocks are written straight into place, so no slab-sized
-    staging array is made.
+    and each block is received straight into its place in the target slab,
+    so no staging array is made.
     """
     z_slab, y_slab = slabs
     (z0, z1), (y0, y1) = plan.partition.z_ranges[part], plan.partition.y_ranges[part]
@@ -187,7 +187,7 @@ def _redistribute(plan: ExchangePlan, transport, part: int, slabs, stage):
     for q in range(plan.n_parts):
         if q != part:
             block = target(q)
-            block[...] = transport.receive(q, stage, block.shape[::-1])
+            transport.receive(q, stage, block.shape[::-1], out=block)
     return slabs
 
 

@@ -109,6 +109,18 @@ class TestInProcessTransport:
         got = mesh.endpoint(1).receive(0, STAGE_FORWARD, (3, 2, 4))
         assert got is view
 
+    def test_receive_into_out_copies_the_view(self):
+        mesh = InProcessMesh(2, timeout=5.0)
+        z_slab = np.arange(4 * 5 * 3, dtype=complex).reshape(4, 5, 3)
+        mesh.endpoint(0).send(1, STAGE_FORWARD, z_slab[:, 1:3, :])
+        out = np.zeros((4, 2, 3), dtype=complex)
+        assert mesh.endpoint(1).receive(0, STAGE_FORWARD, (3, 2, 4), out=out) is out
+        assert np.array_equal(out, z_slab[:, 1:3, :])
+        mesh.endpoint(0).send(1, STAGE_FORWARD, z_slab[:, 1:3, :])
+        with pytest.raises(ExchangeError) as err:
+            mesh.endpoint(1).receive(0, STAGE_FORWARD, (3, 2, 4), out=out.real.copy())
+        assert (err.value.sender, err.value.receiver) == (0, 1)
+
     def test_timeout_names_edge(self):
         mesh = InProcessMesh(2, timeout=0.05)
         with pytest.raises(ExchangeError) as err:
@@ -182,11 +194,28 @@ class TestSocketTransport:
         delivered = weakref.ref(got)
         for t in transports:
             t.close()
-            # close waits for its readers before freeing their descriptors
-            assert not any(reader.is_alive() for reader in t._readers)
+            # close waits for its readers and writers before freeing their descriptors
+            assert not any(thread.is_alive() for thread in t._readers + t._writers)
         assert escaped == []
         del got  # the stopped readers must not keep the last block alive
         assert delivered() is None
+
+    def test_writer_fault_fails_the_next_send_naming_edge(self):
+        a, b = socket.socketpair()
+        b.close()  # the peer is gone: the writer's first write fails
+        transport = SocketTransport(0, {1: a})
+        block = np.ones((1, 1, 2))
+        try:
+            deadline = time.perf_counter() + 5.0
+            with pytest.raises(ExchangeError) as err:
+                while time.perf_counter() < deadline:
+                    transport.send(1, STAGE_FORWARD, block)
+                    time.sleep(0.01)
+            assert (err.value.sender, err.value.receiver) == (0, 1)
+        finally:
+            transport.close()
+        with pytest.raises(ExchangeError):  # and a send after close
+            transport.send(1, STAGE_FORWARD, block)
 
     def test_receive_decodes_in_place_and_frees_block(self):
         # a forward block of a 159^3 solve in two parts: 80 planes x 79 rows
@@ -337,3 +366,166 @@ class TestSocketTransport:
         cfg = SolverConfig(mode=Partitioned(3), transport_factory=socket_mesh)
         u = hf.solve_direct(p, cfg)
         assert np.abs(u.values - ref.values).max() <= 1e-13
+
+
+# a forward block of a 159^3 solve in two parts: 80 planes x 79 rows
+BLOCK_SHAPE = (80, 79, 159)
+
+
+def random_block(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal(shape).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        block += 1j * rng.standard_normal(shape)
+    return block
+
+
+def bits(values):
+    return values.view(np.uint64)
+
+
+class TestReceiveInPlace:
+    """A socket receive with out reads the frame's values straight into it."""
+
+    @pytest.mark.parametrize("dest", ["contiguous", "y-range"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_values_land_in_out_without_a_block_sized_array(self, dtype, dest):
+        block = random_block(BLOCK_SHAPE, dtype, 12)
+        n_z, n_y, n_x = block.shape
+        # a y-range of a z-slab: each plane C-contiguous, the block not
+        z_slab = np.full((n_z, 2 * n_y, n_x), -1.0, dtype=dtype)
+        out = np.empty_like(block) if dest == "contiguous" else z_slab[:, n_y:]
+        transports = socket_mesh(2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transports[0].send(1, STAGE_FORWARD, block)
+            got = transports[1].receive(0, STAGE_FORWARD, (n_x, n_y, n_z), timeout=30.0,
+                                        out=out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            for t in transports:
+                t.close()
+        assert got is out
+        assert peak < 2**20, peak
+        assert np.array_equal(bits(out), bits(block))
+        assert np.all(z_slab[:, :n_y] == -1.0)  # the rest of the slab untouched
+
+    @pytest.mark.parametrize("mismatch", ["extents", "dtype"])
+    def test_a_frame_that_does_not_fit_fails_the_edge(self, mismatch):
+        block = random_block((3, 2, 4), complex, 13)
+        out = np.empty((3, 2, 5), complex) if mismatch == "extents" else block.real.copy()
+        extents = out.shape[::-1]
+        transports = socket_mesh(2)
+        try:
+            transports[0].send(1, STAGE_FORWARD, block)
+            transports[0].send(1, STAGE_FORWARD, block)
+            with pytest.raises(ExchangeError) as err:
+                transports[1].receive(0, STAGE_FORWARD, extents, timeout=30.0, out=out)
+            assert (err.value.sender, err.value.receiver) == (0, 1)
+            start = time.perf_counter()
+            with pytest.raises(ExchangeError) as err:  # the edge stays failed
+                transports[1].receive(0, STAGE_FORWARD, (4, 2, 3), timeout=30.0,
+                                      out=np.empty_like(block))
+            assert (err.value.sender, err.value.receiver) == (0, 1)
+            assert time.perf_counter() - start < 5.0
+        finally:
+            for t in transports:
+                t.close()
+
+    def test_destination_must_match_the_extents_and_take_planes(self):
+        transports = socket_mesh(2)
+        try:
+            with pytest.raises(ValueError):
+                transports[1].receive(0, STAGE_FORWARD, (4, 2, 3), out=np.empty((3, 2, 5)))
+            with pytest.raises(ValueError):  # an x-range: planes not C-contiguous
+                transports[1].receive(0, STAGE_FORWARD, (4, 2, 3),
+                                      out=np.empty((3, 2, 8))[:, :, :4])
+        finally:
+            for t in transports:
+                t.close()
+
+    def test_timed_out_receive_withdraws_its_destination(self):
+        transports = socket_mesh(2)
+        try:
+            out = np.zeros((3, 2, 4), complex)
+            with pytest.raises(ExchangeError) as err:
+                transports[1].receive(0, STAGE_FORWARD, (4, 2, 3), timeout=0.05, out=out)
+            assert (err.value.sender, err.value.receiver) == (0, 1)
+            block = random_block((3, 2, 4), complex, 14)
+            transports[0].send(1, STAGE_FORWARD, block)
+            got = transports[1].receive(0, STAGE_FORWARD, (4, 2, 3), timeout=30.0)
+            assert np.array_equal(got, block)
+            assert not out.any()  # the withdrawn destination was not written
+        finally:
+            for t in transports:
+                t.close()
+
+    def test_timeout_mid_frame_stops_the_reader_and_fails_the_edge(self):
+        block = random_block((3, 2, 4), complex, 15)
+        frame = encode_frame(0, 1, STAGE_FORWARD, block)
+        transports = socket_mesh(2)
+        try:
+            transports[0]._socks[1].sendall(frame[:-16])  # the reader claims out, then waits
+            out, errors = np.zeros((3, 2, 4), complex), []
+
+            def receive():
+                try:
+                    transports[1].receive(0, STAGE_FORWARD, (4, 2, 3), timeout=0.2, out=out)
+                except ExchangeError as exc:
+                    errors.append((exc.sender, exc.receiver))
+
+            start = time.perf_counter()
+            receiver = threading.Thread(target=receive)
+            receiver.start()
+            receiver.join(timeout=5.0)
+            assert not receiver.is_alive() and errors == [(0, 1)]
+            transports[0]._socks[1].sendall(frame[-16:])  # too late: the edge stays failed
+            with pytest.raises(ExchangeError):
+                transports[1].receive(0, STAGE_FORWARD, (4, 2, 3), timeout=30.0)
+            assert time.perf_counter() - start < 5.0
+        finally:
+            for t in transports:
+                t.close()
+
+
+class TestNoDeadlock:
+    """Sends never wait for the peer's receive, so every part may send all
+    its blocks before it receives any, however large they are."""
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_every_part_sends_then_receives_in_place(self, parts):
+        shape = (128, 128, 128)  # 16 MiB of float64, beyond any socket buffer
+        sources = [np.arange(128**3, dtype=float).reshape(shape) + 1e7 * p
+                   for p in range(parts)]
+        transports = socket_mesh(parts)
+        errors = []
+
+        def part(p):
+            try:
+                for q in range(parts):
+                    if q != p:
+                        transports[p].send(q, STAGE_FORWARD, sources[p])
+                out = np.empty(shape)
+                for q in range(parts):
+                    if q != p:
+                        transports[p].receive(q, STAGE_FORWARD, shape, timeout=30.0, out=out)
+                        assert np.array_equal(out, sources[q])
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=part, args=(p,)) for p in range(parts)]
+        start = time.perf_counter()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            elapsed = time.perf_counter() - start
+        finally:
+            for t in transports:
+                t.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert elapsed < 10.0, elapsed
