@@ -56,7 +56,7 @@ def _build_parser():
         p.add_argument("--mode", choices=["seq", "shared", "partitioned"], default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--parts", type=int, default=None)
-        p.add_argument("--format", dest="fmt", choices=["csv", "md"], default=None)
+        p.add_argument("--format", choices=["csv", "md"], default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="key=value defaults file")
 
@@ -104,8 +104,8 @@ def _defaults(args):
         args.workers = 1
     if args.parts is None:
         args.parts = 1
-    if args.fmt is None:
-        args.fmt = "csv"
+    if args.format is None:
+        args.format = "csv"
     return args
 
 
@@ -163,7 +163,7 @@ def _cmd_solve(args):
         if rel > 1e-12:
             raise AssertionError(f"oracle mismatch: {rel:.3e} > 1e-12")
     if args.out:
-        emit_table([row], args.fmt, args.out)
+        emit_table([row], args.format, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -179,7 +179,7 @@ def _cmd_convergence(args):
     for (n0, n1), order in zip(zip(sizes, sizes[1:]), orders):
         print(f"observed order {n0}->{n1}: {order:.3f}")
     if args.out:
-        emit_table(rows, args.fmt, args.out)
+        emit_table(rows, args.format, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -196,7 +196,7 @@ def _cmd_scaling(args):
         speedup = base / row.total_s if row.total_s > 0 else float("nan")
         print(f"workers {count}: speedup {speedup:.2f}")
     if args.out:
-        emit_table(rows, args.fmt, args.out)
+        emit_table(rows, args.format, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -186,8 +186,7 @@ def _redistribute(plan: ExchangePlan, transport, part: int, slabs, stage):
             transport.send(q, stage, source(q))
     for q in range(plan.n_parts):
         if q != part:
-            block = target(q)
-            transport.receive(q, stage, block.shape[::-1], out=block)
+            transport.receive(q, stage, target(q))
     return slabs
 
 

@@ -21,16 +21,15 @@ queues it, by reference, to the writer thread of the peer's connection,
 which sends it from its own memory in the wire format below. Either way
 the sender leaves it unchanged until the stage barrier.
 
-A receive may name its destination, out: a writable array of the block's
-shape whose planes are each C-contiguous (again a y-range of a z-slab
-works). The block lands in out, which is returned; without out the receive
-returns a block of its own. InProcessTransport copies the sender's view
-into out. SocketTransport posts out to the reader thread of the sender's
-connection. The reader checks each frame's header first, then waits for
-the destination posted for the frame's (sender, stage) and reads the values
-off the socket straight into its planes. So no block-sized staging array is
-made on either side of a socket, and nothing is read before its
-destination is known.
+A receive names its destination, out: a writable 3D array whose planes
+are each C-contiguous (again a y-range of a z-slab works), and the block's
+extents are out's. The block lands in out, which is returned; a block of
+another shape, dtype or stage raises ExchangeError naming the edge.
+InProcessTransport copies the sender's view into out. SocketTransport reads
+the sender's next frame on the calling thread: the header first, checked
+against the edge, the stage and out, then the values off the socket
+straight into out's planes. So no block-sized staging array is made on
+either side of a socket.
 
 Frame layout (all integers little-endian unsigned 32-bit):
 
@@ -44,13 +43,14 @@ float64 block. payload_len counts every byte after the length word itself,
 and must equal the header plus the values the extents and the tag declare.
 """
 
-import collections
 import os
 import queue
+import select
 import socket
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 
@@ -68,31 +68,12 @@ _IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
 _BYTESWAP = sys.byteorder != "little"  # frame values are little-endian
 
 
-def _take(channel, timeout, sender, receiver):
-    """The channel's next item; a timeout raises ExchangeError naming the edge."""
-    try:
-        return channel.get(timeout=timeout)
-    except queue.Empty:
-        raise ExchangeError(f"timed out waiting for block {sender} -> {receiver}",
-                            sender=sender, receiver=receiver) from None
-
-
-def _check_extents(block, extents, sender, receiver):
-    """The block, if its (ext_x, ext_y, ext_z) are extents; else ExchangeError."""
-    if block.shape[::-1] != tuple(extents):
-        raise ExchangeError(f"block extents {block.shape[::-1]} != expected "
-                            f"{tuple(extents)} on edge ({sender}, {receiver})",
-                            sender=sender, receiver=receiver)
-    return block
-
-
-def _check_destination(out, extents):
-    """ValueError unless out is a writable array of extents (ext_x, ext_y,
-    ext_z) whose planes are each C-contiguous."""
-    if out.shape[::-1] != tuple(extents):
-        raise ValueError(f"destination extents {out.shape[::-1]} != {tuple(extents)}")
-    if not out.flags.writeable or not all(plane.flags.c_contiguous for plane in out):
-        raise ValueError("destination must be writable with C-contiguous planes")
+def _check_destination(out):
+    """ValueError unless out is a writable 3D array whose planes are each
+    C-contiguous."""
+    if (out.ndim != 3 or not out.flags.writeable
+            or not all(plane.flags.c_contiguous for plane in out)):
+        raise ValueError("destination must be a writable 3D array with C-contiguous planes")
 
 
 def _planes(block):
@@ -103,8 +84,9 @@ def _planes(block):
 class InProcessTransport:
     """Endpoint of a shared-memory mesh; obtain via InProcessMesh.endpoint().
 
-    A sent block, view or not, is passed by reference: the receiver reads
-    the sender's memory, which stays unchanged until the stage barrier.
+    A sent block, view or not, is passed by reference, and a receive copies
+    it into out: the receiver reads the sender's memory, which stays
+    unchanged until the stage barrier.
     """
 
     def __init__(self, mesh, part):
@@ -117,11 +99,14 @@ class InProcessTransport:
                                 sender=self.part, receiver=to_part)
         self._mesh.channel(self.part, to_part).put((stage, block))
 
-    def receive(self, from_part, stage, extents, out=None):
-        if out is not None:
-            _check_destination(out, extents)
-        got_stage, block = _take(self._mesh.channel(from_part, self.part),
-                                 self._mesh.timeout, from_part, self.part)
+    def receive(self, from_part, stage, out):
+        _check_destination(out)
+        try:
+            got_stage, block = self._mesh.channel(from_part, self.part).get(
+                timeout=self._mesh.timeout)
+        except queue.Empty:
+            raise ExchangeError(f"timed out waiting for block {from_part} -> {self.part}",
+                                sender=from_part, receiver=self.part) from None
         if got_stage is None:  # end of stream, kept for later receives too
             self._mesh.channel(from_part, self.part).put((None, None))
             raise ExchangeError(f"part {from_part} closed edge ({from_part}, {self.part})",
@@ -131,13 +116,11 @@ class InProcessTransport:
                 f"stage mismatch on edge ({from_part}, {self.part}): "
                 f"expected {stage}, got {got_stage}",
                 sender=from_part, receiver=self.part)
-        block = _check_extents(block, extents, from_part, self.part)
-        if out is None:
-            return block
-        if block.dtype != out.dtype:
-            raise ExchangeError(f"{block.dtype} block on edge ({from_part}, {self.part}) "
-                                f"does not fit a {out.dtype} destination",
-                                sender=from_part, receiver=self.part)
+        if block.shape != out.shape or block.dtype != out.dtype:
+            raise ExchangeError(
+                f"{block.shape[::-1]} {block.dtype} block on edge ({from_part}, {self.part}) "
+                f"does not fit a {out.shape[::-1]} {out.dtype} destination",
+                sender=from_part, receiver=self.part)
         out[...] = block
         return out
 
@@ -233,7 +216,7 @@ def _stream(transfer, buffers):
     while first < len(views):
         moved = transfer(views[first:first + _IOV_MAX])
         if not moved:
-            raise ExchangeError("peer closed connection mid-frame")
+            raise ExchangeError("connection closed")
         while first < len(views) and moved >= views[first].nbytes:
             moved -= views[first].nbytes
             first += 1
@@ -241,65 +224,43 @@ def _stream(transfer, buffers):
             views[first] = views[first][moved:]
 
 
-def _send_buffers(sock, buffers):
-    """Send every byte of buffers, in order, from their own memory."""
-    _stream(sock.sendmsg, buffers)
+def _recv_buffers(sock, buffers, ready):
+    """Fill every byte of buffers, in order, with the next bytes of the stream;
+    before each read, ready() says whether the socket has bytes (or has
+    ended) in time."""
+    def transfer(views):
+        if not ready():
+            raise ExchangeError("timed out mid-frame")
+        return sock.recvmsg_into(views)[0]
 
-
-def _recv_buffers(sock, buffers):
-    """Fill every byte of buffers, in order, with the next bytes of the stream."""
-    _stream(lambda views: sock.recvmsg_into(views)[0], buffers)
-
-
-def _read_exact(sock, count):
-    """The next count bytes of the stream, received into one bytearray."""
-    buf = bytearray(count)
-    _recv_buffers(sock, [buf])
-    return buf
-
-
-class _Post:
-    """A receive's destination (None: a new block), waiting for its frame."""
-
-    def __init__(self, out):
-        self.out = out
-        self.result = None  # the block, or the exception that ended the read
-        self.done = threading.Event()
-
-    def finish(self, result):
-        self.result = result
-        self.done.set()
+    _stream(transfer, buffers)
 
 
 class SocketTransport:
     """Transport over connected sockets, one per peer part.
 
     Each connection has a writer thread, which sends the blocks queued for
-    the peer in order, and a reader thread, which fills the receives posted
-    for the peer's frames in order. Sends never wait for the peer, so
-    symmetric all-to-all exchanges cannot deadlock on full kernel buffers
-    although a reader holds each frame until its receive is posted.
+    the peer in order, and no other thread: a receive reads the peer's next
+    frame on the calling thread. Sends never wait for the peer, so
+    symmetric all-to-all exchanges cannot deadlock on full kernel buffers.
 
-    When a reader fails (a corrupt, truncated or misrouted frame, a frame
-    that does not fit its destination, or a connection lost), every pending
-    and later receive from its peer raises its exception at once. When a
-    writer fails, the next send to its peer raises.
+    A receive that ends before the frame's first byte arrives (a timeout)
+    leaves the edge as it was. Any other failed receive (a corrupt,
+    truncated, misrouted or other-stage frame, a frame that does not fit
+    its destination, a timeout mid-frame or a connection lost) fails the
+    edge, and this and every later receive from its peer raise at once.
+    When a writer fails, the next send to its peer raises.
     """
 
     def __init__(self, part, peers):
         self.part = part
         self._socks = dict(peers)  # part id -> connected socket
-        self._cond = threading.Condition()
-        self._posts = collections.defaultdict(collections.deque)  # (from, stage) -> posts
-        self._faults = {}  # part id -> exception that stopped its reader
+        self._faults = {}  # part id -> exception that failed the edge from it
         self._send_faults = {}  # part id -> exception that stopped its writer
-        self._closing = False
         self._outboxes = {peer: queue.SimpleQueue() for peer in self._socks}
-        self._readers = [threading.Thread(target=self._read, args=(peer, sock), daemon=True)
-                         for peer, sock in self._socks.items()]
         self._writers = [threading.Thread(target=self._write, args=(peer, sock), daemon=True)
                          for peer, sock in self._socks.items()]
-        for thread in self._readers + self._writers:
+        for thread in self._writers:
             thread.start()
 
     def _write(self, peer, sock):
@@ -310,62 +271,11 @@ class SocketTransport:
                 buffers = outbox.get()
                 if buffers is None:
                     return
-                _send_buffers(sock, buffers)
+                _stream(sock.sendmsg, buffers)  # from the blocks' own memory
                 del buffers  # hold no block while waiting for the next
         except Exception as exc:
             # the traceback would keep the frame's block alive
             self._send_faults.setdefault(peer, exc.with_traceback(None))
-
-    def _claim(self, peer, stage):
-        """The oldest receive posted for (peer, stage), once there is one."""
-        with self._cond:
-            posts = self._posts[(peer, stage)]
-            while not (posts or self._closing or peer in self._faults):
-                self._cond.wait()
-            if self._closing or peer in self._faults:
-                raise ExchangeError(f"edge ({peer}, {self.part}) closed")
-            return posts.popleft()
-
-    def _read(self, peer, sock):
-        post = None
-        try:
-            while True:
-                (length,) = _LEN.unpack(_read_exact(sock, _LEN.size))
-                if length < _HEADER.size:
-                    raise ExchangeError(f"frame length {length} is shorter than a header")
-                from_part, to_part, stage, dtype, shape = _frame_layout(
-                    _read_exact(sock, _HEADER.size), length)
-                if (from_part, to_part) != (peer, self.part):
-                    raise ExchangeError(
-                        f"misrouted frame ({from_part}, {to_part}) on edge ({peer}, {self.part})",
-                        sender=peer, receiver=self.part)
-                post = self._claim(peer, stage)
-                block = np.empty(shape, dtype) if post.out is None else post.out
-                if block.shape != shape or block.dtype != dtype:
-                    raise ExchangeError(
-                        f"{shape[::-1]} {dtype.name} frame on edge ({peer}, {self.part}) "
-                        f"does not fit a {block.shape[::-1]} {block.dtype} destination",
-                        sender=peer, receiver=self.part)
-                _recv_buffers(sock, _planes(block))
-                if _BYTESWAP:
-                    block.byteswap(inplace=True)
-                post.finish(block)
-                post = block = None  # hold neither between frames
-        except Exception as exc:  # a clean close ends here too
-            # the traceback would keep this frame's block alive
-            self._fail(peer, exc.with_traceback(None), post)
-
-    def _fail(self, peer, exc, claimed=None):
-        """Fail peer's edge: its claimed, pending and later receives raise."""
-        with self._cond:
-            exc = self._faults.setdefault(peer, exc)
-            pending = [posts for (sender, _), posts in self._posts.items() if sender == peer]
-            failed = [post for posts in pending for post in posts]
-            for posts in pending:
-                posts.clear()
-            self._cond.notify_all()
-        for post in failed + ([claimed] if claimed is not None else []):
-            post.finish(exc)
 
     def send(self, to_part, stage, block):
         outbox = self._outboxes.get(to_part)
@@ -379,67 +289,71 @@ class SocketTransport:
         block = _wire_block(block)
         outbox.put([_frame_header(self.part, to_part, stage, block), *_planes(block)])
 
-    def receive(self, from_part, stage, extents, timeout=60.0, out=None):
-        if from_part not in self._socks:
+    def receive(self, from_part, stage, out, timeout=60.0):
+        sock = self._socks.get(from_part)
+        if sock is None:
             raise ExchangeError(f"no connection from {from_part} to {self.part}",
                                 sender=from_part, receiver=self.part)
-        if out is not None:
-            _check_destination(out, extents)
-        post = _Post(out)
-        with self._cond:
-            if from_part in self._faults:
-                post.finish(self._faults[from_part])
-            else:
-                self._posts[(from_part, stage)].append(post)
-                self._cond.notify_all()
-        if not post.done.wait(timeout) and self._withdraw(from_part, stage, post):
-            raise ExchangeError(f"timed out waiting for block {from_part} -> {self.part}",
-                                sender=from_part, receiver=self.part)
-        if isinstance(post.result, Exception):
-            raise ExchangeError(
-                f"connection {from_part} -> {self.part} failed: {post.result}",
-                sender=from_part, receiver=self.part) from post.result
-        return _check_extents(post.result, extents, from_part, self.part)
+        _check_destination(out)
+        fault = self._faults.get(from_part)
+        if fault is None:
+            deadline = time.monotonic() + timeout
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
 
-    def _withdraw(self, from_part, stage, post):
-        """Withdraw a timed-out receive's post; False if it was filled meanwhile.
-        A reader already writing into the destination is stopped first, which
-        fails the edge."""
-        with self._cond:
-            posts = self._posts[(from_part, stage)]
-            if post in posts:
-                posts.remove(post)
-                return True
-        if post.done.is_set():
-            return False
-        self._fail(from_part, ExchangeError(f"receive {from_part} -> {self.part} timed out"))
-        try:
-            self._socks[from_part].shutdown(socket.SHUT_RD)
-        except OSError:
-            pass
-        post.done.wait()
-        return True
+            def ready():
+                return bool(poller.poll(max(0.0, deadline - time.monotonic()) * 1e3))
+
+            if not ready():  # no byte of the frame read: the edge stays usable
+                raise ExchangeError(f"timed out waiting for block {from_part} -> {self.part}",
+                                    sender=from_part, receiver=self.part)
+            try:
+                self._read_frame(sock, from_part, stage, out, ready)
+                return out
+            except Exception as exc:
+                fault = self._faults.setdefault(from_part, exc.with_traceback(None))
+        raise ExchangeError(f"connection {from_part} -> {self.part} failed: {fault}",
+                            sender=from_part, receiver=self.part) from fault
+
+    def _read_frame(self, sock, peer, stage, out, ready):
+        """Read peer's next frame, checked against the edge, stage and out,
+        with its values straight into out."""
+        head = bytearray(_LEN.size + _HEADER.size)
+        _recv_buffers(sock, [head], ready)
+        (length,) = _LEN.unpack_from(head)
+        from_part, to_part, got_stage, dtype, shape = _frame_layout(head[_LEN.size:], length)
+        if (from_part, to_part) != (peer, self.part):
+            raise ExchangeError(
+                f"misrouted frame ({from_part}, {to_part}) on edge ({peer}, {self.part})")
+        if got_stage != stage:
+            raise ExchangeError(f"stage mismatch on edge ({peer}, {self.part}): "
+                                f"expected {stage}, got {got_stage}")
+        if out.shape != shape or out.dtype != dtype:
+            raise ExchangeError(f"{shape[::-1]} {dtype.name} frame on edge ({peer}, {self.part}) "
+                                f"does not fit a {out.shape[::-1]} {out.dtype} destination")
+        _recv_buffers(sock, _planes(out), ready)
+        if _BYTESWAP:
+            out.byteswap(inplace=True)
 
     def close(self):
-        """Shut the connections down, wait for the readers and writers, then close.
+        """Fail the edges, stop the writers, then close the sockets.
 
-        A frame still queued is not sent. A reader can be between reads when
-        close starts. Were its socket closed first, the descriptor number
-        could go to a socket opened next (the next solve's mesh), and the
-        stale reader would take bytes from that stream. The shutdown ends
-        every read and write, so the joins are short.
+        A frame still queued is not sent. A writer can be mid-send when close
+        starts. Were its socket closed first, the descriptor number could go
+        to a socket opened next (the next solve's mesh), and the stale writer
+        would write into that stream. The shutdown ends every write, so the
+        joins are short.
         """
-        with self._cond:
-            self._closing = True
-            self._cond.notify_all()
-        for peer, sock in self._socks.items():
+        for peer in self._socks:
+            self._faults.setdefault(peer, ExchangeError("endpoint closed"))
             self._send_faults.setdefault(peer, ExchangeError("endpoint closed"))
             self._outboxes[peer].put(None)
+        for sock in self._socks.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for thread in self._readers + self._writers:
+        for thread in self._writers:
             thread.join(timeout=5.0)
         for sock in self._socks.values():
             sock.close()
@@ -469,7 +383,7 @@ def socket_mesh(n_parts, host="127.0.0.1"):
     for q, srv in enumerate(listeners):
         for _ in range(q):
             conn, _addr = srv.accept()
-            (who,) = _LEN.unpack(_read_exact(conn, _LEN.size))
+            (who,) = _LEN.unpack(conn.recv(_LEN.size, socket.MSG_WAITALL))
             peers[q][who] = conn
         srv.close()
     return [SocketTransport(p, peers[p]) for p in range(n_parts)]

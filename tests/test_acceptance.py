@@ -333,8 +333,8 @@ class CountingTransport:
         self.log.append((self.part, to_part, block.shape))
         self.inner.send(to_part, stage, block)
 
-    def receive(self, from_part, stage, extents, out=None):
-        return self.inner.receive(from_part, stage, extents, out=out)
+    def receive(self, from_part, stage, out):
+        return self.inner.receive(from_part, stage, out)
 
     def close(self):
         self.inner.close()

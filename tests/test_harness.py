@@ -195,6 +195,18 @@ class TestCli:
         assert main(["solve", "--config", str(cfg)]) == 0
         assert "10^3" in capsys.readouterr().out
 
+    def test_config_file_format_key_is_the_flag_name(self, tmp_path, capsys):
+        cfg, out = tmp_path / "s.cfg", tmp_path / "row.md"
+        cfg.write_text("scheme=2\nproblem=variable-k\ngrid=8\nformat=md\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0].startswith("| scheme |")
+        assert set(lines[1].replace("|", "")) == {"-"}
+        capsys.readouterr()
+        cfg.write_text("grid=8\nfmt=md\n")  # not a flag name
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "fmt" in json.loads(capsys.readouterr().err.strip())["detail"]
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("grid=10\nscheme=2\nproblem=variable-k\n")
