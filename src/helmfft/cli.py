@@ -72,24 +72,29 @@ def _build_parser():
     p_scale = sub.add_parser("scaling", help="worker-count study")
     common(p_scale)
     p_scale.add_argument("--worker-list", default=None, help="comma list, e.g. 1,2,4")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(args):
+def _apply_config_file(args, parser):
+    """Fill the flags left unset from the --config file; each value is
+    converted and checked with its flag's own type and choices."""
     if args.config is None:
         return args
-    file_values = parse_config_file(args.config)
-    for key, value in file_values.items():
+    actions = {action.dest: action for action in parser._actions}
+    for key, value in parse_config_file(args.config).items():
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) in (None, False):
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif key in ("workers", "parts"):
-                setattr(args, key, int(value))
-            else:
-                setattr(args, key, value)
+        current, action = getattr(args, key), actions.get(key)
+        if current is False:
+            setattr(args, key, value.lower() in ("1", "true", "yes"))
+        elif current is None:
+            try:
+                value = (action.type or str)(value)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"config key {key!r}: bad value {value!r}") from None
+            setattr(args, key, value)
     return args
 
 
@@ -202,10 +207,10 @@ def _cmd_scaling(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, verbs = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(args, verbs[args.verb])
         args = _defaults(args)
         if args.verb == "solve":
             return _cmd_solve(args)

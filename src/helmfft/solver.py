@@ -19,13 +19,15 @@ layout of one runner, p parts of t threads each:
   With no peers the z-slab is the y-slab: no exchange runs and no transport
   opens.
 
-Stages are separated by barriers; within a stage workers touch disjoint data,
+A solve runs on one pool of p x t - 1 threads and the caller's thread. Each
+stage is a list of tasks that the caller hands out and waits for, so one
+stage ends before the next begins; within a stage tasks touch disjoint data,
 so repeated runs are bitwise reproducible and every mode yields the same
 solution to roundoff.
 """
 
 import contextlib
-import threading
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -69,6 +71,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PhaseTimings:
+    """Wall times of one solve: setup_s to the end of the fold, then the
+    caller's wall time for the stages, which run all parts at once (both
+    transforms and both exchanges are summed), and total_s for the solve."""
+
     setup_s: float = 0.0
     transform_s: float = 0.0
     exchange_s: float = 0.0
@@ -216,45 +222,34 @@ def _layout(mode: Mode, grid: Grid3D):
     return parts, workers
 
 
-def _executor(workers):
-    """A pool of `workers` threads, or no pool (None) for one worker."""
-    if workers > 1:
-        return ThreadPoolExecutor(max_workers=workers)
+def _executor(threads):
+    """A pool of `threads` threads, or no pool (None) for none."""
+    if threads > 0:
+        return ThreadPoolExecutor(max_workers=threads)
     return contextlib.nullcontext()
 
 
-def _run_stage(executor, workers, extent, fn):
-    """Run fn over min(workers, extent) contiguous ranges of range(extent).
+def _run_tasks(pool, tasks, failed):
+    """Run every task: the caller's thread runs tasks[0], the pool (None:
+    there is one task) the rest. Returns once all are done, which is the
+    barrier between stages. A task that raises does not stop the others:
+    its error is recorded, then failed(i) runs with its index; the first
+    error recorded, the root cause, is raised at the end."""
+    errors = []
 
-    Without an executor fn runs inline on the whole range. Otherwise this
-    returns once every range is done, which is the barrier between stages.
-    """
-    if executor is None:
-        fn((0, extent))
-        return
-    futures = [executor.submit(fn, r)
-               for r in plan_partition(extent, min(workers, extent))]
+    def run(i):
+        try:
+            tasks[i]()
+        except BaseException as exc:
+            errors.append(exc)
+            failed(i)
+
+    futures = [pool.submit(run, i) for i in range(1, len(tasks))]
+    run(0)
     for f in futures:
         f.result()
-
-
-def _transform_stage(executor, workers, plan, values):
-    """One full 2D transform pass of a stack (forward = inverse for this kernel)."""
-    _run_stage(executor, workers, values.shape[0],
-               lambda r: transform_stack(plan, values, r))
-
-
-def _sweep_stage(executor, workers, values, table, grid, m_offset, scratch):
-    """Sweep the y-ranges of values on the workers; each takes the share of
-    the contiguous scratch (None: its own) in proportion to its range."""
-    n_m = values.shape[1]
-    flat = None if scratch is None else scratch.reshape(-1)
-
-    def sweep(r):
-        share = None if flat is None else flat[r[0] * flat.size // n_m:r[1] * flat.size // n_m]
-        tridiag.solve_slab(values[:, r[0]:r[1], :], table, grid, m_offset + r[0], share)
-
-    _run_stage(executor, workers, n_m, sweep)
+    if errors:
+        raise errors[0]
 
 
 def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
@@ -267,7 +262,7 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     """
     t_start = time.perf_counter()
     table = coefficient_table(scheme, profile, grid)
-    return _solve(t_start, lambda: rhs, boundary, table, grid, config, copy=True)
+    return _solve(t_start, lambda run: rhs, boundary, table, grid, config, copy=True)
 
 
 def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,
@@ -284,102 +279,105 @@ def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,
     (see fold_dirichlet): float64 when the right-hand side, the table and
     the boundary values are real.
 
-    Every mode runs the same stages on its (parts, workers) layout: the
-    caller's thread runs part 0 and each other part gets a thread of its
-    own. A one-part layout has no peers, so its z-slab is its y-slab: it
-    skips both exchanges and opens no transport. A part that fails closes
-    its transport, so a peer waiting for its blocks fails at once.
+    Every mode runs the same stages on its (parts, workers) layout, as
+    tasks on the caller's thread and one pool of parts x workers - 1
+    threads. A one-part layout has no peers, so its z-slab is its y-slab:
+    it skips both exchanges and opens no transport. A part that fails in an
+    exchange closes its transport, so a peer waiting for its blocks fails
+    at once.
     """
     t_start = time.perf_counter()
     table = check_table(table, grid)
-    return _solve(t_start, lambda: rhs, boundary, table, grid, config, copy=True)
+    return _solve(t_start, lambda run: rhs, boundary, table, grid, config, copy=True)
 
 
 def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
     """solve_stencil on a checked table, timed from t_start.
 
-    take_rhs() returns the right-hand side, which only the fold holds. With
-    copy=False the fold may work in its array; the stages then run in that
-    one array, which becomes the solution (see fold_dirichlet), so a
-    solver-built right-hand side is never copied, and one that the fold
-    widens to complex is freed when the fold returns.
+    take_rhs(run) returns the right-hand side, which only the fold holds;
+    run(extent, fn) runs fn on ranges of range(extent) on the solve's
+    threads, for build_rhs's run=. With copy=False the fold may work in its
+    array; the stages then run in that one array, which becomes the
+    solution (see fold_dirichlet), so a solver-built right-hand side is
+    never copied, and one that the fold widens to complex is freed when the
+    fold returns. A failed stage raises before the next one starts.
     """
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
-    values = fold_dirichlet(take_rhs(), boundary, table, grid, copy=copy).values
-    if values.dtype == np.float64:  # the fold found the table real
-        table = tuple(w.real for w in table)
-    setup_s = time.perf_counter() - t_start
-
     ex_plan = make_exchange_plan(grid, parts)
-    if parts == 1:
-        transports = [None]
-    elif config.transport_factory is not None:
-        transports = config.transport_factory(parts)
-    else:
-        mesh = InProcessMesh(parts)
-        transports = [mesh.endpoint(p) for p in range(parts)]
-    barrier = threading.Barrier(parts)
-    part_times = [dict.fromkeys(("transform", "exchange", "tridiag"), 0.0)
-                  for _ in range(parts)]
-    errors = []
+    z_ranges, y_ranges = ex_plan.partition.z_ranges, ex_plan.partition.y_ranges
+    with _executor(parts * workers - 1) as pool:
+        def run(extent, fn):  # one range for each thread of the layout
+            ranges = plan_partition(extent, min(parts * workers, extent))
+            _run_tasks(pool, [functools.partial(fn, r) for r in ranges], lambda i: None)
 
-    def run_part(part):
-        def stage(name, fn):
-            barrier.wait()
+        values = fold_dirichlet(take_rhs(run), boundary, table, grid, copy=copy).values
+        if values.dtype == np.float64:  # the fold found the table real
+            table = tuple(w.real for w in table)
+        setup_s = time.perf_counter() - t_start
+
+        if parts == 1:
+            transports = [None]
+        elif config.transport_factory is not None:
+            transports = config.transport_factory(parts)
+        else:
+            mesh = InProcessMesh(parts)
+            transports = [mesh.endpoint(p) for p in range(parts)]
+        z_slabs = [values[z0:z1] for z0, z1 in z_ranges]
+        # one part's z-slab is its y-slab; with peers each z-slab is dead
+        # between the exchanges and holds its part's sweep multipliers
+        y_slabs, scratch = (z_slabs, [None]) if parts == 1 else (
+            [np.empty((grid.n_z, y1 - y0, grid.n_x), values.dtype) for y0, y1 in y_ranges],
+            [z.reshape(-1) for z in z_slabs])
+
+        def stage(fn, ranges=None, failed=lambda p: None):
+            """The caller's wall time to run fn(p, r) for each part p and each
+            worker's share r of ranges[p], counted from its start; or fn(p)."""
+            if ranges is None:
+                tasks = [functools.partial(fn, p) for p in range(parts)]
+            else:
+                tasks = [functools.partial(fn, p, r) for p, (a, b) in enumerate(ranges)
+                         for r in plan_partition(b - a, min(workers, b - a))]
             t0 = time.perf_counter()
-            out = fn()
-            part_times[part][name] += time.perf_counter() - t0
-            return out
+            _run_tasks(pool, tasks, failed)
+            return time.perf_counter() - t0
 
-        transport = transports[part]
-        try:
-            z0, z1 = ex_plan.partition.z_ranges[part]
-            y0, y1 = ex_plan.partition.y_ranges[part]
-            z_slab = values[z0:z1]
-            # one part's z-slab is its y-slab; with peers the z-slab is dead
-            # between the exchanges and holds the sweep's multipliers
-            y_slab, scratch = (z_slab, None) if transport is None else (
-                np.empty((grid.n_z, y1 - y0, grid.n_x), values.dtype), z_slab)
-            with _executor(workers) as executor:
-                stage("transform", lambda: _transform_stage(executor, workers, plan, z_slab))
-                if transport is not None:
-                    stage("exchange", lambda: exchange_forward(
-                        ex_plan, transport, part, (z_slab, y_slab)))
-                stage("tridiag", lambda: _sweep_stage(executor, workers, y_slab, table,
-                                                      grid, y0, scratch))
-                if transport is not None:
-                    stage("exchange", lambda: exchange_inverse(
-                        ex_plan, transport, part, (z_slab, y_slab)))
-                y_slab = None  # freed before the inverse transform
-                stage("transform", lambda: _transform_stage(executor, workers, plan, z_slab))
-        except BaseException as exc:  # propagate to the caller, release peers
-            errors.append(exc)
-            barrier.abort()
-            if transport is not None:  # a peer waiting for this part fails at once
-                transports[part] = None
-                transport.close()
+        def transform(p, r):  # forward = inverse for this kernel
+            transform_stack(plan, z_slabs[p], r)
 
-    threads = [threading.Thread(target=run_part, args=(p,)) for p in range(1, parts)]
-    for t in threads:
-        t.start()
-    run_part(0)
-    for t in threads:
-        t.join()
-    # a failed part has closed its own; the rest close only now, since closing
-    # each as its part finished raised the socket workload's peak RSS
-    for transport in transports:
-        if transport is not None:
+        def sweep(p, r):
+            # each range takes the share of the part's contiguous scratch
+            # (None: its own) in proportion to its rows
+            n_m, flat = y_slabs[p].shape[1], scratch[p]
+            share = None if flat is None else flat[r[0] * flat.size // n_m:r[1] * flat.size // n_m]
+            tridiag.solve_slab(y_slabs[p][:, r[0]:r[1], :], table, grid,
+                               y_ranges[p][0] + r[0], share)
+
+        def exchange(redistribute, p):
+            redistribute(ex_plan, transports[p], p, (z_slabs[p], y_slabs[p]))
+
+        def close(p):  # a peer waiting for this part's blocks fails at once
+            transport, transports[p] = transports[p], None
             transport.close()
-    if errors:
-        for exc in errors:  # prefer the root cause over broken-barrier fallout
-            if not isinstance(exc, threading.BrokenBarrierError):
-                raise exc
-        raise errors[0]
 
-    timings = PhaseTimings(setup_s=setup_s, total_s=time.perf_counter() - t_start,
-                           **{f"{name}_s": max(t[name] for t in part_times)
-                              for name in part_times[0]})
+        try:
+            transform_s = stage(transform, z_ranges)
+            exchange_s = (stage(functools.partial(exchange, exchange_forward), failed=close)
+                          if parts > 1 else 0.0)
+            tridiag_s = stage(sweep, y_ranges)
+            if parts > 1:
+                exchange_s += stage(functools.partial(exchange, exchange_inverse), failed=close)
+            y_slabs = None  # freed before the inverse transform
+            transform_s += stage(transform, z_ranges)
+        finally:
+            # closing each transport as its part finished raised the socket
+            # workload's peak RSS, so all close after the last stage
+            for transport in transports:
+                if transport is not None:
+                    transport.close()
+
+    timings = PhaseTimings(setup_s=setup_s, transform_s=transform_s, exchange_s=exchange_s,
+                           tridiag_s=tridiag_s, total_s=time.perf_counter() - t_start)
     return Field3D(values), timings
 
 
@@ -398,21 +396,17 @@ def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
 
     The coefficient table is built first, which checks the profile. The
     right-hand side's z-chunks are then built on the layout's parts x
-    workers threads, through the same stage runner as the solve, and
-    count as setup. The solver owns that array, so the fold works in it
-    and every stage after runs in it: one working field from the build to
-    the solution.
+    workers threads, the solve's pool and the caller's, and count as
+    setup. The solver owns that array, so the fold works in it and every
+    stage after runs in it: one working field from the build to the
+    solution.
     """
     t_start = time.perf_counter()
     grid = problem.grid
     table = coefficient_table(problem.scheme, problem.profile, grid)
-    parts, workers = _layout(config.mode, grid)
-    threads = parts * workers
 
-    def build():
-        with _executor(threads) as executor:
-            return build_rhs(problem.scheme, problem.source, problem.profile, grid,
-                             dtype=None,
-                             run=lambda extent, fn: _run_stage(executor, threads, extent, fn))
+    def build(run):
+        return build_rhs(problem.scheme, problem.source, problem.profile, grid,
+                         dtype=None, run=run)
 
     return _solve(t_start, build, problem.boundary, table, grid, config, copy=False)

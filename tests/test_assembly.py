@@ -627,22 +627,26 @@ class TestChunkedBuild:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_solver_builds_on_its_layout_threads(self, monkeypatch, scheme, kind):
         # the solver reaches the build through helmfft.solver.build_rhs and
-        # runs the chunks through its stage runner on a pool of the layout's
-        # parts x workers threads; Sequential builds on the caller's thread
+        # runs the chunks through its run= on the solve's pool and the
+        # caller's thread, at most parts x workers threads; Sequential
+        # builds on the caller's thread alone
         grid, src, prof = chunk_case(scheme, kind)
         problem = ProblemSpec(scheme=scheme, grid=grid, profile=prof, source=src,
                               boundary=BoundaryData.zero())
-        built, runs, threads, planes = [], [], set(), []
-        build, run_stage, scheme_rhs = solver.build_rhs, solver._run_stage, assembly._scheme_rhs
+        built, runs, ranges, threads, planes = [], [], [], set(), []
+        build, scheme_rhs = solver.build_rhs, assembly._scheme_rhs
 
-        def recording_build(*args, **kwargs):
-            built.append(build(*args, **kwargs))
+        def recording_build(*args, run, **kwargs):
+            def recording_run(extent, fn):
+                def recording_range(planes):
+                    ranges.append(planes)
+                    return fn(planes)
+
+                runs.append(extent)
+                return run(extent, recording_range)
+
+            built.append(build(*args, run=recording_run, **kwargs))
             return built[-1]
-
-        def recording_run(executor, workers, extent, fn):
-            if not built:  # inside the build
-                runs.append((executor is not None, workers, extent))
-            return run_stage(executor, workers, extent, fn)
 
         def recording_chunk(scheme, source, profile, grid, chunk, out):
             threads.add(threading.get_ident())
@@ -650,7 +654,6 @@ class TestChunkedBuild:
             planes.extend(range(*chunk))  # not a chunk that found complex samples
 
         monkeypatch.setattr(solver, "build_rhs", recording_build)
-        monkeypatch.setattr(solver, "_run_stage", recording_run)
         monkeypatch.setattr(assembly, "_scheme_rhs", recording_chunk)
         chunk_planes(monkeypatch, grid, 1, 8 if kind == "real" else 16)
         # a complex source under a profile the formula does not read fails
@@ -659,12 +662,13 @@ class TestChunkedBuild:
         expect = None
         for mode, n_threads in ((Sequential(), 1), (SharedWorkers(3), 3),
                                 (Partitioned(3, 2), 6)):
-            for record in (built, runs, threads, planes):
+            for record in (built, runs, ranges, threads, planes):
                 record.clear()
             solution, _ = solver.solve_with_timings(problem, SolverConfig(mode=mode))
-            assert runs == [(n_threads > 1, n_threads, grid.n_z)] * attempts, mode
+            assert runs == [grid.n_z] * attempts, mode
+            assert sorted(ranges) == sorted(solver.plan_partition(grid.n_z, n_threads) * attempts)
             assert len(built) == 1 and sorted(planes) == list(range(grid.n_z))
-            assert (threading.get_ident() in threads) == (n_threads == 1)
+            assert threading.get_ident() in threads and len(threads) <= n_threads, mode
             rhs = built[0].values
             assert rhs.dtype == (np.float64 if kind == "real" else np.complex128)
             if expect is None:

@@ -207,6 +207,19 @@ class TestCli:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "fmt" in json.loads(capsys.readouterr().err.strip())["detail"]
 
+    @pytest.mark.parametrize("key, value", [("mode", "bogus"), ("format", "xml"),
+                                            ("scheme", "9"), ("problem", "nope"),
+                                            ("workers", "two")])
+    def test_config_file_values_checked_like_flags(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"grid=8\n{key}={value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and key in json.loads(err[0])["detail"]
+        with pytest.raises(SystemExit) as flag_exit:  # the same value as a flag
+            main(["solve", "--grid", "8", f"--{key}", value])
+        assert flag_exit.value.code == 2
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("grid=10\nscheme=2\nproblem=variable-k\n")

@@ -398,8 +398,70 @@ class TestFailFast:
         assert err.value is injected
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("mesh", ["in-process", "socket"])
+    @pytest.mark.parametrize("mode", [Partitioned(2), Partitioned(2, 2)], ids=repr)
+    @pytest.mark.parametrize("fault", ["sweep-part-1", "forward-part-0"])
+    def test_fault_outside_the_exchange_raised_within_seconds(self, fault, mode, mesh,
+                                                              monkeypatch):
+        # a failed stage stops the solve before the next stage starts, so no
+        # peer waits out the in-process mesh's default 60 s receive timeout
+        args = complex_anisotropic_case()
+        plan = make_exchange_plan(args[-1], mode.parts).partition
+        injected, raised_on, caller = RuntimeError("injected fault"), [], threading.get_ident()
+        if fault == "sweep-part-1":
+            slab = tridiag.solve_slab
+
+            def faulty_sweep(values, table, grid, m_start, scratch):
+                if m_start >= plan.y_ranges[1][0]:
+                    raise injected
+                return slab(values, table, grid, m_start, scratch)
+
+            monkeypatch.setattr(tridiag, "solve_slab", faulty_sweep)
+        else:  # part 0's first plane range, which the caller's thread runs
+            transform = helmfft.solver.transform_stack
+
+            def faulty_transform(plan_, values, planes):
+                if planes[0] == 0 and values.shape[0] == plan.z_ranges[0][1]:
+                    raised_on.append(threading.get_ident())
+                    raise injected
+                return transform(plan_, values, planes)
+
+            monkeypatch.setattr(helmfft.solver, "transform_stack", faulty_transform)
+        before = set(threading.enumerate())
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError) as err:
+            solve_discrete(*args, SolverConfig(
+                mode=mode, transport_factory=socket_mesh if mesh == "socket" else None))
+        assert err.value is injected
+        assert time.perf_counter() - start < 5.0
+        assert raised_on == ([caller] if fault == "forward-part-0" else [])
+        # the pool's threads and the socket writers have all stopped
+        assert not [t for t in set(threading.enumerate()) - before if t.is_alive()]
+
 
 class TestRunnerThreads:
+    def test_one_pool_per_solve(self, monkeypatch):
+        # the build, the fold and every stage of every part run on one pool
+        # of parts x workers - 1 threads and the caller's thread
+        pools = []
+
+        class RecordingPool(helmfft.solver.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(helmfft.solver, "ThreadPoolExecutor", RecordingPool)
+        problem, args = catalog_problem(SchemeKind.SIXTH_ORDER, 17), complex_anisotropic_case()
+        for mode, factory, threads in ((Sequential(), None, 1), (SharedWorkers(3), None, 3),
+                                       (Partitioned(2), None, 2), (Partitioned(2, 2), None, 4),
+                                       (Partitioned(2), socket_mesh, 2)):
+            config = SolverConfig(mode=mode, transport_factory=factory)
+            for solve in (lambda: solve_direct(problem, config),
+                          lambda: solve_discrete(*args, config)):
+                pools.clear()
+                solve()
+                assert pools == ([threads - 1] if threads > 1 else []), (mode, factory)
+
     def test_threads_beyond_cores_with_short_switch_interval_bitwise(self):
         args = complex_anisotropic_case()
         ref, _ = solve_discrete(*args)
