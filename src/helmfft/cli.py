@@ -27,6 +27,9 @@ _SCHEMES = {"2": SchemeKind.SECOND_ORDER, "4": SchemeKind.FOURTH_ORDER,
             "6": SchemeKind.SIXTH_ORDER, "cd4": SchemeKind.CONVECTION_DIFFUSION_4}
 
 
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def parse_config_file(path):
     """Read key=value lines; blank lines and # comments are ignored."""
     values = {}
@@ -77,7 +80,8 @@ def _build_parser():
 
 def _apply_config_file(args, parser):
     """Fill the flags left unset from the --config file; each value is
-    converted and checked with its flag's own type and choices."""
+    converted and checked with its flag's own type and choices, and a
+    switch takes 1/true/yes or 0/false/no in any case."""
     if args.config is None:
         return args
     actions = {action.dest: action for action in parser._actions}
@@ -85,16 +89,18 @@ def _apply_config_file(args, parser):
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
         current, action = getattr(args, key), actions.get(key)
-        if current is False:
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif current is None:
-            try:
+        if current is not None and current is not False:
+            continue  # given as a flag
+        try:
+            if current is False:  # a switch such as --oracle
+                value = _SWITCH_VALUES[value.lower()]
+            else:
                 value = (action.type or str)(value)
                 if action.choices is not None and value not in action.choices:
                     raise ValueError
-            except ValueError:
-                raise ValueError(f"config key {key!r}: bad value {value!r}") from None
-            setattr(args, key, value)
+        except (KeyError, ValueError):
+            raise ValueError(f"config key {key!r}: bad value {value!r}") from None
+        setattr(args, key, value)
     return args
 
 

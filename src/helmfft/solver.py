@@ -260,9 +260,7 @@ def solve_discrete(rhs: Field3D, boundary: BoundaryData, scheme: SchemeKind,
     The scheme and the profile become the coefficient table once, and the
     solve is solve_stencil's on that table.
     """
-    t_start = time.perf_counter()
-    table = coefficient_table(scheme, profile, grid)
-    return _solve(t_start, lambda run: rhs, boundary, table, grid, config, copy=True)
+    return solve_stencil(coefficient_table(scheme, profile, grid), rhs, boundary, grid, config)
 
 
 def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,

@@ -6,6 +6,12 @@ no normalization flag exists to get wrong. The 2D transform is the x-pass
 followed by the y-pass; every mode of the solver shares this exact arithmetic,
 which keeps results bit-identical across worker counts.
 
+There is one kernel: transform_stack runs both passes over each plane in the
+plane's own memory, and dst2d runs it on a copy. It takes float64 and
+complex128 only, with none of scipy.fft's input rules: any other dtype
+raises ValueError. A complex plane is viewed as a real (n_y, n_x, 2) array,
+so a pass transforms a line's real and imaginary parts together.
+
 The 1D pass is pocketfft's O(N log N) DST-I, scipy's compiled
 `scipy.fft._pocketfft.pypocketfft`, loaded from its file under that name: this
 skips the `scipy.fft` package init, several times the rest of the import, and a
@@ -55,45 +61,30 @@ def make_plan(n_x: int, n_y: int) -> TransformPlan:
     return TransformPlan(n_x=n_x, n_y=n_y)
 
 
-def dst_lines(values: np.ndarray, axis: int, overwrite_x: bool = False) -> np.ndarray:
-    """Orthonormal DST-I along one axis of an array (the 1D pass).
-
-    Bit for bit scipy.fft.dst(type=1, norm="ortho"), with its input rules:
-    float16 becomes float32, other non-float types float64, a complex array is
-    two real passes, and the input is written only if overwrite_x is set.
-    """
-    values = np.asarray(values)
-    dtype = values.dtype
-    if dtype.kind not in "fc" or dtype == np.float16 or not dtype.isnative:
-        values = values.astype(np.float32 if dtype == np.float16 else  # pocketfft rejects these
-                               dtype.newbyteorder("=") if dtype.kind in "fc" else np.float64)
-        overwrite_x = True
-    if values.dtype.kind != "c":  # norm 1 is "ortho"; the last 1 is one thread
-        return _pfft.dst(values, 1, (axis,), 1, values if overwrite_x else None, 1)
-    out = values if overwrite_x else np.empty_like(values)
-    _pfft.dst(values.real, 1, (axis,), 1, out.real, 1)
-    _pfft.dst(values.imag, 1, (axis,), 1, out.imag, 1)
+def dst2d(plan: TransformPlan, plane: np.ndarray) -> np.ndarray:
+    """2D orthonormal sine transform of one (n_y, n_x) plane, into a new
+    array: complex128 for a complex plane, float64 for any other."""
+    if plane.shape != (plan.n_y, plan.n_x):
+        raise ValueError(f"plane shape {plane.shape} != plan ({plan.n_y}, {plan.n_x})")
+    out = np.array(plane, dtype=complex if np.iscomplexobj(plane) else float)
+    transform_stack(plan, out[None])
     return out
 
 
-def dst2d(plan: TransformPlan, plane: np.ndarray) -> np.ndarray:
-    """2D orthonormal sine transform of one (n_y, n_x) plane."""
-    if plane.shape != (plan.n_y, plan.n_x):
-        raise ValueError(f"plane shape {plane.shape} != plan ({plan.n_y}, {plan.n_x})")
-    return dst_lines(dst_lines(plane, axis=1), axis=0)
-
-
 def transform_stack(plan: TransformPlan, field3d, plane_range: Optional[tuple] = None) -> None:
-    """Transform a range of z-planes of a field in place.
+    """Transform a range of z-planes of a float64 or complex128 field in place.
 
     plane_range is a 0-based half-open (start, stop) over the z index; None
     means all planes. Concurrent callers must use disjoint ranges. Each plane
     is transformed in its own memory, which needs a contiguous x axis; a
-    field whose x axis is strided is rejected with ValueError.
+    field whose x axis is strided, or of any other dtype, is rejected with
+    ValueError before any plane is written.
     """
     values = field3d.values if hasattr(field3d, "values") else field3d
     if values.shape[1:] != (plan.n_y, plan.n_x):
         raise ValueError(f"plane shape {values.shape[1:]} != plan ({plan.n_y}, {plan.n_x})")
+    if values.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"field dtype {values.dtype} is not float64 or complex128")
     n_z = values.shape[0]
     start, stop = (0, n_z) if plane_range is None else plane_range
     if not 0 <= start <= stop <= n_z:
@@ -101,20 +92,10 @@ def transform_stack(plan: TransformPlan, field3d, plane_range: Optional[tuple] =
     if plan.n_x > 1 and values.strides[2] != values.itemsize:
         raise ValueError(f"x axis stride {values.strides[2]} is not the item size "
                          f"{values.itemsize}; planes cannot be transformed in place")
-    # plane at a time: both 1D passes run while the plane is still in cache
-    for l in range(start, stop):
-        _dst2d_in_place(values[l])
-
-
-def _dst2d_in_place(plane: np.ndarray) -> None:
-    """Both 1D passes over one plane, written into the plane's own memory.
-
-    A complex plane is viewed as a real (n_y, n_x, 2) array, so each pass
-    transforms the real and imaginary lines together and no temporary plane
-    is allocated. The per-line arithmetic is that of dst2d, bit for bit.
-    """
-    if np.iscomplexobj(plane):
-        plane = plane.view(plane.real.dtype).reshape(plane.shape + (2,))
-    out = dst_lines(dst_lines(plane, axis=1, overwrite_x=True), axis=0, overwrite_x=True)
-    if not np.may_share_memory(out, plane):  # the backend declined to overwrite
-        plane[...] = out
+    if values.dtype == np.complex128:  # as real (n_z, n_y, n_x, 2), see above
+        values = values.view(np.float64).reshape(values.shape + (2,))
+    # plane at a time: both 1D passes run while the plane is still in cache;
+    # the arguments are type 1, the axis, norm "ortho", the output, one thread
+    for plane in values[start:stop]:
+        _pfft.dst(plane, 1, (1,), 1, plane, 1)
+        _pfft.dst(plane, 1, (0,), 1, plane, 1)

@@ -209,7 +209,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [("mode", "bogus"), ("format", "xml"),
                                             ("scheme", "9"), ("problem", "nope"),
-                                            ("workers", "two")])
+                                            ("workers", "two"), ("oracle", "bogus")])
     def test_config_file_values_checked_like_flags(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(f"grid=8\n{key}={value}\n")

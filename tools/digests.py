@@ -19,8 +19,11 @@ fourth-order complex problem on an odd 9 x 5 x 13 grid (whose z-slabs in
 three parts hold fewer mode rows of sweep multipliers than the y-slabs,
 or not one), and a real problem with complex walls (a fold that widens to
 complex). `--big` adds the 125^3 sixth-order case of the README. Every case
-runs in every mode; the last line says whether all modes agreed bitwise.
-Run it on two checkouts and diff the output.
+runs in every mode. Then come a `measure` line for each catalog problem
+(harness.measure under Sequential: the solution's digest and repr(l2_res))
+and a `dst2d` line each for a seeded real and a seeded complex 9 x 13
+plane; the last line says whether all modes agreed bitwise. Run it on two
+checkouts and diff the output.
 """
 
 import argparse
@@ -48,6 +51,10 @@ MODES = {
 }
 
 
+SCHEMES = (("2nd", hf.SchemeKind.SECOND_ORDER), ("4th", hf.SchemeKind.FOURTH_ORDER),
+           ("6th", hf.SchemeKind.SIXTH_ORDER), ("cd4", hf.SchemeKind.CONVECTION_DIFFUSION_4))
+
+
 def catalog(scheme, n):
     if scheme is hf.SchemeKind.CONVECTION_DIFFUSION_4:
         return hf.convdiff_problem(-100.0, n)
@@ -69,10 +76,7 @@ def complex_case(scheme, grid, seed):
 
 def cases(n, big):
     """(name, (scheme, profile, grid), solve(config) -> Field3D) triples."""
-    for label, scheme in (("2nd", hf.SchemeKind.SECOND_ORDER),
-                          ("4th", hf.SchemeKind.FOURTH_ORDER),
-                          ("6th", hf.SchemeKind.SIXTH_ORDER),
-                          ("cd4", hf.SchemeKind.CONVECTION_DIFFUSION_4)):
+    for label, scheme in SCHEMES:
         p = catalog(scheme, n)
         operator = (p.scheme, p.profile, p.grid)
         yield f"{label}-{n}-direct", operator, lambda cfg, p=p: hf.solve_direct(p, cfg)
@@ -123,6 +127,17 @@ def main():
             seen.add(digest(u))
             print(f"{name:18s} {mode:10s} {u.dtype}  {digest(u)}", flush=True)
         agree = agree and len(seen) == 1
+    for label, scheme in SCHEMES:
+        row, u = hf.harness.measure(catalog(scheme, args.n), MODES["seq"])
+        name = f"{label}-{args.n}-measure"
+        print(f"{name:18s} {'seq':10s} {u.values.dtype}  {digest(u.values)}  "
+              f"l2_res={row.l2_res!r}", flush=True)
+    rng = np.random.default_rng(113)
+    real = rng.standard_normal((9, 13))
+    for name, plane in (("dst2d-real", real),
+                        ("dst2d-complex", real + 1j * rng.standard_normal((9, 13)))):
+        out = hf.dst2d(hf.make_plan(13, 9), plane)
+        print(f"{name:18s} {'plane':10s} {out.dtype}  {digest(out)}", flush=True)
     print("all modes bitwise equal:", agree)
     return 0 if agree else 1
 
