@@ -62,11 +62,13 @@ def make_plan(n_x: int, n_y: int) -> TransformPlan:
 
 
 def dst2d(plan: TransformPlan, plane: np.ndarray) -> np.ndarray:
-    """2D orthonormal sine transform of one (n_y, n_x) plane, into a new
-    array: complex128 for a complex plane, float64 for any other."""
+    """2D orthonormal sine transform of one (n_y, n_x) plane of any layout,
+    into a new C-ordered array: complex128 for a complex plane, float64 for
+    any other."""
     if plane.shape != (plan.n_y, plan.n_x):
         raise ValueError(f"plane shape {plane.shape} != plan ({plan.n_y}, {plan.n_x})")
-    out = np.array(plane, dtype=complex if np.iscomplexobj(plane) else float)
+    # C order: a transposed plane's copy would keep its strided x axis
+    out = np.array(plane, dtype=complex if np.iscomplexobj(plane) else float, order="C")
     transform_stack(plan, out[None])
     return out
 

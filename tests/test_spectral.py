@@ -233,18 +233,26 @@ def contract_input(case):
             "strided-complex": random_plane(13, 9, seed=5)[1::2, :]}[case]
 
 
+def contract_layout(values, layout):
+    """A view of a case's array: the whole plane, its transpose (x axis
+    strided), one row (the x pass alone) or one column (the y pass alone)."""
+    return {"plane": values, "transposed": values.T,
+            "row": values[2:3], "column": values[:, 4:5]}[layout]
+
+
 class TestInputContract:
     """dst2d works in float64, or complex128 for complex input, bit for bit
     scipy.fft.dst(type=1, norm="ortho") along x and then y on the input cast
-    to that dtype, and leaves its input as it was."""
+    to that dtype, and leaves its input as it was, whatever its layout."""
 
+    @pytest.mark.parametrize("layout", ["plane", "transposed", "row", "column"])
     @pytest.mark.parametrize("case", ["float16", "int32", "bool", "float32", "big-endian",
                                       "unaligned", "complex128", "complex64", "strided",
                                       "strided-complex"])
-    def test_bitwise_scipy(self, case):
+    def test_bitwise_scipy(self, case, layout):
         import scipy.fft
 
-        values = contract_input(case)
+        values = contract_layout(contract_input(case), layout)
         original = values.copy()
         cast = values.astype(complex if np.iscomplexobj(values) else float)
         expect = scipy.fft.dst(scipy.fft.dst(cast, type=1, norm="ortho", axis=1),
