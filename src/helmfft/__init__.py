@@ -21,13 +21,10 @@ from .stencil import SchemeKind, coefficient_table
 from .assembly import (BoundaryData, Field3D, SourceSpec, apply_stencil,
                        build_rhs, fold_dirichlet, residual_l2)
 from .spectral import TransformPlan, dst2d, make_plan, transform_stack
-from .oracle import (SpectralSystem, assemble_system, dst2d_reference,
-                     eigenvalue, solve_system)
-from .solver import (ExchangePlan, Partitioned, PartitionPlan, PhaseTimings,
-                     Sequential, SharedWorkers, SolverConfig, exchange_forward,
-                     exchange_inverse, make_exchange_plan, make_partition_plan,
-                     plan_partition, solve_direct, solve_discrete,
-                     solve_stencil, solve_with_timings)
+from .solver import (ExchangePlan, Partitioned, PhaseTimings, Sequential, SharedWorkers,
+                     SolverConfig, exchange_forward, exchange_inverse, make_exchange_plan,
+                     plan_partition, solve_direct, solve_discrete, solve_stencil,
+                     solve_with_timings)
 from .problems import (ProblemSpec, convdiff_problem, error_metrics,
                        helmholtz_problem)
 from .harness import (MetricsRow, emit_table, run_convergence, run_scaling)

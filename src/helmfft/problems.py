@@ -192,17 +192,18 @@ def convdiff_problem(gamma: float, n: int) -> ProblemSpec:
     r_plus = -gamma / 2.0 + sigma
     r_minus = -gamma / 2.0 - sigma
     # Z(z) = (e^{-gamma z/2} [2 e^{gamma/2} sinh(sigma z) + sinh(sigma(1-z))]) / sinh(sigma)
-    # rewritten with decayed exponentials so nothing overflows for |gamma| ~ 100
+    # rewritten with decayed exponentials so nothing overflows: the growing
+    # term is exp(r_plus (z - 1)) <= 1, its amplitude holding exp(r_plus)
     decay = math.exp(-2.0 * sigma)
     denom = 1.0 - decay
     q = math.exp(gamma / 2.0 - sigma)
-    amp_plus = (2.0 * q - decay) / denom
+    amp_plus = (2.0 - math.exp(-sigma - gamma / 2.0)) / denom
     amp_minus = (1.0 - 2.0 * q) / denom
 
     p = math.pi / root2
 
     def z_profile(z, order=0):
-        return (amp_plus * r_plus**order * np.exp(r_plus * z)
+        return (amp_plus * r_plus**order * np.exp(r_plus * (z - 1.0))
                 + amp_minus * r_minus**order * np.exp(r_minus * z))
 
     def u(x, y, z):

@@ -188,25 +188,6 @@ def _frame_layout(header, length):
     return from_part, to_part, stage, dtype, (n_z, n_y, n_x)
 
 
-def encode_frame(from_part, to_part, stage, block: np.ndarray) -> bytes:
-    """Serialize one block into a length-prefixed frame."""
-    block = _wire_block(block)
-    return _frame_header(from_part, to_part, stage, block) + block.tobytes()
-
-
-def decode_frame(payload):
-    """Inverse of encode_frame, given the bytes after the length word.
-
-    The block is a view of payload (a bytearray gives a writable block), so
-    decoding copies nothing on a little-endian host. A payload whose size
-    does not match its extents and value type raises ExchangeError naming
-    the frame's edge.
-    """
-    from_part, to_part, stage, dtype, shape = _frame_layout(payload, len(payload))
-    block = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), offset=_HEADER.size)
-    return from_part, to_part, stage, block.astype(dtype, copy=False).reshape(shape)
-
-
 def _stream(transfer, buffers):
     """Pass every byte of buffers, in order, to transfer(views), which moves
     a prefix of them and returns its byte count; at most _IOV_MAX buffers a

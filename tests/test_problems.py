@@ -201,6 +201,35 @@ class TestConvectionDiffusionCatalog:
         with pytest.raises(ValueError):
             convdiff_problem(0.0, 8)
 
+    @pytest.mark.parametrize("gamma", [-720.0, -1000.0])
+    def test_strong_convection_stays_finite(self, gamma):
+        # exp(r_plus) overflows past r_plus ~ 709.8, which gamma = -712 reaches
+        p = convdiff_problem(gamma, 8)
+        grid = p.grid
+        with np.errstate(over="raise", invalid="raise"):
+            u = p.analytic(grid.x_nodes()[None, None, :], grid.y_nodes()[None, :, None],
+                           grid.z_nodes()[:, None, None])
+            faces = p.boundary.faces(grid)
+        assert np.isfinite(u).all()
+        assert all(np.isfinite(face).all() for face in faces)
+        assert p.analytic(0.3, 0.8, 1.0) == pytest.approx(2 * p.analytic(0.3, 0.8, 0.0),
+                                                          rel=1e-13)
+
+    def test_matches_unshifted_form(self):
+        """At gamma = -100 the profile agrees with the form that grows as
+        exp(r_plus z), which overflows for gamma <= -712."""
+        gamma = -100.0
+        sigma = math.sqrt(PI**2 + gamma**2 / 4.0)
+        r_plus, r_minus = -gamma / 2.0 + sigma, -gamma / 2.0 - sigma
+        decay = math.exp(-2.0 * sigma)
+        q = math.exp(gamma / 2.0 - sigma)
+        z = np.linspace(0.0, 1.0, 41)
+        old = ((2.0 * q - decay) * np.exp(r_plus * z)
+               + (1.0 - 2.0 * q) * np.exp(r_minus * z)) / (1.0 - decay)
+        ang = math.sin(PI * 0.3 / math.sqrt(2)) * math.sin(PI * 0.8 / math.sqrt(2))
+        new = convdiff_problem(gamma, 8).analytic(0.3, 0.8, z)
+        assert np.abs(new - ang * old).max() <= 1e-14 * np.abs(ang * old).max()
+
     def test_moderate_convection_also_valid(self):
         p = convdiff_problem(-4.0, 8)
         rng = np.random.default_rng(9)

@@ -98,9 +98,12 @@ class TestKernel:
         expect[m0 - 1, n0 - 1] = math.sqrt((n_x + 1) * (n_y + 1)) / 2.0
         assert np.abs(out - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 125])
-    def test_involution(self, n):
+    def test_involution(self, n, real):
+        """Complex planes take pocketfft, real ones (n > 1) the dense kernel."""
         plane = random_plane(n, n, seed=n)
+        plane = plane.real.copy() if real else plane
         plan = make_plan(n, n)
         twice = dst2d(plan, dst2d(plan, plane))
         assert np.abs(twice - plane).max() <= 1e-13 * np.abs(plane).max()
@@ -110,9 +113,13 @@ class TestKernel:
         out = dst2d(make_plan(23, 17), plane)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(plane), rel=1e-13)
 
-    @pytest.mark.parametrize("n_x,n_y", [(3, 3), (8, 5), (16, 16), (64, 32)])
-    def test_fast_path_matches_dense_reference(self, n_x, n_y):
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("n_x,n_y", [(3, 3), (8, 5), (16, 16), (64, 32), (2, 9),
+                                         (125, 126)])
+    def test_fast_path_matches_dense_reference(self, n_x, n_y, real):
+        """Odd and even extents of both kernels (real planes are dense)."""
         plane = random_plane(n_y, n_x, seed=n_x + n_y)
+        plane = plane.real.copy() if real else plane
         plan = make_plan(n_x, n_y)
         fast = dst2d(plan, plane)
         dense = dst2d_reference(plan, plane)
@@ -158,9 +165,11 @@ class TestTransformStack:
             expect[m0 - 1, n0 - 1] = (n + 1) / 2.0
             assert np.abs(field.values[l] - expect).max() < 1e-12
 
-    def test_disjoint_halves_equal_full(self):
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_disjoint_halves_equal_full(self, real):
         rng = np.random.default_rng(9)
-        data = rng.standard_normal((8, 6, 7)) + 1j * rng.standard_normal((8, 6, 7))
+        data = rng.standard_normal((8, 6, 7)) + (0 if real else
+                                                 1j * rng.standard_normal((8, 6, 7)))
         plan = make_plan(7, 6)
         full = Field3D(data.copy())
         transform_stack(plan, full)
@@ -180,15 +189,19 @@ class TestTransformStack:
         with pytest.raises(IndexError):
             transform_stack(make_plan(3, 3), field, (0, 5))
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("window", [(slice(2, 7), slice(None)),
                                         (slice(1, 6), slice(2, 9))])
-    def test_in_place_on_non_contiguous_view(self, window):
+    def test_in_place_on_non_contiguous_view(self, window, real):
+        """Complex planes take pocketfft, real ones the dense kernel."""
         rng = np.random.default_rng(41)
-        big = rng.standard_normal((4, 9, 10)) + 1j * rng.standard_normal((4, 9, 10))
+        big = rng.standard_normal((4, 9, 10)) + (0 if real else
+                                                  1j * rng.standard_normal((4, 9, 10)))
         original = big.copy()
         view = big[:, window[0], window[1]]
         assert not view.flags.c_contiguous
         plan = make_plan(view.shape[2], view.shape[1])
+        assert plan.kernels(view.dtype) == (("dense",) * 2 if real else ("pocketfft",) * 2)
         transform_stack(plan, view)
         inside = np.zeros(big.shape, dtype=bool)
         inside[:, window[0], window[1]] = True
@@ -240,40 +253,131 @@ def contract_layout(values, layout):
             "row": values[2:3], "column": values[:, 4:5]}[layout]
 
 
+def expected_dst2d(plan, cast):
+    """The bits dst2d must give for an input cast to float64 or complex128:
+    where both axes take pocketfft, scipy.fft.dst(type=1, norm="ortho") along
+    x and then y; where one takes the dense kernel, those of a fresh
+    C-ordered copy, after checking them against the dense reference."""
+    import scipy.fft
+
+    if plan.kernels(cast.dtype) == ("pocketfft", "pocketfft"):
+        return scipy.fft.dst(scipy.fft.dst(cast, type=1, norm="ortho", axis=1),
+                             type=1, norm="ortho", axis=0)
+    out = np.array(cast, order="C")
+    transform_stack(plan, out[None])
+    reference = dst2d_reference(plan, cast)
+    assert np.abs(out - reference).max() <= 1e-13 * np.abs(reference).max()
+    return out
+
+
 class TestInputContract:
-    """dst2d works in float64, or complex128 for complex input, bit for bit
-    scipy.fft.dst(type=1, norm="ortho") along x and then y on the input cast
+    """dst2d works in float64, or complex128 for complex input, gives the
+    bits of its plan's kernel on each axis (expected_dst2d) on the input cast
     to that dtype, and leaves its input as it was, whatever its layout."""
 
     @pytest.mark.parametrize("layout", ["plane", "transposed", "row", "column"])
     @pytest.mark.parametrize("case", ["float16", "int32", "bool", "float32", "big-endian",
                                       "unaligned", "complex128", "complex64", "strided",
                                       "strided-complex"])
-    def test_bitwise_scipy(self, case, layout):
-        import scipy.fft
-
+    def test_bitwise_per_kernel(self, case, layout):
         values = contract_layout(contract_input(case), layout)
         original = values.copy()
         cast = values.astype(complex if np.iscomplexobj(values) else float)
-        expect = scipy.fft.dst(scipy.fft.dst(cast, type=1, norm="ortho", axis=1),
-                               type=1, norm="ortho", axis=0)
-        assert same_bits(dst2d(make_plan(values.shape[1], values.shape[0]), values), expect)
+        plan = make_plan(values.shape[1], values.shape[0])
+        assert same_bits(dst2d(plan, values), expected_dst2d(plan, cast))
         assert same_bits(values, original)
+
+    @pytest.mark.parametrize("shape", [(9, 9), (6, 9), (159, 125), (125, 159), (251, 250)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_bitwise_per_kernel_sizes(self, shape, real):
+        """Square and non-square planes; (159, 125) has a dense x axis and a
+        pocketfft y axis, (125, 159) the reverse."""
+        rng = np.random.default_rng(shape[0] * shape[1])
+        values = rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
+        plan = make_plan(shape[1], shape[0])
+        expect = expected_dst2d(plan, values)
+        assert same_bits(dst2d(plan, values.T.copy().T), expect)  # Fortran order
+        flipped = values[::-1].copy()[::-1]  # rows at a negative stride
+        transform_stack(plan, flipped[None])
+        assert same_bits(flipped.copy(), expect)
+        window = np.zeros((shape[0] + 3, shape[1] + 5), values.dtype)
+        window[1:-2, 2:-3] = values
+        stack = np.stack([window, window])[:, 1:-2, 2:-3]  # strided rows
+        transform_stack(plan, stack, (1, 2))
+        transform_stack(plan, stack, (0, 1))
+        assert same_bits(stack[0].copy(), expect) and same_bits(stack[1].copy(), expect)
+
+
+class TestKernelRule:
+    """Real planes: dense iff n <= 400 and (n <= 150 or n + 1 has a prime
+    factor > 7); complex planes and planes of one line keep pocketfft."""
+
+    @pytest.mark.parametrize("n,kernel", [
+        (2, "dense"), (63, "dense"), (125, "dense"), (126, "dense"),
+        (150, "dense"), (151, "dense"), (159, "pocketfft"), (172, "dense"),
+        (200, "dense"), (239, "pocketfft"), (240, "dense"), (249, "pocketfft"),
+        (250, "dense"), (251, "pocketfft"), (255, "pocketfft"), (256, "dense"),
+        (300, "dense"), (319, "pocketfft"), (335, "pocketfft"), (400, "dense"),
+        (401, "pocketfft"), (671, "pocketfft")])
+    def test_rule_table(self, n, kernel):
+        plan = make_plan(n, 4)
+        assert plan.kernels(np.float64) == (kernel, "dense")
+        assert plan.kernels(np.complex128) == ("pocketfft", "pocketfft")
+        assert make_plan(4, n).kernels(np.float64) == ("dense", kernel)
+
+    def test_one_line_keeps_pocketfft(self):
+        for n_x, n_y in ((125, 1), (1, 125), (1, 1)):
+            assert make_plan(n_x, n_y).kernels(np.float64) == ("pocketfft", "pocketfft")
+
+    def test_sine_halves_shared_and_read_only(self):
+        plan = make_plan(125, 63)
+        assert plan.dense_x[0] is make_plan(125, 9).dense_x[0]
+        assert not any(half.flags.writeable for half in plan.dense_x[:2] + plan.dense_y[:2])
+        assert plan == make_plan(125, 63) and make_plan(159, 9).dense_x is None
+
+
+class TestBlasThreads:
+    def test_dense_bits_do_not_depend_on_blas_threads(self):
+        """Each dense product stays below OpenBLAS's threading size, so one
+        BLAS thread and two give the same bits, with the solve's two pool
+        threads transforming at once. Products of whole planes at n = 250
+        would not: OpenBLAS threads them and their bits change."""
+        code = (
+            "import hashlib, numpy as np, helmfft as hf\n"
+            "rng = np.random.default_rng(61)\n"
+            "for n, planes in ((125, 125), (250, 8)):\n"
+            "    stack = rng.standard_normal((planes, n, n))\n"
+            "    plan = hf.make_plan(n, n)\n"
+            "    assert plan.kernels(stack.dtype) == ('dense', 'dense')\n"
+            "    hf.transform_stack(plan, stack)\n"
+            "    print(hashlib.blake2b(stack.tobytes()).hexdigest())\n"
+            "p = hf.helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0,"
+            " hf.SchemeKind.SIXTH_ORDER, 33)\n"
+            "u = hf.solve_direct(p, hf.SolverConfig(mode=hf.SharedWorkers(2))).values\n"
+            "assert u.dtype == np.float64\n"
+            "print(hashlib.blake2b(u.tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.split())
+        assert digests[0] == digests[1]
 
 
 class TestLoadRoutes:
-    def test_stack_bitwise_scipy_on_each_route(self, route):
-        import scipy.fft
-
+    def test_stack_bitwise_on_each_route(self, route):
+        """Each plane of a stack gets expected_dst2d's bits on either load
+        route: real planes the dense kernel, complex ones pocketfft."""
         rng = np.random.default_rng(59)
         real = rng.standard_normal((3, 7, 10))
-        plan = make_plan(10, 7)
+        plan = route.make_plan(10, 7)
         for data in (real, real + 1j * rng.standard_normal(real.shape)):
             field = data.copy()
             route.transform_stack(plan, field)
-            expect = scipy.fft.dst(scipy.fft.dst(data, type=1, norm="ortho", axis=2),
-                                   type=1, norm="ortho", axis=1)
-            assert same_bits(field, expect)
+            for l in range(data.shape[0]):
+                assert same_bits(field[l], expected_dst2d(plan, data[l]))
 
     def test_registered_module_is_reused(self, monkeypatch):
         """Once the module is imported (by scipy.fft, say), a load reuses it."""
@@ -289,8 +393,10 @@ class TestLoadRoutes:
                 "assert pfft is helmfft.spectral._pfft\n"
                 "assert scipy.fft._pocketfft.realtransforms.pfft is pfft\n"
                 "x = np.arange(1.0, 8.0).reshape(1, 7)\n"
+                "plan = helmfft.make_plan(7, 1)\n"
+                "assert plan.kernels(x.dtype) == ('pocketfft', 'pocketfft')\n"
                 "assert np.array_equal(scipy.fft.dst(x, type=1, norm='ortho'),\n"
-                "                      helmfft.spectral.dst2d(helmfft.make_plan(7, 1), x))\n")
+                "                      helmfft.spectral.dst2d(plan, x))\n")
         env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)

@@ -12,9 +12,25 @@ from helmfft.errors import ExchangeError
 from helmfft.grid import Domain, make_grid
 from helmfft.solver import (Partitioned, SolverConfig, exchange_forward,
                             exchange_inverse, make_exchange_plan)
-from helmfft.transport import (REAL_TAG, STAGE_FORWARD, STAGE_INVERSE, InProcessMesh,
-                               SocketTransport, decode_frame, encode_frame,
-                               socket_mesh)
+from helmfft.transport import (_HEADER, REAL_TAG, STAGE_FORWARD, STAGE_INVERSE,
+                               InProcessMesh, SocketTransport, _frame_header,
+                               _frame_layout, _wire_block, socket_mesh)
+
+
+def encode_frame(from_part, to_part, stage, block: np.ndarray) -> bytes:
+    """The wire format's spec: one block as the length-prefixed frame that
+    SocketTransport sends for it."""
+    block = _wire_block(block)
+    return _frame_header(from_part, to_part, stage, block) + block.tobytes()
+
+
+def decode_frame(payload):
+    """Inverse of encode_frame, given the bytes after the length word, with
+    SocketTransport's checks: a payload whose size does not match its
+    extents and value type raises ExchangeError naming the frame's edge."""
+    from_part, to_part, stage, dtype, shape = _frame_layout(payload, len(payload))
+    block = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), offset=_HEADER.size)
+    return from_part, to_part, stage, block.astype(dtype, copy=False).reshape(shape)
 
 
 class TestFrameFormat:

@@ -21,9 +21,11 @@ or not one), and a real problem with complex walls (a fold that widens to
 complex). `--big` adds the 125^3 sixth-order case of the README. Every case
 runs in every mode. Then come a `measure` line for each catalog problem
 (harness.measure under Sequential: the solution's digest and repr(l2_res))
-and a `dst2d` line each for a seeded real and a seeded complex 9 x 13
-plane; the last line says whether all modes agreed bitwise. Run it on two
-checkouts and diff the output.
+and `dst2d` lines for seeded planes: a real and a complex 9 x 13 plane, real
+125^2 (dense kernel), 159^2 (pocketfft) and 250^2 (dense) planes and a
+complex 159^2 plane, each naming the kernel its x and y axes took. The
+last line says whether all modes agreed bitwise. Run it on two checkouts
+and diff the output.
 """
 
 import argparse
@@ -134,10 +136,16 @@ def main():
               f"l2_res={row.l2_res!r}", flush=True)
     rng = np.random.default_rng(113)
     real = rng.standard_normal((9, 13))
-    for name, plane in (("dst2d-real", real),
-                        ("dst2d-complex", real + 1j * rng.standard_normal((9, 13)))):
-        out = hf.dst2d(hf.make_plan(13, 9), plane)
-        print(f"{name:18s} {'plane':10s} {out.dtype}  {digest(out)}", flush=True)
+    planes = {"dst2d-real": real, "dst2d-complex": real + 1j * rng.standard_normal((9, 13))}
+    for n in (125, 159, 250):
+        planes[f"dst2d-real-{n}"] = rng.standard_normal((n, n))
+    planes["dst2d-complex-159"] = planes["dst2d-real-159"] + 1j * rng.standard_normal((159, 159))
+    for name, plane in planes.items():
+        plan = hf.make_plan(plane.shape[1], plane.shape[0])
+        out = hf.dst2d(plan, plane)
+        kernel_x, kernel_y = plan.kernels(out.dtype)
+        print(f"{name:18s} {'plane':10s} {out.dtype}  {digest(out)}  "
+              f"x={kernel_x} y={kernel_y}", flush=True)
     print("all modes bitwise equal:", agree)
     return 0 if agree else 1
 
