@@ -35,27 +35,21 @@ class Field3D:
     """Real or complex scalar field on the interior nodes.
 
     values has shape (n_z, n_y, n_x); the linear index of interior node
-    (i, j, l), all 1-based, is (i-1) + n_x*(j-1) + n_x*n_y*(l-1). A float64
-    array is kept as it is; any other array is converted to complex128.
+    (i, j, l), all 1-based, is (i-1) + n_x*(j-1) + n_x*n_y*(l-1). A real
+    array becomes float64 and a complex one complex128; a float64 or
+    complex128 array is kept as it is.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        self.values = values if values.dtype == np.float64 else np.asarray(values, dtype=complex)
+        self.values = _float_or_complex(self.values)
         if self.values.ndim != 3:
             raise ValueError(f"Field3D needs a 3D array, got ndim={self.values.ndim}")
 
     @classmethod
     def zeros(cls, grid: Grid3D) -> "Field3D":
         return cls(np.zeros(grid.shape, dtype=complex))
-
-    @property
-    def extents(self):
-        """(n_x, n_y, n_z)."""
-        n_z, n_y, n_x = self.values.shape
-        return (n_x, n_y, n_z)
 
     def copy(self) -> "Field3D":
         return Field3D(self.values.copy())
@@ -71,21 +65,22 @@ class BoundaryData:
     Constructed either from a callable u(x, y, z) (must broadcast over numpy
     arrays) or from an explicit closed-box array of shape
     (n_z+2, n_y+2, n_x+2) whose interior entries are ignored. A real array
-    is kept as float64, any other as complex128.
+    is kept as float64, any other as complex128. known_zero is True only for
+    zero(), whose faces the fold and apply_stencil skip.
     """
 
-    def __init__(self, fn: Optional[Callable] = None, array: Optional[np.ndarray] = None,
-                 known_zero: bool = False):
+    def __init__(self, fn: Optional[Callable] = None, array: Optional[np.ndarray] = None):
         if (fn is None) == (array is None):
             raise ValueError("provide exactly one of fn or array")
         self._fn = fn
         self._array = None if array is None else _float_or_complex(array)
-        self.known_zero = known_zero
+        self.known_zero = False
 
     @classmethod
     def zero(cls) -> "BoundaryData":
-        return cls(fn=lambda x, y, z: np.zeros(np.broadcast(x, y, z).shape, dtype=complex),
-                   known_zero=True)
+        boundary = cls(fn=lambda x, y, z: np.zeros(np.broadcast(x, y, z).shape, dtype=complex))
+        boundary.known_zero = True
+        return boundary
 
     @classmethod
     def from_function(cls, fn) -> "BoundaryData":
@@ -226,12 +221,18 @@ def _is_real(values) -> bool:
     return not np.iscomplexobj(values) or not np.any(np.imag(values))
 
 
-def _works_real(values: np.ndarray, table, faces) -> bool:
-    """values are float64 and the coefficient table and the boundary faces
-    (None for a known-zero boundary) have zero imaginary parts, so float64
-    is exact. This is the one place where a solve's dtype is decided."""
-    return (values.dtype == np.float64 and all(_is_real(w) for w in table)
+def _works_real(values: np.ndarray, table, faces):
+    """(real, table, faces): real when values are float64 and the coefficient
+    table and the boundary faces (None for a known-zero boundary) have zero
+    imaginary parts, so float64 is exact; the table and the faces then come
+    back as their real parts, which drops only zeros. This is the one place
+    where a solve's dtype is decided."""
+    real = (values.dtype == np.float64 and all(_is_real(w) for w in table)
             and (faces is None or all(_is_real(f) for f in faces)))
+    if real:
+        table = tuple(w.real for w in table)
+        faces = None if faces is None else tuple(np.real(f) for f in faces)
+    return real, table, faces
 
 
 class _ComplexSample(Exception):
@@ -428,11 +429,7 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, table, grid: Grid3D) -> Fi
     if u.values.shape != grid.shape:
         raise ValueError(f"field shape {u.values.shape} != grid {grid.shape}")
     faces = None if boundary.known_zero else boundary.faces(grid)
-    real = _works_real(u.values, table, faces)
-    if real:  # the imaginary parts are zero, so dropping them is exact
-        table = tuple(w.real for w in table)
-        if faces is not None:
-            faces = tuple(np.real(f) for f in faces)
+    real, table, faces = _works_real(u.values, table, faces)
     closed = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
     dtype = float if real else complex
     if faces is None:
@@ -468,7 +465,7 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
     faces = None if boundary.known_zero else boundary.faces(grid)
     if faces is not None:
         _check_faces(faces, grid)
-    real = _works_real(rhs.values, table, faces)
+    real, table, faces = _works_real(rhs.values, table, faces)
     dtype = np.dtype(float if real else complex)
     in_place = not copy and rhs.values.dtype == dtype
     values = rhs.values if in_place else np.empty(grid.shape, dtype=dtype)
@@ -482,9 +479,6 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
                 check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
     if faces is None or not any(np.any(f) for f in faces):
         return Field3D(values)
-    if real:  # the imaginary parts are zero, so dropping them is exact
-        faces = tuple(np.real(f) for f in faces)
-        table = tuple(w.real for w in table)
     for lo, hi in _boundary_layers(grid):
         # rows lo..hi-1 are nodes lo+1..hi; their neighbors are nodes lo..hi+1
         ext = _paint_box(faces, grid, lo, tuple(h + 2 for h in hi), values.dtype)

@@ -47,16 +47,6 @@ class Grid3D:
     h_y: float
     h_z: float
 
-    def x(self, i):
-        """Coordinate of node index i (0 = low boundary, n_x + 1 = high boundary)."""
-        return self.domain.x_lo + i * self.h_x
-
-    def y(self, j):
-        return self.domain.y_lo + j * self.h_y
-
-    def z(self, l):
-        return self.domain.z_lo + l * self.h_z
-
     def x_nodes(self, closed=False):
         """Interior x coordinates, or all n_x + 2 closed-grid coordinates."""
         idx = np.arange(0, self.n_x + 2) if closed else np.arange(1, self.n_x + 1)
@@ -111,10 +101,6 @@ class CoefficientProfile:
             raise ValueError(
                 f"profile arrays disagree in length: {n}, {len(self.k2_z)}, {len(self.k2_zz)}"
             )
-
-    @property
-    def n_levels(self):
-        return len(self.k2)
 
 
 def sample_profile(k2_fn, k2_z_fn, k2_zz_fn, gamma, grid: Grid3D) -> CoefficientProfile:

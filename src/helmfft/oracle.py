@@ -107,9 +107,10 @@ def dense_plane_matrix(a: complex, b: complex, c: complex, d: complex,
 
 
 def dense_sine_matrix(n: int) -> np.ndarray:
-    """Orthonormal 1D sine kernel, built here independently of the fast path."""
+    """Orthonormal 1D sine kernel, built here independently of the fast path;
+    each index i*k is taken modulo 2(n + 1), so every angle is below 2 pi."""
     idx = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(idx, idx) / (n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(idx, idx) % (2 * n + 2)) / (n + 1))
 
 
 def dense_sine_matrix_2d(n_x: int, n_y: int) -> np.ndarray:

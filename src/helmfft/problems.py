@@ -82,7 +82,6 @@ class ProblemSpec:
     source: SourceSpec
     boundary: BoundaryData
     analytic: Optional[Callable] = None
-    label: str = ""
     pde_residual: Optional[Callable] = None  # continuous-equation residual, for checks
 
 
@@ -159,7 +158,6 @@ def helmholtz_problem(a: float, b: float, c: float, beta: float, gamma: float,
         source=source,
         boundary=BoundaryData.from_function(u),
         analytic=u,
-        label=f"helmholtz a={a} b={b} c={c} beta={beta} gamma={gamma}",
         pde_residual=pde_residual,
     )
 
@@ -221,7 +219,6 @@ def convdiff_problem(gamma: float, n: int) -> ProblemSpec:
         source=SourceSpec.zero(),
         boundary=BoundaryData.from_function(u),
         analytic=u,
-        label=f"convdiff gamma={gamma}",
         pde_residual=pde_residual,
     )
 

@@ -96,9 +96,14 @@ def plan_partition(extent: int, parts: int):
 
 
 @dataclass(frozen=True)
-class PartitionPlan:
-    """Per-part z-ranges (transform stages) and y-ranges (tridiagonal stage)."""
+class ExchangePlan:
+    """Block geometry of the z-slab <-> y-slab redistribution: each part's
+    z-range (transform stages) and y-range (tridiagonal stage), 0-based
+    half-open (start, stop) tuples from plan_partition."""
 
+    n_x: int
+    n_y: int
+    n_z: int
     z_ranges: tuple
     y_ranges: tuple
 
@@ -106,43 +111,17 @@ class PartitionPlan:
     def n_parts(self):
         return len(self.z_ranges)
 
-
-def make_partition_plan(grid: Grid3D, parts: int) -> PartitionPlan:
-    return PartitionPlan(
-        z_ranges=tuple(plan_partition(grid.n_z, parts)),
-        y_ranges=tuple(plan_partition(grid.n_y, parts)),
-    )
-
-
-@dataclass(frozen=True)
-class ExchangePlan:
-    """Block geometry of the z-slab <-> y-slab redistribution."""
-
-    n_x: int
-    n_y: int
-    n_z: int
-    partition: PartitionPlan
-
-    @property
-    def n_parts(self):
-        return self.partition.n_parts
-
     def block_extents(self, sender: int, receiver: int):
         """(ext_x, ext_y, ext_z) of the forward block sender -> receiver."""
-        z0, z1 = self.partition.z_ranges[sender]
-        y0, y1 = self.partition.y_ranges[receiver]
+        z0, z1 = self.z_ranges[sender]
+        y0, y1 = self.y_ranges[receiver]
         return (self.n_x, y1 - y0, z1 - z0)
-
-    def total_volume(self):
-        return sum(
-            np.prod(self.block_extents(p, q))
-            for p in range(self.n_parts) for q in range(self.n_parts)
-        )
 
 
 def make_exchange_plan(grid: Grid3D, parts: int) -> ExchangePlan:
-    return ExchangePlan(n_x=grid.n_x, n_y=grid.n_y, n_z=grid.n_z,
-                        partition=make_partition_plan(grid, parts))
+    return ExchangePlan(grid.n_x, grid.n_y, grid.n_z,
+                        tuple(plan_partition(grid.n_z, parts)),
+                        tuple(plan_partition(grid.n_y, parts)))
 
 
 def exchange_forward(plan: ExchangePlan, transport, part: int, slabs) -> np.ndarray:
@@ -172,17 +151,17 @@ def _redistribute(plan: ExchangePlan, transport, part: int, slabs, stage):
     so no staging array is made.
     """
     z_slab, y_slab = slabs
-    (z0, z1), (y0, y1) = plan.partition.z_ranges[part], plan.partition.y_ranges[part]
+    (z0, z1), (y0, y1) = plan.z_ranges[part], plan.y_ranges[part]
     for name, slab, shape in (("z-slab", z_slab, (z1 - z0, plan.n_y, plan.n_x)),
                               ("y-slab", y_slab, (plan.n_z, y1 - y0, plan.n_x))):
         if slab.shape != shape:
             raise ValueError(f"{name} shape {slab.shape} != {shape}")
 
     def z_block(q):
-        return z_slab[:, slice(*plan.partition.y_ranges[q])]
+        return z_slab[:, slice(*plan.y_ranges[q])]
 
     def y_block(q):
-        return y_slab[slice(*plan.partition.z_ranges[q])]
+        return y_slab[slice(*plan.z_ranges[q])]
 
     source, target = (z_block, y_block) if stage == STAGE_FORWARD else (y_block, z_block)
     for q in range(plan.n_parts):
@@ -303,7 +282,7 @@ def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
     ex_plan = make_exchange_plan(grid, parts)
-    z_ranges, y_ranges = ex_plan.partition.z_ranges, ex_plan.partition.y_ranges
+    z_ranges, y_ranges = ex_plan.z_ranges, ex_plan.y_ranges
     with _executor(parts * workers - 1) as pool:
         def run(extent, fn):  # one range for each thread of the layout
             ranges = plan_partition(extent, min(parts * workers, extent))

@@ -262,8 +262,8 @@ def test_criterion_08_structural_invariants(capfd):
         barrier = threading.Barrier(parts)
 
         def worker(part):
-            z0, z1 = plan_ex.partition.z_ranges[part]
-            y0, y1 = plan_ex.partition.y_ranges[part]
+            z0, z1 = plan_ex.z_ranges[part]
+            y0, y1 = plan_ex.y_ranges[part]
             z_slab = values[z0:z1].copy()
             y_slab = exchange_forward(plan_ex, mesh.endpoint(part), part,
                                       (z_slab, np.empty((6, y1 - y0, 6), dtype=complex)))

@@ -49,9 +49,14 @@ class TestField3D:
                 for i in range(1, 4):
                     assert flat[row_index(i, j, l, grid)] == field.values[l - 1, j - 1, i - 1]
 
-    def test_extents(self):
-        field = Field3D(np.zeros((5, 4, 3), dtype=complex))
-        assert field.extents == (3, 4, 5)
+    @pytest.mark.parametrize("dtype, stored", [
+        (np.float32, np.float64), (np.int64, np.float64), (">f8", np.float64),
+        (np.complex64, np.complex128), (">c16", np.complex128)])
+    def test_real_stays_real(self, dtype, stored):
+        # the one rule of BoundaryData.from_array: real -> float64, complex -> complex128
+        field = Field3D(np.ones((5, 4, 3), dtype=dtype))
+        assert field.values.dtype == stored
+        assert field.values.dtype.isnative
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
@@ -70,8 +75,17 @@ class TestBoundaryData:
         ext = bnd.closed_box(grid)
         assert ext[0, 0, 0] == 0.0
         assert ext[-1, 0, 0] == pytest.approx(100 * PI, rel=1e-14)
-        assert ext[0, -1, 2] == pytest.approx(grid.x(2) + 10 * PI, rel=1e-14)
+        assert ext[0, -1, 2] == pytest.approx(grid.x_nodes(closed=True)[2] + 10 * PI, rel=1e-14)
         assert not np.any(ext[1:-1, 1:-1, 1:-1])
+
+    def test_only_zero_is_known_zero(self):
+        # the fold skips a known-zero boundary's walls, so no other
+        # BoundaryData can claim to be one
+        with pytest.raises(TypeError):
+            BoundaryData(fn=lambda x, y, z: 1.0 + 0 * x, known_zero=True)
+        assert BoundaryData.zero().known_zero
+        assert not BoundaryData.from_function(lambda x, y, z: 0 * x).known_zero
+        assert not BoundaryData.from_array(np.zeros((4, 4, 4))).known_zero
 
     def test_array_interior_ignored(self):
         grid, _ = cube_grid(2)
@@ -512,7 +526,7 @@ class TestNonFiniteInput:
         assert (err.value.field, err.value.index) == ("boundary", node)
 
     def test_boundary_function(self):
-        top = self.grid.z(self.grid.n_z + 1)
+        top = self.grid.z_nodes(closed=True)[-1]
         bnd = BoundaryData.from_function(
             lambda x, y, z: np.where(z == top, np.nan, 1.0) + 0 * x + 0 * y)
         with pytest.raises(NonFiniteInputError) as err:
@@ -602,7 +616,7 @@ class TestChunkedBuild:
         # real profile; every sample is real on planes below z_cut and gains
         # an imaginary part above it, so only later chunks return complex
         grid, src, prof = chunk_case(scheme, "real")
-        z_cut = grid.z(grid.n_z - 2)
+        z_cut = grid.z_nodes(closed=True)[grid.n_z - 2]
 
         def later_complex(fn):
             def sample(x, y, z):

@@ -24,8 +24,8 @@ class TestMakeGrid:
     def test_interior_nodes_small(self):
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 3, 3, 3)
         assert np.allclose(grid.x_nodes(), [PI / 4, PI / 2, 3 * PI / 4], rtol=1e-15)
-        assert grid.x(0) == 0.0
-        assert grid.x(4) == pytest.approx(PI, rel=1e-15)
+        assert grid.x_nodes(closed=True)[0] == 0.0
+        assert grid.x_nodes(closed=True)[4] == pytest.approx(PI, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_rejects_nonpositive_counts(self, bad):
@@ -59,7 +59,7 @@ class TestSampleProfile:
         grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 8, 8, 8)
         prof = sample_profile(lambda z: 400.0 + 0 * z, lambda z: 0 * z,
                               lambda z: 0 * z, 0.0, grid)
-        assert prof.n_levels == 10
+        assert len(prof.k2) == 10
         assert np.all(prof.k2 == 400.0)
         assert np.all(prof.k2_z == 0.0)
         assert np.all(prof.k2_zz == 0.0)

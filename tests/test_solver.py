@@ -80,16 +80,18 @@ class TestExchangePlan:
     def test_block_extents_and_volume(self, parts):
         grid, _ = cube(9)
         plan = make_exchange_plan(grid, parts)
-        z_sizes = [b - a for a, b in plan.partition.z_ranges]
-        y_sizes = [b - a for a, b in plan.partition.y_ranges]
+        z_sizes = [b - a for a, b in plan.z_ranges]
+        y_sizes = [b - a for a, b in plan.y_ranges]
         for p in range(parts):
             for q in range(parts):
                 assert plan.block_extents(p, q) == (grid.n_x, y_sizes[q], z_sizes[p])
-        assert plan.total_volume() == grid.n_x * grid.n_y * grid.n_z
+        volume = sum(np.prod(plan.block_extents(p, q))
+                     for p in range(parts) for q in range(parts))
+        assert volume == grid.n_x * grid.n_y * grid.n_z
 
 
 def empty_y_slab(plan, part, dtype):
-    y0, y1 = plan.partition.y_ranges[part]
+    y0, y1 = plan.y_ranges[part]
     return np.empty((plan.n_z, y1 - y0, plan.n_x), dtype=dtype)
 
 
@@ -106,7 +108,7 @@ def run_exchange_roundtrip(field_values, parts):
     barrier = threading.Barrier(parts)
 
     def worker(part):
-        z0, z1 = ex_plan.partition.z_ranges[part]
+        z0, z1 = ex_plan.z_ranges[part]
         local = field_values[z0:z1].copy()
         y_slab = exchange_forward(ex_plan, mesh.endpoint(part), part,
                                   (local, empty_y_slab(ex_plan, part, local.dtype)))
@@ -152,7 +154,7 @@ class TestExchange:
         rng = np.random.default_rng(37)
         values = rng.standard_normal((8, 8, 5)) + 1j * rng.standard_normal((8, 8, 5))
         out, y_slabs, plan = run_exchange_roundtrip(values, 4)
-        for part, (y0, y1) in enumerate(plan.partition.y_ranges):
+        for part, (y0, y1) in enumerate(plan.y_ranges):
             assert np.array_equal(y_slabs[part], values[:, y0:y1, :])
 
     def test_extent_validation(self):
@@ -406,7 +408,7 @@ class TestFailFast:
         # a failed stage stops the solve before the next stage starts, so no
         # peer waits out the in-process mesh's default 60 s receive timeout
         args = complex_anisotropic_case()
-        plan = make_exchange_plan(args[-1], mode.parts).partition
+        plan = make_exchange_plan(args[-1], mode.parts)
         injected, raised_on, caller = RuntimeError("injected fault"), [], threading.get_ident()
         if fault == "sweep-part-1":
             slab = tridiag.solve_slab
@@ -632,6 +634,16 @@ class TestRealPath:
             got = solve_direct(p, config)
             assert got.values.dtype == expect.values.dtype == np.float64, name
             assert np.array_equal(bits(got.values), bits(expect.values)), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int32, ">f8"])
+    def test_real_rhs_of_any_dtype_solves_float64(self, dtype):
+        p = catalog_problem(SchemeKind.SECOND_ORDER, 9)
+        u, _ = solve_discrete(Field3D(np.ones(p.grid.shape, dtype)), p.boundary,
+                              p.scheme, p.profile, p.grid)
+        v, _ = solve_discrete(Field3D(np.ones(p.grid.shape)), p.boundary,
+                              p.scheme, p.profile, p.grid)
+        assert u.values.dtype == np.float64
+        assert np.array_equal(bits(u.values), bits(v.values))
 
     def test_complex_typed_walls_with_zero_imaginary_part_solve_real(self):
         p = real_anisotropic_problem(SchemeKind.SECOND_ORDER)

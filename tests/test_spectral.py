@@ -123,7 +123,7 @@ class TestKernel:
         plan = make_plan(n_x, n_y)
         fast = dst2d(plan, plane)
         dense = dst2d_reference(plan, plane)
-        assert np.abs(fast - dense).max() < 1e-12 * max(1.0, np.abs(dense).max())
+        assert np.abs(fast - dense).max() < 1e-14 * max(1.0, np.abs(dense).max())
 
 
 class TestDiagonalization:
@@ -208,7 +208,7 @@ class TestTransformStack:
         for l in range(big.shape[0]):
             plane = original[l][window]
             assert np.array_equal(big[l][window], dst2d(plan, plane))
-            assert np.abs(big[l][window] - dst2d_reference(plan, plane)).max() < 1e-12
+            assert np.abs(big[l][window] - dst2d_reference(plan, plane)).max() < 1e-14
         assert np.array_equal(big[~inside], original[~inside])
 
     def test_strided_x_axis_rejected_untouched(self):
@@ -266,7 +266,7 @@ def expected_dst2d(plan, cast):
     out = np.array(cast, order="C")
     transform_stack(plan, out[None])
     reference = dst2d_reference(plan, cast)
-    assert np.abs(out - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.abs(out - reference).max() <= 1e-14 * np.abs(reference).max()
     return out
 
 

@@ -355,8 +355,8 @@ class TestSocketTransport:
         barrier = threading.Barrier(parts)
 
         def worker(part):
-            z0, z1 = plan.partition.z_ranges[part]
-            y0, y1 = plan.partition.y_ranges[part]
+            z0, z1 = plan.z_ranges[part]
+            y0, y1 = plan.y_ranges[part]
             z_slab = values[z0:z1].copy()
             y_slab = exchange_forward(plan, transports[part], part,
                                       (z_slab, np.empty((7, y1 - y0, 4), dtype=complex)))
