@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .errors import SingularSystemError
-from .harness import (emit_table, make_problem, measure, run_convergence,
-                      run_scaling)
+from .harness import (CSV_COLUMNS, emit_table, format_row, make_problem, measure,
+                      run_convergence, run_scaling)
 from .oracle import dense_solve
 from .solver import Partitioned, Sequential, SharedWorkers, SolverConfig
 from .stencil import SchemeKind, coefficient_table
@@ -144,12 +144,8 @@ def _solver_config(args):
 
 
 def _print_rows(rows):
-    header = "scheme grid max_err l2_err l2_res setup_s transform_s exchange_s tridiag_s total_s"
-    print(header)
-    for row in rows:
-        print(f"{row.scheme} {row.grid} {row.max_err:.7e} {row.l2_err:.7e} "
-              f"{row.l2_res:.7e} {row.setup_s:.4f} {row.transform_s:.4f} "
-              f"{row.exchange_s:.4f} {row.tridiag_s:.4f} {row.total_s:.4f}")
+    for cells in [CSV_COLUMNS, *map(format_row, rows)]:
+        print(" ".join(cells))
 
 
 def _cmd_solve(args):
@@ -173,10 +169,7 @@ def _cmd_solve(args):
         print(f"oracle max relative deviation: {rel:.3e}")
         if rel > 1e-12:
             raise AssertionError(f"oracle mismatch: {rel:.3e} > 1e-12")
-    if args.out:
-        emit_table([row], args.format, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return [row]
 
 
 def _cmd_convergence(args):
@@ -189,10 +182,7 @@ def _cmd_convergence(args):
     _print_rows(rows)
     for (n0, n1), order in zip(zip(sizes, sizes[1:]), orders):
         print(f"observed order {n0}->{n1}: {order:.3f}")
-    if args.out:
-        emit_table(rows, args.format, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return rows
 
 
 def _cmd_scaling(args):
@@ -206,10 +196,7 @@ def _cmd_scaling(args):
     for count, row in zip(counts, rows):
         speedup = base / row.total_s if row.total_s > 0 else float("nan")
         print(f"workers {count}: speedup {speedup:.2f}")
-    if args.out:
-        emit_table(rows, args.format, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return rows
 
 
 def main(argv=None) -> int:
@@ -218,11 +205,13 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(args, verbs[args.verb])
         args = _defaults(args)
-        if args.verb == "solve":
-            return _cmd_solve(args)
-        if args.verb == "convergence":
-            return _cmd_convergence(args)
-        return _cmd_scaling(args)
+        verb = {"solve": _cmd_solve, "convergence": _cmd_convergence,
+                "scaling": _cmd_scaling}[args.verb]
+        rows = verb(args)
+        if args.out:
+            emit_table(rows, args.format, args.out)
+            print(f"wrote {args.out}")
+        return 0
     except SingularSystemError as exc:
         print(json.dumps({"error": "singular-system", "n": exc.n, "m": exc.m,
                           "detail": str(exc)}), file=sys.stderr)

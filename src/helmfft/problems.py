@@ -93,8 +93,6 @@ def helmholtz_problem(a: float, b: float, c: float, beta: float, gamma: float,
     beta^2 + gamma^2 = a^2 + b^2; the matching source is
     -b (2a + c) sin(c z) exp(-k(z)/c) sin(beta x) sin(gamma y).
     """
-    if n < 1:
-        raise ValueError(f"grid count must be >= 1, got {n}")
     if c == 0:
         raise ValueError("c must be nonzero")
     if scheme is SchemeKind.CONVECTION_DIFFUSION_4:
@@ -170,8 +168,6 @@ def convdiff_problem(gamma: float, n: int) -> ProblemSpec:
     combination of exp((-gamma/2 +- sigma) z) with sigma = sqrt(pi^2 + gamma^2/4),
     evaluated in a scaled form that stays finite for strongly convective gamma.
     """
-    if n < 1:
-        raise ValueError(f"grid count must be >= 1, got {n}")
     gamma = float(gamma)  # rejects complex input
     if gamma == 0.0:
         raise ValueError("convection coefficient must be nonzero")

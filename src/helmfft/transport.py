@@ -6,7 +6,7 @@ Two implementations of the same contract:
   the mandatory transport used by the partitioned execution mode.
 - SocketTransport: the same contract over byte-stream sockets with
   length-prefixed binary frames, so parts may live in separate processes or
-  hosts.
+  hosts. socket_mesh connects the parts of one process with socketpairs.
 
 Delivery is reliable and ordered per (sender, receiver) pair. Sends are
 buffered (they do not wait for the receiver), receives block until the
@@ -76,6 +76,16 @@ def _check_destination(out):
         raise ValueError("destination must be a writable 3D array with C-contiguous planes")
 
 
+def _check_fit(sender, receiver, stage, got_stage, shape, dtype, out):
+    """ExchangeError naming the edge unless a block of got_stage, shape and
+    dtype is the stage's block for out."""
+    if got_stage != stage or shape != out.shape or dtype != out.dtype:
+        raise ExchangeError(
+            f"stage {got_stage} {shape[::-1]} {dtype} block on edge ({sender}, {receiver}) "
+            f"does not fit stage {stage} into a {out.shape[::-1]} {out.dtype} destination",
+            sender=sender, receiver=receiver)
+
+
 def _planes(block):
     """The block as buffers in wire order: itself if C-contiguous, else its planes."""
     return [block] if block.flags.c_contiguous else list(block)
@@ -111,16 +121,7 @@ class InProcessTransport:
             self._mesh.channel(from_part, self.part).put((None, None))
             raise ExchangeError(f"part {from_part} closed edge ({from_part}, {self.part})",
                                 sender=from_part, receiver=self.part)
-        if got_stage != stage:
-            raise ExchangeError(
-                f"stage mismatch on edge ({from_part}, {self.part}): "
-                f"expected {stage}, got {got_stage}",
-                sender=from_part, receiver=self.part)
-        if block.shape != out.shape or block.dtype != out.dtype:
-            raise ExchangeError(
-                f"{block.shape[::-1]} {block.dtype} block on edge ({from_part}, {self.part}) "
-                f"does not fit a {out.shape[::-1]} {out.dtype} destination",
-                sender=from_part, receiver=self.part)
+        _check_fit(from_part, self.part, stage, got_stage, block.shape, block.dtype, out)
         out[...] = block
         return out
 
@@ -306,12 +307,7 @@ class SocketTransport:
         if (from_part, to_part) != (peer, self.part):
             raise ExchangeError(
                 f"misrouted frame ({from_part}, {to_part}) on edge ({peer}, {self.part})")
-        if got_stage != stage:
-            raise ExchangeError(f"stage mismatch on edge ({peer}, {self.part}): "
-                                f"expected {stage}, got {got_stage}")
-        if out.shape != shape or out.dtype != dtype:
-            raise ExchangeError(f"{shape[::-1]} {dtype.name} frame on edge ({peer}, {self.part}) "
-                                f"does not fit a {out.shape[::-1]} {out.dtype} destination")
+        _check_fit(peer, self.part, stage, got_stage, shape, dtype, out)
         _recv_buffers(sock, _planes(out), ready)
         if _BYTESWAP:
             out.byteswap(inplace=True)
@@ -340,31 +336,17 @@ class SocketTransport:
             sock.close()
 
 
-def socket_mesh(n_parts, host="127.0.0.1"):
-    """Fully-connected localhost TCP mesh; returns one SocketTransport per part.
+def socket_mesh(n_parts):
+    """Fully-connected mesh of socketpairs, one per pair of parts; returns one
+    SocketTransport per part.
 
-    Intended for tests and single-host experiments; a distributed deployment
-    would establish the same pairwise connections across machines.
+    Both ends of every pair live in this process, for tests and single-host
+    runs; a worker process may inherit its part's descriptors. A multi-host
+    deployment would connect the same pairs across machines and hand them
+    to SocketTransport, which takes any connected stream sockets.
     """
-    listeners = []
-    for _ in range(n_parts):
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, 0))
-        srv.listen(n_parts)
-        listeners.append(srv)
     peers = [{} for _ in range(n_parts)]
-    # every part connects to each higher-numbered part and names itself; the
-    # listen backlog holds the connections until they are accepted below
     for p in range(n_parts):
         for q in range(p + 1, n_parts):
-            sock = socket.create_connection(listeners[q].getsockname())
-            sock.sendall(_LEN.pack(p))
-            peers[p][q] = sock
-    for q, srv in enumerate(listeners):
-        for _ in range(q):
-            conn, _addr = srv.accept()
-            (who,) = _LEN.unpack(conn.recv(_LEN.size, socket.MSG_WAITALL))
-            peers[q][who] = conn
-        srv.close()
+            peers[p][q], peers[q][p] = socket.socketpair()
     return [SocketTransport(p, peers[p]) for p in range(n_parts)]

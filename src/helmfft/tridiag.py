@@ -21,16 +21,14 @@ PIVOT_RTOL = 1e-14
 
 # bytes of one level of an m-block in the blocked sweep, so that the level's
 # eigenvalue planes, pivots and cp row stay in a core's L2 however many modes
-# the slab holds
+# the slab holds. A batch of levels holds as many levels as fit this budget
+# at one plane of the m-block each, at least one, so that fewer and larger
+# numpy calls build the eigenvalues; its scratch is four planes a level
+# (three eigenvalue planes and the pivot magnitudes). Twice that scratch let
+# the freed memory raise glibc's dynamic mmap threshold, after which some
+# 159^3 two-part socket solves kept one to three exchange blocks resident on
+# the heap
 SWEEP_BLOCK_BYTES = 256 * 1024
-
-# bytes of scratch of one batch of levels in the sweep: four planes of the
-# m-block per level (three eigenvalue planes and the pivot magnitudes). A
-# batch holds as many levels as fit, at least one, so that fewer and larger
-# numpy calls build the eigenvalues. Twice this budget let the freed scratch
-# raise glibc's dynamic mmap threshold, after which some 159^3 two-part
-# socket solves kept one to three exchange blocks resident on the heap
-SWEEP_BATCH_BYTES = 1024 * 1024
 
 
 def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0,
@@ -74,12 +72,12 @@ def _sweep(w, cp, table, cx, cy, m_offset=0):
     call casts them; a cast sets a +0 imaginary part, as the cast inside a
     mixed float-complex product does, so the eigenvalues keep their bits.
 
-    The forward elimination runs in batches of L levels, L as many as fit
-    SWEEP_BATCH_BYTES at four planes a level. One eigenvalue_plane call
-    writes the batch's (L, 3, M, n_x) eigenvalue planes into one buffer;
-    each level then takes six out= calls, and its pivots overwrite its
-    middle plane. Every value is computed with the same operations in the
-    same order as one level at a time, so the result does not depend on L.
+    The forward elimination runs in batches of L levels, L as many planes
+    of w as fit SWEEP_BLOCK_BYTES. One eigenvalue_plane call writes the
+    batch's (L, 3, M, n_x) eigenvalue planes into one buffer; each level
+    then takes six out= calls, and its pivots overwrite its middle plane.
+    Every value is computed with the same operations in the same order as
+    one level at a time, so the result does not depend on L.
 
     Pivots are screened once per batch against the magnitude of the
     generating stencil weights (one scalar per sweep); eigenvalue
@@ -94,7 +92,7 @@ def _sweep(w, cp, table, cx, cy, m_offset=0):
     threshold = PIVOT_RTOL * scale
     cxy = (cy[:, None] * cx).astype(w.dtype, copy=False)  # the same at every level
     cx, cy = (c.astype(w.dtype, copy=False) for c in (cx, cy))
-    depth = max(1, min(n_z, SWEEP_BATCH_BYTES // (4 * w[0].nbytes)))
+    depth = max(1, min(n_z, SWEEP_BLOCK_BYTES // w[0].nbytes))
     lam = np.empty((depth, 3, n_m, n_x), dtype=w.dtype)
     weights = [t[:, :, None, None] for t in table]
 

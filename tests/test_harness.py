@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import helmfft.harness
@@ -83,6 +84,17 @@ class TestRunScaling:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_scaling(SchemeKind.SECOND_ORDER, "variable-k", 8, [1], mode="magic")
+
+    def test_a_one_ulp_drift_between_layouts_raises(self, monkeypatch):
+        def drifting(problem, config, label_suffix=""):
+            row, solution = measure(problem, config, label_suffix)
+            if label_suffix == "/w2":
+                solution.values.flat[7] = np.nextafter(solution.values.flat[7], np.inf)
+            return row, solution
+
+        monkeypatch.setattr(helmfft.harness, "measure", drifting)
+        with pytest.raises(AssertionError):
+            run_scaling(SchemeKind.SECOND_ORDER, "variable-k", 8, [1, 2])
 
 
 class TestEmitTable:
@@ -182,6 +194,23 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith(",".join(CSV_COLUMNS))
         assert "observed order" in capsys.readouterr().out
+
+    def test_convergence_failure_on_one_grid_names_its_mode(self, capsys, monkeypatch):
+        from helmfft.errors import SingularSystemError
+
+        def failing(problem, config, label_suffix=""):
+            if problem.grid.n_x == 10:
+                raise SingularSystemError("vanishing pivot", n=1, m=2)
+            return measure(problem, config, label_suffix)
+
+        monkeypatch.setattr(helmfft.harness, "measure", failing)
+        assert main(["convergence", "--scheme", "2", "--problem", "variable-k",
+                     "--grids", "8,10,16"]) == 2
+        captured = capsys.readouterr()
+        assert "observed order" not in captured.out
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == "singular-system"
+        assert (payload["n"], payload["m"]) == (1, 2)
 
     def test_scaling_verb(self, capsys):
         code = main(["scaling", "--scheme", "2", "--problem", "variable-k",

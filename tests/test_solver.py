@@ -942,7 +942,8 @@ class TestTwoSlabLayout:
         # Received blocks staged over sockets read 2.53; a z-slab staged
         # between the exchanges, copied sends and a slab-sized multiplier
         # buffer read 3.2 and 3.5
-        monkeypatch.setattr(tridiag, "SWEEP_BATCH_BYTES", 0)  # one level per batch
+        # one level per batch, one mode row per m-block
+        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 0)
         grid, prof = cube(48, k2=3.0)
         rhs = random_field(grid, 5)
         config = SolverConfig(mode=Partitioned(2), transport_factory=transport_factory)

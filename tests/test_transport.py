@@ -1,3 +1,4 @@
+import os
 import socket
 import struct
 import threading
@@ -242,6 +243,23 @@ class TestSocketTransport:
         assert escaped == []
         del got  # the transports must not keep the last block alive
         assert delivered() is None
+
+    def test_a_mesh_leaks_no_descriptor_or_thread(self):
+        import helmfft as hf
+
+        def held():
+            return len(os.listdir("/proc/self/fd")), threading.active_count()
+
+        p = hf.helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0,
+                                 hf.SchemeKind.SECOND_ORDER, 10)
+        before = held()
+        transports = socket_mesh(3)
+        assert held()[0] == before[0] + 6  # one socketpair per pair of parts
+        for t in transports:
+            t.close()
+        assert held() == before
+        hf.solve_direct(p, SolverConfig(mode=Partitioned(3), transport_factory=socket_mesh))
+        assert held() == before
 
     def test_writer_fault_fails_the_next_send_naming_edge(self):
         a, b = socket.socketpair()

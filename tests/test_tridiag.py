@@ -258,8 +258,8 @@ class TestBatchedSweep:
 
     @classmethod
     def budget_levels(cls, monkeypatch, w):
-        # four planes of scratch per level
-        monkeypatch.setattr(tridiag, "SWEEP_BATCH_BYTES", cls.DEPTH * 4 * w[0].nbytes)
+        # one plane of w per level
+        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", cls.DEPTH * w[0].nbytes)
 
     @staticmethod
     def table_and_data(dtype, n_z, n_y, n_x, seed):

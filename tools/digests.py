@@ -18,14 +18,16 @@ walls, a sixth-order problem with a complex profile, RHS and walls, the
 fourth-order complex problem on an odd 9 x 5 x 13 grid (whose z-slabs in
 three parts hold fewer mode rows of sweep multipliers than the y-slabs,
 or not one), and a real problem with complex walls (a fold that widens to
-complex). `--big` adds the 125^3 sixth-order case of the README. Every case
-runs in every mode. Then come a `measure` line for each catalog problem
-(harness.measure under Sequential: the solution's digest and repr(l2_res))
-and `dst2d` lines for seeded planes: a real and a complex 9 x 13 plane, real
-125^2 (dense kernel), 159^2 (pocketfft) and 250^2 (dense) planes and a
-complex 159^2 plane, each naming the kernel its x and y axes took. The
-last line says whether all modes agreed bitwise. Run it on two checkouts
-and diff the output.
+complex). `--big` adds the 125^3 sixth-order case of the README and the
+socket workload's own case, built by `perfbench/workloads.py` from seed 1
+(159^3 complex, whose exchange blocks cross a socket in many partial
+writes). Every case runs in every mode. Then come a `measure` line for
+each catalog problem (harness.measure under Sequential: the solution's
+digest and repr(l2_res)) and `dst2d` lines for seeded planes: a real and a
+complex 9 x 13 plane, real 125^2 (dense kernel), 159^2 (pocketfft) and
+250^2 (dense) planes and a complex 159^2 plane, each naming the kernel its
+x and y axes took. The last line says whether all modes agreed bitwise.
+Run it on two checkouts and diff the output.
 """
 
 import argparse
@@ -105,6 +107,11 @@ def cases(n, big):
         p = catalog(hf.SchemeKind.SIXTH_ORDER, 125)
         yield "6th-125-direct", (p.scheme, p.profile, p.grid), \
             lambda cfg: hf.solve_direct(p, cfg)
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        from workloads import FourthAbsorbPart2Socket as socket_workload
+        size = socket_workload.n
+        case = socket_workload.build(hf, socket_workload.make_inputs(1, size), size)
+        yield f"absorb-{size}-socket", (case.scheme, case.profile, case.grid), case.solve
 
 
 def digest(*arrays):
@@ -117,7 +124,8 @@ def digest(*arrays):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=33, help="catalog grid size")
-    parser.add_argument("--big", action="store_true", help="add the 125^3 sixth-order case")
+    parser.add_argument("--big", action="store_true",
+                        help="add the 125^3 sixth-order case and the socket workload's case")
     args = parser.parse_args()
     agree = True
     for name, operator, solve in cases(args.n, args.big):
