@@ -17,15 +17,11 @@ import sys
 import numpy as np
 
 from .errors import SingularSystemError
-from .harness import (CSV_COLUMNS, emit_table, format_row, make_problem, measure,
+from .harness import (CSV_COLUMNS, PROBLEMS, emit_table, format_row, make_problem, measure,
                       run_convergence, run_scaling)
 from .oracle import dense_solve
 from .solver import Partitioned, Sequential, SharedWorkers, SolverConfig
 from .stencil import SchemeKind, coefficient_table
-
-_SCHEMES = {"2": SchemeKind.SECOND_ORDER, "4": SchemeKind.FOURTH_ORDER,
-            "6": SchemeKind.SIXTH_ORDER, "cd4": SchemeKind.CONVECTION_DIFFUSION_4}
-
 
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -51,11 +47,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
-        p.add_argument("--scheme", choices=sorted(_SCHEMES), default=None)
-        p.add_argument("--problem", choices=["const-k", "variable-k", "convdiff"],
-                       default=None)
-        p.add_argument("--grid", default=None,
-                       help="N for a cube or NX,NY,NZ (cube required here)")
+        p.add_argument("--scheme", choices=[kind.value for kind in SchemeKind], default=None)
+        p.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
+        p.add_argument("--grid", type=int, default=None, help="N for an N^3 grid")
         p.add_argument("--mode", choices=["seq", "shared", "partitioned"], default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--parts", type=int, default=None)
@@ -109,6 +103,8 @@ def _defaults(args):
         args.scheme = "cd4" if args.problem == "convdiff" else "4"
     if args.problem is None:
         args.problem = "convdiff" if args.scheme == "cd4" else "variable-k"
+    if args.grid is None:
+        args.grid = 16
     if args.mode is None:
         args.mode = "seq"
     if args.workers is None:
@@ -118,19 +114,6 @@ def _defaults(args):
     if args.format is None:
         args.format = "csv"
     return args
-
-
-def _grid_size(args):
-    if args.grid is None:
-        return 16
-    parts = [int(tok) for tok in str(args.grid).split(",")]
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 3:
-        if parts[0] == parts[1] == parts[2]:
-            return parts[0]
-        raise ValueError("catalog problems use cubic grids; pass a single N")
-    raise ValueError(f"bad --grid value {args.grid!r}")
 
 
 def _solver_config(args):
@@ -149,15 +132,13 @@ def _print_rows(rows):
 
 
 def _cmd_solve(args):
-    n = _grid_size(args)
-    scheme = _SCHEMES[args.scheme]
-    problem = make_problem(args.problem, scheme, n)
+    if args.oracle and args.grid > 8:
+        raise ValueError("--oracle is limited to grids of at most 8^3")
+    problem = make_problem(args.problem, SchemeKind(args.scheme), args.grid)
     config = _solver_config(args)
     row, solution = measure(problem, config)
     _print_rows([row])
     if args.oracle:
-        if max(problem.grid.n_x, problem.grid.n_y, problem.grid.n_z) > 8:
-            raise ValueError("--oracle is limited to grids of at most 8^3")
         from .assembly import build_rhs
         rhs = build_rhs(problem.scheme, problem.source, problem.profile, problem.grid)
         ext = problem.boundary.closed_box(problem.grid)
@@ -173,12 +154,9 @@ def _cmd_solve(args):
 
 
 def _cmd_convergence(args):
-    scheme = _SCHEMES[args.scheme]
-    if args.grids:
-        sizes = [int(tok) for tok in args.grids.split(",")]
-    else:
-        sizes = [_grid_size(args)]
-    rows, orders = run_convergence(scheme, args.problem, sizes, _solver_config(args))
+    sizes = [int(tok) for tok in args.grids.split(",")] if args.grids else [args.grid]
+    rows, orders = run_convergence(SchemeKind(args.scheme), args.problem, sizes,
+                                   _solver_config(args))
     _print_rows(rows)
     for (n0, n1), order in zip(zip(sizes, sizes[1:]), orders):
         print(f"observed order {n0}->{n1}: {order:.3f}")
@@ -186,11 +164,10 @@ def _cmd_convergence(args):
 
 
 def _cmd_scaling(args):
-    scheme = _SCHEMES[args.scheme]
     counts = ([int(tok) for tok in args.worker_list.split(",")]
               if args.worker_list else [1, args.workers])
     mode = "partitioned" if args.mode == "partitioned" else "shared"
-    rows = run_scaling(scheme, args.problem, _grid_size(args), counts, mode=mode)
+    rows = run_scaling(SchemeKind(args.scheme), args.problem, args.grid, counts, mode=mode)
     _print_rows(rows)
     base = rows[0].total_s
     for count, row in zip(counts, rows):

@@ -94,8 +94,8 @@ def observed_orders(errors, steps):
 def run_convergence(scheme: SchemeKind, problem_id: str, grid_sizes,
                     config: SolverConfig = SolverConfig()):
     """One solve per grid size; returns (rows, orders from max_err)."""
-    if list(grid_sizes) != sorted(grid_sizes):
-        raise ValueError("grid sizes must be ascending")
+    if any(n0 >= n1 for n0, n1 in zip(grid_sizes, grid_sizes[1:])):
+        raise ValueError("grid sizes must be strictly ascending")
     rows = []
     errs = []
     steps = []

@@ -31,7 +31,7 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import InvalidPartitionError
 from .grid import CoefficientProfile, Grid3D
 from .spectral import make_plan, transform_stack
 from .stencil import SchemeKind, check_table, coefficient_table
-from .transport import (STAGE_FORWARD, STAGE_INVERSE, InProcessMesh)
+from .transport import STAGE_FORWARD, STAGE_INVERSE, in_process_mesh
 from . import tridiag
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ Mode = Union[Sequential, SharedWorkers, Partitioned]
 @dataclass(frozen=True)
 class SolverConfig:
     mode: Mode = field(default_factory=Sequential)
-    # factory(n_parts) -> list of transports, one per part; None = in-process
-    transport_factory: Optional[Callable] = None
+    # factory(n_parts) -> list of transports, one per part; one part calls none
+    transport_factory: Callable = in_process_mesh
 
 
 @dataclass(frozen=True)
@@ -293,13 +293,7 @@ def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
             table = tuple(w.real for w in table)
         setup_s = time.perf_counter() - t_start
 
-        if parts == 1:
-            transports = [None]
-        elif config.transport_factory is not None:
-            transports = config.transport_factory(parts)
-        else:
-            mesh = InProcessMesh(parts)
-            transports = [mesh.endpoint(p) for p in range(parts)]
+        transports = [None] if parts == 1 else config.transport_factory(parts)
         z_slabs = [values[z0:z1] for z0, z1 in z_ranges]
         # one part's z-slab is its y-slab; with peers each z-slab is dead
         # between the exchanges and holds its part's sweep multipliers

@@ -3,17 +3,18 @@
 Two implementations of the same contract:
 
 - InProcessTransport: per-(sender, receiver) FIFO channels inside one process;
-  the mandatory transport used by the partitioned execution mode.
+  in_process_mesh, the solver's default transport factory, builds them.
 - SocketTransport: the same contract over byte-stream sockets with
   length-prefixed binary frames, so parts may live in separate processes or
   hosts. socket_mesh connects the parts of one process with socketpairs.
 
 Delivery is reliable and ordered per (sender, receiver) pair. Sends are
-buffered (they do not wait for the receiver), receives block until the
-matching block arrives; the exchange itself is complete only when every
-expected block has been received, and the solver places a barrier between
-stages on top of that. Closing an endpoint ends its outgoing streams, so a
-peer's pending or later receive from it raises ExchangeError at once.
+buffered (they do not wait for the receiver), receives wait up to
+RECEIVE_TIMEOUT_S for the matching block; the exchange itself is complete
+only when every expected block has been received, and the solver places a
+barrier between stages on top of that. Closing an endpoint ends its
+outgoing streams, so a peer's pending or later receive from it raises
+ExchangeError at once.
 
 A sent block may be a view whose planes are each C-contiguous (a y-range
 of a z-slab). InProcessTransport passes it by reference. SocketTransport
@@ -59,6 +60,7 @@ from .errors import ExchangeError
 STAGE_FORWARD = 1
 STAGE_INVERSE = 2
 REAL_TAG = 0x100  # added to a frame's stage tag when its values are float64
+RECEIVE_TIMEOUT_S = 60.0  # how long a receive waits for its block
 
 _HEADER = struct.Struct("<6I")  # from, to, tag, ext_x, ext_y, ext_z
 _LEN = struct.Struct("<I")
@@ -92,33 +94,33 @@ def _planes(block):
 
 
 class InProcessTransport:
-    """Endpoint of a shared-memory mesh; obtain via InProcessMesh.endpoint().
+    """Endpoint of a shared-memory mesh; obtain via in_process_mesh().
 
     A sent block, view or not, is passed by reference, and a receive copies
     it into out: the receiver reads the sender's memory, which stays
     unchanged until the stage barrier.
     """
 
-    def __init__(self, mesh, part):
-        self._mesh = mesh
+    def __init__(self, part, channels):
         self.part = part
+        self._channels = channels
 
     def send(self, to_part, stage, block):
         if to_part == self.part:
             raise ExchangeError("self-send not routed through transport",
                                 sender=self.part, receiver=to_part)
-        self._mesh.channel(self.part, to_part).put((stage, block))
+        self._channels[(self.part, to_part)].put((stage, block))
 
     def receive(self, from_part, stage, out):
         _check_destination(out)
+        channel = self._channels[(from_part, self.part)]
         try:
-            got_stage, block = self._mesh.channel(from_part, self.part).get(
-                timeout=self._mesh.timeout)
+            got_stage, block = channel.get(timeout=RECEIVE_TIMEOUT_S)
         except queue.Empty:
             raise ExchangeError(f"timed out waiting for block {from_part} -> {self.part}",
                                 sender=from_part, receiver=self.part) from None
         if got_stage is None:  # end of stream, kept for later receives too
-            self._mesh.channel(from_part, self.part).put((None, None))
+            channel.put((None, None))
             raise ExchangeError(f"part {from_part} closed edge ({from_part}, {self.part})",
                                 sender=from_part, receiver=self.part)
         _check_fit(from_part, self.part, stage, got_stage, block.shape, block.dtype, out)
@@ -127,27 +129,17 @@ class InProcessTransport:
 
     def close(self):
         """End this part's outgoing streams: a peer's receive from it fails at once."""
-        for to_part in range(self._mesh.n_parts):
-            if to_part != self.part:
-                self._mesh.channel(self.part, to_part).put((None, None))
+        for (sender, _), channel in self._channels.items():
+            if sender == self.part:
+                channel.put((None, None))
 
 
-class InProcessMesh:
-    """All-pairs FIFO channels for np parts in one process."""
-
-    def __init__(self, n_parts, timeout=60.0):
-        self.n_parts = n_parts
-        self.timeout = timeout
-        self._channels = {
-            (s, r): queue.Queue()
-            for s in range(n_parts) for r in range(n_parts) if s != r
-        }
-
-    def channel(self, sender, receiver):
-        return self._channels[(sender, receiver)]
-
-    def endpoint(self, part) -> InProcessTransport:
-        return InProcessTransport(self, part)
+def in_process_mesh(n_parts):
+    """All-pairs FIFO channels for n_parts parts in one process; returns one
+    InProcessTransport per part."""
+    channels = {(s, r): queue.Queue()
+                for s in range(n_parts) for r in range(n_parts) if s != r}
+    return [InProcessTransport(p, channels) for p in range(n_parts)]
 
 
 def _wire_block(block) -> np.ndarray:
@@ -271,7 +263,7 @@ class SocketTransport:
         block = _wire_block(block)
         outbox.put([_frame_header(self.part, to_part, stage, block), *_planes(block)])
 
-    def receive(self, from_part, stage, out, timeout=60.0):
+    def receive(self, from_part, stage, out):
         sock = self._socks.get(from_part)
         if sock is None:
             raise ExchangeError(f"no connection from {from_part} to {self.part}",
@@ -279,7 +271,7 @@ class SocketTransport:
         _check_destination(out)
         fault = self._faults.get(from_part)
         if fault is None:
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + RECEIVE_TIMEOUT_S
             poller = select.poll()
             poller.register(sock, select.POLLIN)
 

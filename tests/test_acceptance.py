@@ -28,7 +28,7 @@ from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig
                             solve_with_timings)
 from helmfft.spectral import dst2d, make_plan
 from helmfft.stencil import SchemeKind, coefficient_table
-from helmfft.transport import InProcessMesh
+from helmfft.transport import in_process_mesh
 
 HELMHOLTZ_SCHEMES = {
     "2": SchemeKind.SECOND_ORDER,
@@ -255,7 +255,7 @@ def test_criterion_08_structural_invariants(capfd):
     for parts in (2, 3, 4):
         grid = make_grid(Domain(0, 1, 0, 1, 0, 1), 6, 6, 6)
         plan_ex = make_exchange_plan(grid, parts)
-        mesh = InProcessMesh(parts, timeout=10.0)
+        mesh = in_process_mesh(parts)
         values = (rng.standard_normal(grid.shape)
                   + 1j * rng.standard_normal(grid.shape))
         out = np.empty_like(values)
@@ -265,10 +265,10 @@ def test_criterion_08_structural_invariants(capfd):
             z0, z1 = plan_ex.z_ranges[part]
             y0, y1 = plan_ex.y_ranges[part]
             z_slab = values[z0:z1].copy()
-            y_slab = exchange_forward(plan_ex, mesh.endpoint(part), part,
+            y_slab = exchange_forward(plan_ex, mesh[part], part,
                                       (z_slab, np.empty((6, y1 - y0, 6), dtype=complex)))
             barrier.wait()
-            out[z0:z1] = exchange_inverse(plan_ex, mesh.endpoint(part), part,
+            out[z0:z1] = exchange_inverse(plan_ex, mesh[part], part,
                                           (z_slab, y_slab))
 
         threads = [threading.Thread(target=worker, args=(p,))
@@ -348,8 +348,7 @@ def test_criterion_10_scaling_and_exchange_volumes(variable_k_results, capfd):
     log = []
 
     def factory(n_parts):
-        mesh = InProcessMesh(n_parts)
-        return [CountingTransport(mesh.endpoint(p), log) for p in range(n_parts)]
+        return [CountingTransport(t, log) for t in in_process_mesh(n_parts)]
 
     config = SolverConfig(mode=Partitioned(parts), transport_factory=factory)
     hf.solve_direct(problem, config)

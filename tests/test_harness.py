@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import helmfft.cli
 import helmfft.harness
 import helmfft.solver
 from helmfft.assembly import build_rhs, fold_dirichlet, residual_l2
@@ -43,9 +44,10 @@ class TestRunConvergence:
         assert orders == []
         assert rows[0].l2_res < 1e-10
 
-    def test_grids_must_ascend(self):
-        with pytest.raises(ValueError):
-            run_convergence(SchemeKind.SECOND_ORDER, "variable-k", [32, 16])
+    @pytest.mark.parametrize("sizes", [[32, 16], [6, 6]])
+    def test_grids_must_ascend(self, sizes):
+        with pytest.raises(ValueError):  # equal sizes give no order: log(h/h) = 0
+            run_convergence(SchemeKind.SECOND_ORDER, "variable-k", sizes)
 
     def test_two_grids_give_order(self):
         # grids resolving the k ~ 19 oscillation, past the preasymptotic range
@@ -181,10 +183,13 @@ class TestCli:
         assert main(["solve", "--scheme", "4", "--problem", "variable-k",
                      "--grid", "6", "--oracle"]) == 0
 
-    def test_oracle_size_limit(self, capsys):
+    def test_oracle_size_limit(self, capsys, monkeypatch):
+        calls, real = [], helmfft.cli.measure
+        monkeypatch.setattr(helmfft.cli, "measure", lambda *args: calls.append(args) or real(*args))
         assert main(["solve", "--grid", "12", "--oracle"]) == 1
-        err = capsys.readouterr().err
-        payload = json.loads(err.strip())
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""  # refused before the solve
+        payload = json.loads(captured.err.strip())
         assert "8^3" in payload["detail"]
 
     def test_convergence_verb_with_output(self, tmp_path, capsys):
@@ -194,6 +199,11 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith(",".join(CSV_COLUMNS))
         assert "observed order" in capsys.readouterr().out
+
+    def test_convergence_equal_grids_exit_with_one_json_line(self, capsys):
+        assert main(["convergence", "--scheme", "2", "--grids", "6,6"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and json.loads(err[0])["error"] == "ValueError"
 
     def test_convergence_failure_on_one_grid_names_its_mode(self, capsys, monkeypatch):
         from helmfft.errors import SingularSystemError
@@ -238,7 +248,8 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [("mode", "bogus"), ("format", "xml"),
                                             ("scheme", "9"), ("problem", "nope"),
-                                            ("workers", "two"), ("oracle", "bogus")])
+                                            ("workers", "two"), ("oracle", "bogus"),
+                                            ("grid", "8,8,8")])
     def test_config_file_values_checked_like_flags(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(f"grid=8\n{key}={value}\n")

@@ -23,7 +23,7 @@ from helmfft.solver import (Partitioned, Sequential, SharedWorkers, SolverConfig
                             make_exchange_plan, plan_partition, solve_direct,
                             solve_discrete, solve_stencil)
 from helmfft.stencil import SchemeKind, coefficient_table, mode_cosines
-from helmfft.transport import InProcessMesh, socket_mesh
+from helmfft.transport import in_process_mesh, socket_mesh
 
 PI = math.pi
 
@@ -102,7 +102,7 @@ def run_exchange_roundtrip(field_values, parts):
     plan_grid = make_grid(Domain(0, 1, 0, 1, 0, 1),
                           grid_like[2], grid_like[1], grid_like[0])
     ex_plan = make_exchange_plan(plan_grid, parts)
-    mesh = InProcessMesh(parts, timeout=10.0)
+    mesh = in_process_mesh(parts)
     out = np.empty_like(field_values)
     y_slabs = [None] * parts
     barrier = threading.Barrier(parts)
@@ -110,11 +110,11 @@ def run_exchange_roundtrip(field_values, parts):
     def worker(part):
         z0, z1 = ex_plan.z_ranges[part]
         local = field_values[z0:z1].copy()
-        y_slab = exchange_forward(ex_plan, mesh.endpoint(part), part,
+        y_slab = exchange_forward(ex_plan, mesh[part], part,
                                   (local, empty_y_slab(ex_plan, part, local.dtype)))
         y_slabs[part] = y_slab.copy()
         barrier.wait()
-        back = exchange_inverse(ex_plan, mesh.endpoint(part), part, (local, y_slab))
+        back = exchange_inverse(ex_plan, mesh[part], part, (local, y_slab))
         out[z0:z1] = back
 
     threads = [threading.Thread(target=worker, args=(p,)) for p in range(parts)]
@@ -160,13 +160,13 @@ class TestExchange:
     def test_extent_validation(self):
         grid, _ = cube(6)
         plan = make_exchange_plan(grid, 2)
-        mesh = InProcessMesh(2)
+        mesh = in_process_mesh(2)
         with pytest.raises(ValueError):
-            exchange_forward(plan, mesh.endpoint(0), 0,
+            exchange_forward(plan, mesh[0], 0,
                              (np.zeros((1, 6, 6), dtype=complex),
                               np.zeros((6, 3, 6), dtype=complex)))
         with pytest.raises(ValueError):
-            exchange_inverse(plan, mesh.endpoint(0), 0,
+            exchange_inverse(plan, mesh[0], 0,
                              (np.zeros((3, 6, 6), dtype=complex),
                               np.zeros((1, 3, 6), dtype=complex)))
 
@@ -377,8 +377,7 @@ class TestFailFast:
             if mesh == "socket":
                 transports = socket_mesh(parts)
             else:  # the default 60 s timeout
-                in_process = InProcessMesh(parts)
-                transports = [in_process.endpoint(p) for p in range(parts)]
+                transports = in_process_mesh(parts)
 
             waiting, receive = threading.Event(), transports[1].receive
 
@@ -433,7 +432,7 @@ class TestFailFast:
         start = time.perf_counter()
         with pytest.raises(RuntimeError) as err:
             solve_discrete(*args, SolverConfig(
-                mode=mode, transport_factory=socket_mesh if mesh == "socket" else None))
+                mode=mode, transport_factory=socket_mesh if mesh == "socket" else in_process_mesh))
         assert err.value is injected
         assert time.perf_counter() - start < 5.0
         assert raised_on == ([caller] if fault == "forward-part-0" else [])
@@ -454,8 +453,9 @@ class TestRunnerThreads:
 
         monkeypatch.setattr(helmfft.solver, "ThreadPoolExecutor", RecordingPool)
         problem, args = catalog_problem(SchemeKind.SIXTH_ORDER, 17), complex_anisotropic_case()
-        for mode, factory, threads in ((Sequential(), None, 1), (SharedWorkers(3), None, 3),
-                                       (Partitioned(2), None, 2), (Partitioned(2, 2), None, 4),
+        mesh = in_process_mesh
+        for mode, factory, threads in ((Sequential(), mesh, 1), (SharedWorkers(3), mesh, 3),
+                                       (Partitioned(2), mesh, 2), (Partitioned(2, 2), mesh, 4),
                                        (Partitioned(2), socket_mesh, 2)):
             config = SolverConfig(mode=mode, transport_factory=factory)
             for solve in (lambda: solve_direct(problem, config),
@@ -934,7 +934,7 @@ class TestTwoSlabLayout:
     """A part holds its z-slab and its y-slab, and nothing else slab-sized:
     the sweep's multipliers live in the z-slab, dead between the exchanges."""
 
-    @pytest.mark.parametrize("transport_factory", [None, socket_mesh],
+    @pytest.mark.parametrize("transport_factory", [in_process_mesh, socket_mesh],
                              ids=["in-process", "sockets"])
     def test_peak_allocation_holds_two_slabs(self, transport_factory, monkeypatch):
         # the working field and the y-slabs: 2.2 fields at 48^3 with either

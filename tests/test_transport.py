@@ -14,8 +14,8 @@ from helmfft.grid import Domain, make_grid
 from helmfft.solver import (Partitioned, SolverConfig, exchange_forward,
                             exchange_inverse, make_exchange_plan)
 from helmfft.transport import (_HEADER, REAL_TAG, STAGE_FORWARD, STAGE_INVERSE,
-                               InProcessMesh, SocketTransport, _frame_header,
-                               _frame_layout, _wire_block, socket_mesh)
+                               SocketTransport, _frame_header, _frame_layout, _wire_block,
+                               in_process_mesh, socket_mesh)
 
 
 def encode_frame(from_part, to_part, stage, block: np.ndarray) -> bytes:
@@ -103,8 +103,7 @@ class TestFrameFormat:
 
 class TestInProcessTransport:
     def test_send_receive_ordering(self):
-        mesh = InProcessMesh(2, timeout=5.0)
-        a, b = mesh.endpoint(0), mesh.endpoint(1)
+        a, b = in_process_mesh(2)
         first = np.ones((1, 1, 2), dtype=complex)
         second = 2 * first
         a.send(1, STAGE_FORWARD, first)
@@ -114,34 +113,34 @@ class TestInProcessTransport:
         assert np.array_equal(b.receive(0, STAGE_FORWARD, out), second)
 
     def test_extent_mismatch_raises(self):
-        mesh = InProcessMesh(2, timeout=1.0)
-        mesh.endpoint(0).send(1, STAGE_FORWARD, np.ones((1, 1, 2), dtype=complex))
+        mesh = in_process_mesh(2)
+        mesh[0].send(1, STAGE_FORWARD, np.ones((1, 1, 2), dtype=complex))
         with pytest.raises(ExchangeError) as err:
-            mesh.endpoint(1).receive(0, STAGE_FORWARD, np.empty((1, 1, 3), dtype=complex))
+            mesh[1].receive(0, STAGE_FORWARD, np.empty((1, 1, 3), dtype=complex))
         assert (err.value.sender, err.value.receiver) == (0, 1)
 
     def test_receive_into_out_copies_the_view(self):
-        mesh = InProcessMesh(2, timeout=5.0)
+        mesh = in_process_mesh(2)
         z_slab = np.arange(4 * 5 * 3, dtype=complex).reshape(4, 5, 3)
-        mesh.endpoint(0).send(1, STAGE_FORWARD, z_slab[:, 1:3, :])
+        mesh[0].send(1, STAGE_FORWARD, z_slab[:, 1:3, :])
         out = np.zeros((4, 2, 3), dtype=complex)
-        assert mesh.endpoint(1).receive(0, STAGE_FORWARD, out) is out
+        assert mesh[1].receive(0, STAGE_FORWARD, out) is out
         assert np.array_equal(out, z_slab[:, 1:3, :])
-        mesh.endpoint(0).send(1, STAGE_FORWARD, z_slab[:, 1:3, :])
+        mesh[0].send(1, STAGE_FORWARD, z_slab[:, 1:3, :])
         with pytest.raises(ExchangeError) as err:
-            mesh.endpoint(1).receive(0, STAGE_FORWARD, out.real.copy())
+            mesh[1].receive(0, STAGE_FORWARD, out.real.copy())
         assert (err.value.sender, err.value.receiver) == (0, 1)
 
-    def test_timeout_names_edge(self):
-        mesh = InProcessMesh(2, timeout=0.05)
+    def test_timeout_names_edge(self, monkeypatch):
+        monkeypatch.setattr("helmfft.transport.RECEIVE_TIMEOUT_S", 0.05)
+        mesh = in_process_mesh(2)
         with pytest.raises(ExchangeError) as err:
-            mesh.endpoint(1).receive(0, STAGE_FORWARD, np.empty((1, 1, 1), dtype=complex))
+            mesh[1].receive(0, STAGE_FORWARD, np.empty((1, 1, 1), dtype=complex))
         assert err.value.sender == 0 and err.value.receiver == 1
 
 
     def test_close_fails_a_pending_receive_at_once_naming_edge(self):
-        mesh = InProcessMesh(2)  # the default 60 s timeout
-        sender, receiver = mesh.endpoint(0), mesh.endpoint(1)
+        sender, receiver = in_process_mesh(2)  # the default 60 s timeout
         sender.send(1, STAGE_FORWARD, np.ones((1, 1, 2), dtype=complex))
         timer = threading.Timer(0.1, sender.close)
         timer.start()
@@ -164,7 +163,7 @@ class TestSocketTransport:
         try:
             block = np.arange(6, dtype=complex).reshape(1, 2, 3)
             transports[0].send(1, STAGE_FORWARD, block)
-            got = transports[1].receive(0, STAGE_FORWARD, np.empty_like(block), timeout=5.0)
+            got = transports[1].receive(0, STAGE_FORWARD, np.empty_like(block))
             assert np.array_equal(got, block)
         finally:
             for t in transports:
@@ -186,12 +185,12 @@ class TestSocketTransport:
                 sock.shutdown(socket.SHUT_WR)
             # blocks read before the fault are still delivered, in order
             out = np.empty_like(block)
-            got = transports[1].receive(0, STAGE_FORWARD, out, timeout=5.0)
+            got = transports[1].receive(0, STAGE_FORWARD, out)
             assert np.array_equal(got, block)
             start = time.perf_counter()
             for _ in range(2):  # the fault stays raised for later receives
                 with pytest.raises(ExchangeError) as err:
-                    transports[1].receive(0, STAGE_FORWARD, out, timeout=30.0)
+                    transports[1].receive(0, STAGE_FORWARD, out)
                 assert (err.value.sender, err.value.receiver) == (0, 1)
             assert time.perf_counter() - start < 5.0
         finally:
@@ -207,8 +206,7 @@ class TestSocketTransport:
             start = time.perf_counter()
             for _ in range(2):  # the edge stays failed for later receives
                 with pytest.raises(ExchangeError) as err:
-                    transports[1].receive(0, STAGE_INVERSE, np.empty_like(block),
-                                          timeout=30.0)
+                    transports[1].receive(0, STAGE_INVERSE, np.empty_like(block))
                 assert (err.value.sender, err.value.receiver) == (0, 1)
                 assert time.perf_counter() - start < 5.0
         finally:
@@ -221,7 +219,7 @@ class TestSocketTransport:
             t.close()
         start = time.perf_counter()
         with pytest.raises(ExchangeError) as err:
-            transports[1].receive(0, STAGE_FORWARD, np.empty((1, 1, 2)), timeout=30.0)
+            transports[1].receive(0, STAGE_FORWARD, np.empty((1, 1, 2)))
         assert (err.value.sender, err.value.receiver) == (0, 1)
         assert time.perf_counter() - start < 5.0
 
@@ -233,8 +231,7 @@ class TestSocketTransport:
         started = set(threading.enumerate()) - before
         assert len(started) == 2  # one writer per peer, and no other thread
         transports[0].send(1, STAGE_FORWARD, np.ones((1, 1, 2), dtype=complex))
-        got = transports[1].receive(0, STAGE_FORWARD, np.empty((1, 1, 2), dtype=complex),
-                                    timeout=5.0)
+        got = transports[1].receive(0, STAGE_FORWARD, np.empty((1, 1, 2), dtype=complex))
         delivered = weakref.ref(got)
         for t in transports:
             t.close()
@@ -319,8 +316,7 @@ class TestSocketTransport:
         transports = socket_mesh(2)
         try:
             transports[0].send(1, STAGE_FORWARD, block)
-            got = transports[1].receive(0, STAGE_FORWARD, np.empty(block.shape, complex),
-                                        timeout=10.0)
+            got = transports[1].receive(0, STAGE_FORWARD, np.empty(block.shape, complex))
         finally:
             for t in transports:
                 t.close()
@@ -355,7 +351,7 @@ class TestSocketTransport:
         transports = socket_mesh(2)
         try:
             transports[1].send(0, STAGE_INVERSE, block)
-            got = transports[0].receive(1, STAGE_INVERSE, np.empty_like(block), timeout=5.0)
+            got = transports[0].receive(1, STAGE_INVERSE, np.empty_like(block))
         finally:
             for t in transports:
                 t.close()
@@ -433,7 +429,7 @@ class TestReceiveInPlace:
         try:
             base = tracemalloc.get_traced_memory()[0]
             transports[0].send(1, STAGE_FORWARD, block)
-            got = transports[1].receive(0, STAGE_FORWARD, out, timeout=30.0)
+            got = transports[1].receive(0, STAGE_FORWARD, out)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -453,11 +449,11 @@ class TestReceiveInPlace:
             transports[0].send(1, STAGE_FORWARD, block)
             transports[0].send(1, STAGE_FORWARD, block)
             with pytest.raises(ExchangeError) as err:
-                transports[1].receive(0, STAGE_FORWARD, out, timeout=30.0)
+                transports[1].receive(0, STAGE_FORWARD, out)
             assert (err.value.sender, err.value.receiver) == (0, 1)
             start = time.perf_counter()
             with pytest.raises(ExchangeError) as err:  # the edge stays failed
-                transports[1].receive(0, STAGE_FORWARD, np.empty_like(block), timeout=30.0)
+                transports[1].receive(0, STAGE_FORWARD, np.empty_like(block))
             assert (err.value.sender, err.value.receiver) == (0, 1)
             assert time.perf_counter() - start < 5.0
         finally:
@@ -477,23 +473,26 @@ class TestReceiveInPlace:
             for t in transports:
                 t.close()
 
-    def test_timeout_before_the_frame_leaves_the_edge_usable(self):
+    def test_timeout_before_the_frame_leaves_the_edge_usable(self, monkeypatch):
+        monkeypatch.setattr("helmfft.transport.RECEIVE_TIMEOUT_S", 0.05)
         transports = socket_mesh(2)
         try:
             out = np.zeros((3, 2, 4), complex)
             with pytest.raises(ExchangeError) as err:
-                transports[1].receive(0, STAGE_FORWARD, out, timeout=0.05)
+                transports[1].receive(0, STAGE_FORWARD, out)
             assert (err.value.sender, err.value.receiver) == (0, 1)
+            monkeypatch.setattr("helmfft.transport.RECEIVE_TIMEOUT_S", 30.0)
             block = random_block((3, 2, 4), complex, 14)
             transports[0].send(1, STAGE_FORWARD, block)
-            got = transports[1].receive(0, STAGE_FORWARD, np.empty_like(block), timeout=30.0)
+            got = transports[1].receive(0, STAGE_FORWARD, np.empty_like(block))
             assert np.array_equal(got, block)
             assert not out.any()  # the timed-out destination was not written
         finally:
             for t in transports:
                 t.close()
 
-    def test_timeout_mid_frame_fails_the_edge(self):
+    def test_timeout_mid_frame_fails_the_edge(self, monkeypatch):
+        monkeypatch.setattr("helmfft.transport.RECEIVE_TIMEOUT_S", 0.2)
         block = random_block((3, 2, 4), complex, 15)
         frame = encode_frame(0, 1, STAGE_FORWARD, block)
         transports = socket_mesh(2)
@@ -503,7 +502,7 @@ class TestReceiveInPlace:
 
             def receive():
                 try:
-                    transports[1].receive(0, STAGE_FORWARD, out, timeout=0.2)
+                    transports[1].receive(0, STAGE_FORWARD, out)
                 except ExchangeError as exc:
                     errors.append((exc.sender, exc.receiver))
 
@@ -513,8 +512,9 @@ class TestReceiveInPlace:
             receiver.join(timeout=5.0)
             assert not receiver.is_alive() and errors == [(0, 1)]
             transports[0]._socks[1].sendall(frame[-16:])  # too late: the edge stays failed
+            monkeypatch.setattr("helmfft.transport.RECEIVE_TIMEOUT_S", 30.0)
             with pytest.raises(ExchangeError):
-                transports[1].receive(0, STAGE_FORWARD, out, timeout=30.0)
+                transports[1].receive(0, STAGE_FORWARD, out)
             assert time.perf_counter() - start < 5.0
         finally:
             for t in transports:
@@ -541,7 +541,7 @@ class TestNoDeadlock:
                 out = np.empty(shape)
                 for q in range(parts):
                     if q != p:
-                        transports[p].receive(q, STAGE_FORWARD, out, timeout=30.0)
+                        transports[p].receive(q, STAGE_FORWARD, out)
                         assert np.array_equal(out, sources[q])
             except BaseException as exc:
                 errors.append(exc)

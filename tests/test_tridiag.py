@@ -256,13 +256,13 @@ class TestBatchedSweep:
 
     DEPTH = 4
 
-    @classmethod
-    def budget_levels(cls, monkeypatch, w):
+    @staticmethod
+    def budget_levels(monkeypatch, w, depth=DEPTH):
         # one plane of w per level
-        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", cls.DEPTH * w[0].nbytes)
+        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", depth * w[0].nbytes)
 
     @staticmethod
-    def table_and_data(dtype, n_z, n_y, n_x, seed):
+    def table_and_data(dtype, n_z, n_y, n_x, seed, rows="random"):
         # random weights with a dominant centre: generic complex values make
         # every product's rounding, and so its operand order, matter
         rng = np.random.default_rng(seed)
@@ -273,24 +273,30 @@ class TestBatchedSweep:
 
         A, B, C, D = (0.3 * draw(n_z, 3) for _ in range(4))
         D[:, 1] += 8.0
+        if rows == "layered":  # runs of three equal rows, as in a constant band
+            A, B, C, D = (t[np.arange(n_z) // 3 * 3] for t in (A, B, C, D))
+        elif rows == "zero-columns":  # as at fourth order
+            A[:, 0] = A[:, 2] = 0.0
         cx = np.cos(PI * np.arange(1, n_x + 1) / (n_x + 1))
         cy = np.cos(PI * np.arange(1, n_y + 1) / (n_y + 1))
         return (A, B, C, D), draw(n_z, n_y, n_x), cx, cy
 
+    @pytest.mark.parametrize("rows", ["random", "layered", "zero-columns"])
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n_z", [1, 2, DEPTH - 1, DEPTH, DEPTH + 1, 3 * DEPTH + 2])
-    def test_bitwise_equal_to_per_level_reference(self, monkeypatch, dtype, n_z):
-        table, data, cx, cy = self.table_and_data(dtype, n_z, 9, 7, seed=41 + n_z)
+    def test_bitwise_equal_to_per_level_reference(self, monkeypatch, dtype, n_z, rows):
+        table, data, cx, cy = self.table_and_data(dtype, n_z, 9, 7, seed=41 + n_z, rows=rows)
         for m_offset in (0, 3):
             expect = data[:, m_offset:].copy()
             sweep_reference(expect, np.empty_like(expect), table, cx, cy[m_offset:],
                             m_offset=m_offset)
-            got = data[:, m_offset:].copy()
-            self.budget_levels(monkeypatch, got)
-            tridiag._sweep(got, np.empty_like(got), table, cx, cy[m_offset:],
-                           m_offset=m_offset)
-            assert got.dtype == expect.dtype
-            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+            for depth in (1, self.DEPTH):
+                got = data[:, m_offset:].copy()
+                self.budget_levels(monkeypatch, got, depth)
+                tridiag._sweep(got, np.empty_like(got), table, cx, cy[m_offset:],
+                               m_offset=m_offset)
+                assert got.dtype == expect.dtype
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_resonant_row_in_mid_batch_named(self, monkeypatch, dtype):
