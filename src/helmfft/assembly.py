@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnsupportedSchemeError, check_finite
 from .grid import CoefficientProfile, Grid3D
-from .stencil import SchemeKind
+from .stencil import SchemeKind, check_profile, check_table
 
 # (di, dj) -> which weight of the level multiplies that neighbor
 _PLANE_OFFSETS = (
@@ -221,12 +221,19 @@ def _is_real(values) -> bool:
     return not np.iscomplexobj(values) or not np.any(np.imag(values))
 
 
-def _works_real(values: np.ndarray, table, faces):
-    """(real, table, faces): real when values are float64 and the coefficient
-    table and the boundary faces (None for a known-zero boundary) have zero
-    imaginary parts, so float64 is exact; the table and the faces then come
-    back as their real parts, which drops only zeros. This is the one place
-    where a solve's dtype is decided."""
+def _operands(values: np.ndarray, boundary: BoundaryData, table, grid: Grid3D, name: str):
+    """(real, table, faces), checked: values of the grid's shape, a checked
+    table and finite faces (None for a known-zero boundary). real when values
+    are float64 and the table and the faces have zero imaginary parts, so
+    float64 is exact; the table and the faces then come back as their real
+    parts, which drops only zeros. This is the one place where a solve's
+    dtype is decided."""
+    if values.shape != grid.shape:
+        raise ValueError(f"{name} shape {values.shape} != grid {grid.shape}")
+    table = check_table(table, grid)
+    faces = None if boundary.known_zero else boundary.faces(grid)
+    if faces is not None:
+        _check_faces(faces, grid)
     real = (values.dtype == np.float64 and all(_is_real(w) for w in table)
             and (faces is None or all(_is_real(f) for f in faces)))
     if real:
@@ -260,6 +267,7 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
     Convection-diffusion: F = h_z^2 (f + h_x^2/12 f_xx + h_y^2/12 f_yy
                     + h_z^2/12 (gamma f_z + f_zz)).
 
+    The profile is checked before any sample (see stencil.check_profile).
     The field is built in z-chunks of about RHS_CHUNK_BYTES. A chunk's
     formulas run on samples of the chunk's own planes (fourth order: with
     one more closed-grid plane on each side), so no full-volume sample is
@@ -278,6 +286,7 @@ def build_rhs(scheme: SchemeKind, source: SourceSpec, profile: CoefficientProfil
     build in complex).
     """
     run = run or _inline
+    check_profile(profile, grid)
     _check_source(scheme, source, grid)
     if dtype is None:
         read = {SchemeKind.SIXTH_ORDER: (profile.k2, profile.k2_z),
@@ -420,16 +429,16 @@ def _accumulate(ext: np.ndarray, table) -> np.ndarray:
 def apply_stencil(u: Field3D, boundary: BoundaryData, table, grid: Grid3D) -> Field3D:
     """Matrix-free A*u, including contributions from the boundary lattice.
 
-    table is the operator's (A, B, C, D) coefficient table. A float64 u with
-    a real table and real boundary values (a known-zero boundary counts as
-    real) is painted and accumulated in float64, and the result is float64:
-    the real part of the complex path's result. Any other input works in
-    complex128.
+    table is the operator's (A, B, C, D) coefficient table. u, the table
+    and the boundary values are checked first, as the fold checks them: a
+    wrong shape raises ValueError, a non-finite table entry or boundary
+    value NonFiniteInputError naming the field and the node. A float64 u
+    with a real table and real boundary values (a known-zero boundary counts
+    as real) is painted and accumulated in float64, and the result is
+    float64: the real part of the complex path's result. Any other input
+    works in complex128.
     """
-    if u.values.shape != grid.shape:
-        raise ValueError(f"field shape {u.values.shape} != grid {grid.shape}")
-    faces = None if boundary.known_zero else boundary.faces(grid)
-    real, table, faces = _works_real(u.values, table, faces)
+    real, table, faces = _operands(u.values, boundary, table, grid, "field")
     closed = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
     dtype = float if real else complex
     if faces is None:
@@ -448,9 +457,9 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
     its neighbors on the boundary lattice, with the weights of the (A, B, C,
     D) coefficient table; rows without boundary neighbors are copied
     unchanged. Only the six boundary-adjacent layers are computed, so the
-    cost past the copy is O(n^2). The right-hand side and the boundary values
-    are checked first (the table's builder has checked the profile): a
-    non-finite value raises NonFiniteInputError naming the field and the node.
+    cost past the copy is O(n^2). The table, the right-hand side and the
+    boundary values are checked first: a wrong shape raises ValueError, a
+    non-finite value NonFiniteInputError naming the field and the node.
 
     The copy is float64 when the right-hand side is float64 and the table
     and the boundary faces have zero imaginary parts (a known-zero boundary
@@ -460,12 +469,7 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
     A float64 right-hand side that the fold widens to complex is copied
     either way.
     """
-    if rhs.values.shape != grid.shape:
-        raise ValueError(f"rhs shape {rhs.values.shape} != grid {grid.shape}")
-    faces = None if boundary.known_zero else boundary.faces(grid)
-    if faces is not None:
-        _check_faces(faces, grid)
-    real, table, faces = _works_real(rhs.values, table, faces)
+    real, table, faces = _operands(rhs.values, boundary, table, grid, "rhs")
     dtype = np.dtype(float if real else complex)
     in_place = not copy and rhs.values.dtype == dtype
     values = rhs.values if in_place else np.empty(grid.shape, dtype=dtype)

@@ -22,44 +22,36 @@ from .stencil import SchemeKind
 
 
 class _SineExpProfile:
-    """A trig polynomial in (sin cz, cos cz), optionally times exp(-(a-b sin cz)/c)."""
+    """A trig polynomial in (sin cz, cos cz) times exp(-(a-b sin cz)/c)."""
 
-    def __init__(self, terms, a, b, c, with_exp=True):
+    def __init__(self, terms, a, b, c):
         self.terms = dict(terms)  # (sin_power, cos_power) -> coefficient
         self.a = a
         self.b = b
         self.c = c
-        self.with_exp = with_exp
 
     def derivative(self) -> "_SineExpProfile":
-        new = {}
-
-        def add(j, e, coef):
+        def add(terms, j, e, coef):
             if coef != 0.0:
-                new[(j, e)] = new.get((j, e), 0.0) + coef
+                terms[(j, e)] = terms.get((j, e), 0.0) + coef
 
+        new = {}
         for (j, e), coef in self.terms.items():
             if j >= 1:
-                add(j - 1, e + 1, coef * j * self.c)
+                add(new, j - 1, e + 1, coef * j * self.c)
             if e >= 1:
-                add(j + 1, e - 1, -coef * e * self.c)
-            if self.with_exp:
-                add(j, e + 1, coef * self.b)
+                add(new, j + 1, e - 1, -coef * e * self.c)
+            add(new, j, e + 1, coef * self.b)
         # reduce cos powers via cos^2 = 1 - sin^2 so e stays in {0, 1};
         # one differentiation of an in-range term never pushes e past 2
         reduced = {}
-
-        def put(j, e, coef):
-            if coef != 0.0:
-                reduced[(j, e)] = reduced.get((j, e), 0.0) + coef
-
         for (j, e), coef in new.items():
             if e >= 2:
-                put(j, e - 2, coef)
-                put(j + 2, e - 2, -coef)
+                add(reduced, j, e - 2, coef)
+                add(reduced, j + 2, e - 2, -coef)
             else:
-                put(j, e, coef)
-        return _SineExpProfile(reduced, self.a, self.b, self.c, self.with_exp)
+                add(reduced, j, e, coef)
+        return _SineExpProfile(reduced, self.a, self.b, self.c)
 
     def __call__(self, z):
         s = np.sin(self.c * z)
@@ -67,9 +59,7 @@ class _SineExpProfile:
         total = np.zeros(np.shape(s) or (), dtype=float)
         for (j, e), coef in self.terms.items():
             total = total + coef * s**j * w**e
-        if self.with_exp:
-            total = total * np.exp(-(self.a - self.b * s) / self.c)
-        return total
+        return total * np.exp(-(self.a - self.b * s) / self.c)
 
 
 @dataclass

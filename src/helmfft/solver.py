@@ -201,13 +201,6 @@ def _layout(mode: Mode, grid: Grid3D):
     return parts, workers
 
 
-def _executor(threads):
-    """A pool of `threads` threads, or no pool (None) for none."""
-    if threads > 0:
-        return ThreadPoolExecutor(max_workers=threads)
-    return contextlib.nullcontext()
-
-
 def _run_tasks(pool, tasks, failed):
     """Run every task: the caller's thread runs tasks[0], the pool (None:
     there is one task) the rest. Returns once all are done, which is the
@@ -265,30 +258,29 @@ def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,
     """
     t_start = time.perf_counter()
     table = check_table(table, grid)
-    return _solve(t_start, lambda run: rhs, boundary, table, grid, config, copy=True)
+    return _solve(t_start, lambda run: fold_dirichlet(rhs, boundary, table, grid),
+                  table, grid, config)
 
 
-def _solve(t_start, take_rhs, boundary, table, grid, config, copy):
-    """solve_stencil on a checked table, timed from t_start.
+def _solve(t_start, fold, table, grid, config):
+    """The stages on a folded right-hand side and a checked table, timed from t_start.
 
-    take_rhs(run) returns the right-hand side, which only the fold holds;
-    run(extent, fn) runs fn on ranges of range(extent) on the solve's
-    threads, for build_rhs's run=. With copy=False the fold may work in its
-    array; the stages then run in that one array, which becomes the
-    solution (see fold_dirichlet), so a solver-built right-hand side is
-    never copied, and one that the fold widens to complex is freed when the
-    fold returns. A failed stage raises before the next one starts.
+    fold(run) returns the folded right-hand side, whose array the stages run
+    in and which becomes the solution; run(extent, fn) runs fn on ranges of
+    range(extent) on the solve's threads, for build_rhs's run=. A failed
+    stage raises before the next one starts.
     """
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
     ex_plan = make_exchange_plan(grid, parts)
     z_ranges, y_ranges = ex_plan.z_ranges, ex_plan.y_ranges
-    with _executor(parts * workers - 1) as pool:
+    threads = parts * workers - 1
+    with ThreadPoolExecutor(max_workers=threads) if threads else contextlib.nullcontext() as pool:
         def run(extent, fn):  # one range for each thread of the layout
             ranges = plan_partition(extent, min(parts * workers, extent))
             _run_tasks(pool, [functools.partial(fn, r) for r in ranges], lambda i: None)
 
-        values = fold_dirichlet(take_rhs(run), boundary, table, grid, copy=copy).values
+        values = fold(run).values
         if values.dtype == np.float64:  # the fold found the table real
             table = tuple(w.real for w in table)
         setup_s = time.perf_counter() - t_start
@@ -365,19 +357,20 @@ def solve_direct(problem, config: SolverConfig = SolverConfig()) -> Field3D:
 def solve_with_timings(problem, config: SolverConfig = SolverConfig()):
     """Like solve_direct but also returns the phase timing breakdown.
 
-    The coefficient table is built first, which checks the profile. The
-    right-hand side's z-chunks are then built on the layout's parts x
+    The right-hand side's z-chunks are built on the layout's parts x
     workers threads, the solve's pool and the caller's, and count as
     setup. The solver owns that array, so the fold works in it and every
     stage after runs in it: one working field from the build to the
-    solution.
+    solution. A right-hand side that the fold widens to complex is freed
+    when the fold returns.
     """
     t_start = time.perf_counter()
     grid = problem.grid
     table = coefficient_table(problem.scheme, problem.profile, grid)
 
-    def build(run):
-        return build_rhs(problem.scheme, problem.source, problem.profile, grid,
-                         dtype=None, run=run)
+    def build_and_fold(run):
+        rhs = build_rhs(problem.scheme, problem.source, problem.profile, grid,
+                        dtype=None, run=run)
+        return fold_dirichlet(rhs, problem.boundary, table, grid, copy=False)
 
-    return _solve(t_start, build, problem.boundary, table, grid, config, copy=False)
+    return _solve(t_start, build_and_fold, table, grid, config)

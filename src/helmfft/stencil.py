@@ -49,8 +49,8 @@ def coefficient_table(scheme: SchemeKind, profile: CoefficientProfile, grid: Gri
     Row index is 0-based (row 0 is level l = 1); the second axis is the level
     offset + 1, so [:, 0] is level l-1, [:, 1] level l and [:, 2] level l+1.
     The weights depend on z only, so the table is O(n_z) in memory and is
-    built for all rows at once. The profile is checked first: a non-finite
-    value raises NonFiniteInputError naming the array and the index.
+    built for all rows at once. The profile is checked first (see
+    check_profile).
 
     Second order has five nonzero weights per row. Fourth order is compact,
     with corners on the center level only. Sixth order needs one step in
@@ -59,7 +59,7 @@ def coefficient_table(scheme: SchemeKind, profile: CoefficientProfile, grid: Gri
     convection number g = gamma h_z, so gamma = 0 gives the fourth-order
     table bit for bit.
     """
-    _check_profile(profile)
+    check_profile(profile, grid)
     n_z = grid.n_z
     A, B, C, D = (np.zeros((n_z, 3), dtype=complex) for _ in range(4))
     hz2 = grid.h_z**2
@@ -121,7 +121,12 @@ def coefficient_table(scheme: SchemeKind, profile: CoefficientProfile, grid: Gri
     return A, B, C, D
 
 
-def _check_profile(profile: CoefficientProfile):
+def check_profile(profile: CoefficientProfile, grid: Grid3D):
+    """A profile of other than n_z + 2 levels raises ValueError naming both
+    lengths; a non-finite value NonFiniteInputError naming the array and the index."""
+    if len(profile.k2) != grid.n_z + 2:
+        raise ValueError(f"profile has {len(profile.k2)} levels, "
+                         f"the grid's closed z-nodes {grid.n_z + 2}")
     for name in ("k2", "k2_z", "k2_zz", "gamma"):
         check_finite(name, np.asarray(getattr(profile, name)))
 

@@ -121,6 +121,21 @@ class TestBuildRhs:
             rhs = build_rhs(scheme, src, prof, grid)
             assert not np.any(rhs.values), scheme
 
+    @pytest.mark.parametrize("n_profile", [3, 9])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_profile_of_another_grid_raises_before_any_sample(self, scheme, n_profile):
+        grid, _ = cube_grid(5)
+        _, prof = cube_grid(n_profile, gamma=-2.0)
+
+        def unsampled(x, y, z):
+            raise AssertionError("a source was sampled")
+
+        src = SourceSpec(**{name: unsampled for name in (
+            "f", "f_z", "f_xx", "f_yy", "f_zz", "lap_f", "d4_f", "f_xxyy", "f_xxzz",
+            "f_yyzz")})
+        with pytest.raises(ValueError, match=f"{n_profile + 2} levels.* 7$"):
+            build_rhs(scheme, src, prof, grid, dtype=None)
+
     def test_constant_coefficient_catalog_source_vanishes(self):
         # the catalog's z-independent problem has an identically zero source
         from helmfft.problems import helmholtz_problem
@@ -538,6 +553,48 @@ class TestNonFiniteInput:
         ext[2, 2, 2] = np.nan  # an interior node: never read
         folded = self.fold(bnd=BoundaryData.from_array(ext))
         assert np.isfinite(folded.values).all()
+
+
+# each function that applies a table to a field, with the walls where it takes them
+TABLE_USERS = {
+    "fold": lambda u, bnd, table, grid: fold_dirichlet(u, bnd, table, grid),
+    "apply": apply_stencil,
+    "residual": lambda u, bnd, table, grid: residual_l2(u, u, table, grid),
+}
+
+
+class TestOperandChecks:
+    """The fold, apply_stencil and residual_l2 check the table and the walls
+    against the grid before any arithmetic."""
+
+    def setup_method(self):
+        self.grid, prof = cube_grid(5, k2=2.0)
+        self.table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, self.grid)
+        self.u = random_field(self.grid, 21)
+        self.bnd = random_boundary(self.grid, 22)
+
+    @pytest.mark.parametrize("user", sorted(TABLE_USERS))
+    def test_table_of_another_grid_names_the_shapes(self, user):
+        grid7, prof7 = cube_grid(7)  # the n_z + 2 rows of a 5-level grid's profile
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof7, grid7)
+        with pytest.raises(ValueError, match=r"\(5, 3\) arrays, got shapes \[\(7, 3\)"):
+            TABLE_USERS[user](self.u, self.bnd, table, self.grid)
+
+    @pytest.mark.parametrize("user", sorted(TABLE_USERS))
+    def test_non_finite_table_entry_names_its_row_and_level(self, user):
+        table = [w.copy() for w in self.table]
+        table[2][1, 0] = np.nan  # C weight of row level 2 at level 1
+        with pytest.raises(NonFiniteInputError) as err:
+            TABLE_USERS[user](self.u, self.bnd, table, self.grid)
+        assert (err.value.field, err.value.index) == ("table", (2, 1))
+
+    @pytest.mark.parametrize("node", [(0, 2, 3), (6, 1, 1), (3, 6, 0), (4, 1, 6)])
+    def test_apply_stencil_names_a_non_finite_wall(self, node):
+        ext = self.bnd.closed_box(self.grid)
+        ext[node] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            apply_stencil(self.u, BoundaryData.from_array(ext), self.table, self.grid)
+        assert (err.value.field, err.value.index) == ("boundary", node)
 
 
 def chunk_case(scheme, kind):

@@ -70,6 +70,15 @@ class TestTableForm:
                 coefficient_table(scheme, prof, grid)
         assert (err.value.field, err.value.index) == (name, () if name == "gamma" else (3,))
 
+    @pytest.mark.parametrize("n_profile", [3, 9])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_profile_of_another_grid_names_both_lengths(self, scheme, n_profile):
+        grid, _ = uniform_grid(n=5)
+        _, prof = uniform_grid(n=n_profile, gamma=-2.0 if scheme
+                               is SchemeKind.CONVECTION_DIFFUSION_4 else 0.0)
+        with pytest.raises(ValueError, match=f"{n_profile + 2} levels.* 7$"):
+            coefficient_table(scheme, prof, grid)
+
 
 class TestSecondOrder:
     def test_uniform_zero_coefficient(self):
