@@ -131,10 +131,12 @@ class BoundaryData:
 def _paint_box(faces, grid: Grid3D, lo, hi, dtype=complex) -> np.ndarray:
     """Closed-box values on the nodes lo <= (l, j, i) < hi; interior nodes zero.
 
-    The faces are painted z, y, x, so a later face wins where faces meet.
+    The faces (None: zero walls) are painted z, y, x; a later face wins where they meet.
     """
     (l0, j0, i0), (l1, j1, i1) = lo, hi
     out = np.zeros((l1 - l0, j1 - j0, i1 - i0), dtype=dtype)
+    if faces is None:
+        return out
     z_lo, z_hi, y_lo, y_hi, x_lo, x_hi = faces
     for f, l in ((z_lo, 0), (z_hi, grid.n_z + 1)):
         if l0 <= l < l1:
@@ -182,9 +184,9 @@ class SourceSpec:
             raise ValueError(f"source is missing required derivatives: {missing}")
 
 
-# bytes of one z-chunk of a right-hand side build: the formulas run on a
-# chunk's samples at a time, so no full-volume sample is made, while each
-# numpy call still covers about 10^5 values
+# bytes of one z-chunk of a right-hand side build, or of A*u in apply_stencil:
+# the formulas run on a chunk's samples at a time, so no full-volume sample
+# or closed box is made, while each numpy call still covers about 10^5 values
 RHS_CHUNK_BYTES = 1024 * 1024
 
 
@@ -434,19 +436,21 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, table, grid: Grid3D) -> Fi
     wrong shape raises ValueError, a non-finite table entry or boundary
     value NonFiniteInputError naming the field and the node. A float64 u
     with a real table and real boundary values (a known-zero boundary counts
-    as real) is painted and accumulated in float64, and the result is
-    float64: the real part of the complex path's result. Any other input
-    works in complex128.
+    as real) works in float64, and the result is the real part of the
+    complex path's; any other input works in complex128. Rows are applied
+    in z-chunks of about RHS_CHUNK_BYTES, each on its own painted closed
+    box, so past the result only chunk-sized arrays are made.
     """
     real, table, faces = _operands(u.values, boundary, table, grid, "field")
-    closed = (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2)
-    dtype = float if real else complex
-    if faces is None:
-        ext = np.zeros(closed, dtype=dtype)
-    else:
-        ext = _paint_box(faces, grid, (0, 0, 0), closed, dtype)
-    ext[1:-1, 1:-1, 1:-1] = u.values
-    return Field3D(_accumulate(ext, table))
+    out = np.empty(grid.shape, dtype=float if real else complex)
+    depth = max(1, RHS_CHUNK_BYTES // out[0].nbytes)
+    for l0 in range(0, grid.n_z, depth):
+        l1 = min(l0 + depth, grid.n_z)
+        ext = _paint_box(faces, grid, (l0, 0, 0), (l1 + 2, grid.n_y + 2, grid.n_x + 2), out.dtype)
+        a, b = max(l0 - 1, 0), min(l1 + 1, grid.n_z)  # rows on closed planes l0..l1+1
+        ext[a + 1 - l0:b + 1 - l0, 1:-1, 1:-1] = u.values[a:b]
+        out[l0:l1] = _accumulate(ext, [w[l0:l1] for w in table])
+    return Field3D(out)
 
 
 def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
@@ -519,13 +523,13 @@ def _check_faces(faces, grid: Grid3D):
 def residual_l2(u: Field3D, rhs_folded: Field3D, table, grid: Grid3D) -> float:
     """Absolute Euclidean norm of A*u - F with boundary data already folded.
 
-    Because rhs_folded carries the boundary contribution, the operator (the
-    coefficient table) is applied here with homogeneous boundary values, in
-    float64 when u and the table are real (see apply_stencil).
+    rhs_folded carries the boundary contribution, so the table is applied
+    with zero walls, in float64 when u and the table are real (see
+    apply_stencil), and F is subtracted in A*u's array when dtypes match.
     """
-    if u.values.shape != rhs_folded.values.shape:
-        raise ValueError(
-            f"extent mismatch: {u.values.shape} vs {rhs_folded.values.shape}"
-        )
-    au = apply_stencil(u, BoundaryData.zero(), table, grid)
-    return float(np.linalg.norm((au.values - rhs_folded.values).ravel()))
+    f = rhs_folded.values
+    if u.values.shape != f.shape:
+        raise ValueError(f"extent mismatch: {u.values.shape} vs {f.shape}")
+    au = apply_stencil(u, BoundaryData.zero(), table, grid).values
+    diff = np.subtract(au, f, out=au if au.dtype == f.dtype else None)
+    return float(np.linalg.norm(diff.ravel()))

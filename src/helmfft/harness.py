@@ -2,7 +2,7 @@
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,16 +97,13 @@ def run_convergence(scheme: SchemeKind, problem_id: str, grid_sizes,
     if any(n0 >= n1 for n0, n1 in zip(grid_sizes, grid_sizes[1:])):
         raise ValueError("grid sizes must be strictly ascending")
     rows = []
-    errs = []
     steps = []
     for n in grid_sizes:
         problem = make_problem(problem_id, scheme, n)
         row, _ = measure(problem, config)
         rows.append(row)
-        errs.append(row.max_err)
         steps.append(problem.grid.h_z)
-    orders = observed_orders(errs, steps) if len(errs) >= 2 else []
-    return rows, orders
+    return rows, observed_orders([row.max_err for row in rows], steps)
 
 
 def run_scaling(scheme: SchemeKind, problem_id: str, n: int, worker_counts,
@@ -138,8 +135,7 @@ def run_scaling(scheme: SchemeKind, problem_id: str, n: int, worker_counts,
     return rows
 
 
-CSV_COLUMNS = ("scheme", "grid", "max_err", "l2_err", "l2_res",
-               "setup_s", "transform_s", "exchange_s", "tridiag_s", "total_s")
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def format_row(row):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .grid import Grid3D
+from .stencil import check_table
 from .tridiag import PIVOT_RTOL
 
 _NEIGHBORS = (
@@ -38,7 +39,8 @@ def row_index(i: int, j: int, l: int, grid: Grid3D) -> int:
 
 def dense_matrix(table, grid: Grid3D) -> np.ndarray:
     """Full interior operator matrix of a coefficient table, rows/columns in
-    x-fastest order."""
+    x-fastest order. The table is checked first (see stencil.check_table)."""
+    table = check_table(table, grid)
     n = grid.n_x * grid.n_y * grid.n_z
     A = np.zeros((n, n), dtype=complex)
     for l in range(1, grid.n_z + 1):
@@ -59,9 +61,12 @@ def dense_matrix(table, grid: Grid3D) -> np.ndarray:
 def dense_boundary_fold(boundary_ext: np.ndarray, table, grid: Grid3D) -> np.ndarray:
     """Per-row sum of stencil weight x boundary value, as a flat vector.
 
-    boundary_ext is a closed-box array (n_z+2, n_y+2, n_x+2); only entries on
-    the boundary lattice are read.
+    boundary_ext is a closed-box array (n_z+2, n_y+2, n_x+2), checked like
+    the table; only entries on the boundary lattice are read.
     """
+    table = check_table(table, grid)
+    if np.shape(boundary_ext) != (grid.n_z + 2, grid.n_y + 2, grid.n_x + 2):
+        raise ValueError(f"boundary_ext shape {np.shape(boundary_ext)} is not the closed box")
     n = grid.n_x * grid.n_y * grid.n_z
     out = np.zeros(n, dtype=complex)
     for l in range(1, grid.n_z + 1):

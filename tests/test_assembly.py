@@ -10,11 +10,11 @@ from helmfft.assembly import (BoundaryData, Field3D, SourceSpec, _accumulate,
                               fold_dirichlet, residual_l2)
 from helmfft.errors import NonFiniteInputError
 from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
-from helmfft.oracle import dense_boundary_fold, dense_matrix, row_index
+from helmfft.oracle import dense_boundary_fold, dense_matrix, dense_solve, row_index
 from helmfft.problems import ProblemSpec, helmholtz_problem
 from helmfft.solver import Partitioned, Sequential, SharedWorkers, SolverConfig
 from helmfft import assembly, solver
-from helmfft.stencil import SchemeKind, coefficient_table
+from helmfft.stencil import SchemeKind, check_table, coefficient_table
 
 PI = math.pi
 
@@ -560,12 +560,17 @@ TABLE_USERS = {
     "fold": lambda u, bnd, table, grid: fold_dirichlet(u, bnd, table, grid),
     "apply": apply_stencil,
     "residual": lambda u, bnd, table, grid: residual_l2(u, u, table, grid),
+    "dense_matrix": lambda u, bnd, table, grid: dense_matrix(table, grid),
+    "dense_boundary_fold": lambda u, bnd, table, grid: dense_boundary_fold(
+        bnd.closed_box(grid), table, grid),
+    "dense_solve": lambda u, bnd, table, grid: dense_solve(
+        u.values, bnd.closed_box(grid), table, grid),
 }
 
 
 class TestOperandChecks:
-    """The fold, apply_stencil and residual_l2 check the table and the walls
-    against the grid before any arithmetic."""
+    """The fold, apply_stencil, residual_l2 and the dense oracle check the
+    table and the walls against the grid before any arithmetic."""
 
     def setup_method(self):
         self.grid, prof = cube_grid(5, k2=2.0)
@@ -595,6 +600,14 @@ class TestOperandChecks:
         with pytest.raises(NonFiniteInputError) as err:
             apply_stencil(self.u, BoundaryData.from_array(ext), self.table, self.grid)
         assert (err.value.field, err.value.index) == ("boundary", node)
+
+    @pytest.mark.parametrize("shape", [(6, 6, 6), (8, 8, 8), (7, 7, 6), (7, 7)])
+    def test_oracle_rejects_a_box_of_another_shape(self, shape):
+        box = np.zeros(shape)  # the 5^3 grid's closed box is 7 x 7 x 7
+        with pytest.raises(ValueError, match=r"boundary_ext shape \(" + str(shape[0])):
+            dense_boundary_fold(box, self.table, self.grid)
+        with pytest.raises(ValueError, match="boundary_ext shape"):
+            dense_solve(self.u.values, box, self.table, self.grid)
 
 
 def chunk_case(scheme, kind):
@@ -794,3 +807,106 @@ class TestRealResidual:
         real = peak(u, rhs)
         cplx = peak(u.astype(complex), rhs.astype(complex))
         assert real <= 0.6 * cplx, (real / u.nbytes, cplx / u.nbytes)
+
+
+WALLS = {
+    "zero": BoundaryData.zero(),
+    "real": BoundaryData.from_function(lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) - z),
+    "complex": BoundaryData.from_function(
+        lambda x, y, z: np.sin(3 * x + 0.3) * np.exp(y) + 1j * x * z),
+}
+
+
+def whole_box_apply(u, bnd, table, grid):
+    """A*u accumulated on one closed box: the walls' closed_box with u inside,
+    in float64 when u, the table and the walls are real."""
+    table = check_table(table, grid)
+    ext = bnd.closed_box(grid)
+    if u.dtype == np.float64 and not any(np.any(w.imag) for w in table) \
+            and not np.any(ext.imag):
+        ext, table = ext.real.copy(), [w.real for w in table]
+    ext[1:-1, 1:-1, 1:-1] = u
+    return _accumulate(ext, table)
+
+
+class TestChunkedApply:
+    """apply_stencil and residual_l2 work z-chunk by z-chunk on painted boxes,
+    with the bits of one whole closed box and about one field of memory."""
+
+    @pytest.mark.parametrize("walls", sorted(WALLS))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_bitwise_one_closed_box(self, monkeypatch, scheme, kind, walls):
+        grid, _, prof = chunk_case(scheme, kind)  # 7 x 6 x 11, three different steps
+        table = coefficient_table(scheme, prof, grid)
+        rng = np.random.default_rng(71)
+        real_u = rng.standard_normal(grid.shape)
+        cases = [(u, whole_box_apply(u, WALLS[walls], table, grid))
+                 for u in (real_u, real_u + 1j * rng.standard_normal(grid.shape))]
+        real_path = kind == "real" and walls != "complex"
+        assert [expect.dtype for _, expect in cases] == [
+            np.float64 if real_path else np.complex128, np.complex128]
+        boxes, paint, default = [], assembly._paint_box, assembly.RHS_CHUNK_BYTES
+
+        def recording_paint(faces, grid, lo, hi, dtype=complex):
+            boxes.append((lo[0], hi[0]))
+            return paint(faces, grid, lo, hi, dtype)
+
+        monkeypatch.setattr(assembly, "_paint_box", recording_paint)
+        for u, expect in cases:
+            for planes in (1, 2, None):  # None: the default budget, one chunk here
+                if planes is None:
+                    monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", default)
+                else:
+                    chunk_planes(monkeypatch, grid, planes, expect.itemsize)
+                boxes.clear()
+                got = apply_stencil(Field3D(u), WALLS[walls], table, grid).values
+                assert got.dtype == expect.dtype
+                assert np.array_equal(bits(got), bits(expect)), planes
+                depth = planes or grid.n_z
+                # closed planes l0 .. l1+1 around each chunk's rows l0 .. l1-1
+                assert boxes == [(l0, min(l0 + depth, grid.n_z) + 2)
+                                 for l0 in range(0, grid.n_z, depth)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_peak_allocation_near_one_field(self, monkeypatch, dtype):
+        p = helmholtz_problem(10.0, 9.0, 10.0, 10.0, 9.0, SchemeKind.SIXTH_ORDER, 48)
+        table = coefficient_table(p.scheme, p.profile, p.grid)
+        rng = np.random.default_rng(73)
+        u, rhs = (Field3D(rng.standard_normal(p.grid.shape).astype(dtype)) for _ in range(2))
+        walls = WALLS["real" if dtype == np.float64 else "complex"]
+        # 24 chunks: past the field, a chunk's box and its few chunk-sized
+        # temporaries are all that is made
+        chunk_planes(monkeypatch, p.grid, 2, u.values.itemsize)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return (tracemalloc.get_traced_memory()[1] - base) / u.values.nbytes
+            finally:
+                tracemalloc.stop()
+
+        # the result of apply_stencil is one field and counts here
+        assert peak(lambda: apply_stencil(u, walls, table, p.grid)) <= 1.5
+        assert peak(lambda: residual_l2(u, rhs, table, p.grid)) <= 1.5
+
+    @pytest.mark.parametrize("u_kind, rhs_kind", [("real", "complex"), ("complex", "real"),
+                                                  ("real", "real"), ("complex", "complex")])
+    def test_residual_of_mixed_dtypes(self, u_kind, rhs_kind):
+        grid, _, prof = chunk_case(SchemeKind.FOURTH_ORDER, "real")
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+        rng = np.random.default_rng(75)
+
+        def field(kind):
+            values = rng.standard_normal(grid.shape)
+            return values + 1j * rng.standard_normal(grid.shape) if kind == "complex" else values
+
+        u, rhs = field(u_kind), field(rhs_kind)
+        before = rhs.copy()
+        au = apply_stencil(Field3D(u), BoundaryData.zero(), table, grid).values
+        assert au.dtype == (np.float64 if u_kind == "real" else np.complex128)
+        res = residual_l2(Field3D(u), Field3D(rhs), table, grid)
+        assert res == float(np.linalg.norm((au - rhs).ravel()))
+        assert np.array_equal(bits(rhs), bits(before))  # F is only read

@@ -23,7 +23,10 @@ socket workload's own case, built by `perfbench/workloads.py` from seed 1
 (159^3 complex, whose exchange blocks cross a socket in many partial
 writes). Every case runs in every mode. Then come a `measure` line for
 each catalog problem (harness.measure under Sequential: the solution's
-digest and repr(l2_res)) and `dst2d` lines for seeded planes: a real and a
+digest and repr(l2_res)), an `apply` line for each catalog problem (the
+digest of apply_stencil on its Sequential direct solution with its walls;
+`--big` adds the 125^3 sixth-order case, whose A*u takes many z-chunks)
+and `dst2d` lines for seeded planes: a real and a
 complex 9 x 13 plane, real 125^2 (dense kernel), 159^2 (pocketfft) and
 250^2 (dense) planes and a complex 159^2 plane, each naming the kernel its
 x and y axes took. The last line says whether all modes agreed bitwise.
@@ -142,6 +145,14 @@ def main():
         name = f"{label}-{args.n}-measure"
         print(f"{name:18s} {'seq':10s} {u.values.dtype}  {digest(u.values)}  "
               f"l2_res={row.l2_res!r}", flush=True)
+    applied = [(label, scheme, args.n) for label, scheme in SCHEMES]
+    if args.big:
+        applied.append(("6th", hf.SchemeKind.SIXTH_ORDER, 125))
+    for label, scheme, n in applied:
+        p = catalog(scheme, n)
+        table = hf.coefficient_table(p.scheme, p.profile, p.grid)
+        au = hf.apply_stencil(hf.solve_direct(p, MODES["seq"]), p.boundary, table, p.grid).values
+        print(f"{f'{label}-{n}-apply':18s} {'seq':10s} {au.dtype}  {digest(au)}", flush=True)
     rng = np.random.default_rng(113)
     real = rng.standard_normal((9, 13))
     planes = {"dst2d-real": real, "dst2d-complex": real + 1j * rng.standard_normal((9, 13))}
