@@ -406,14 +406,17 @@ def _scheme_rhs(scheme, source, profile, grid, planes, out):
                     + (hz2 / 12.0) * (gamma * fz + fzz), out=out)
 
 
-def _accumulate(ext: np.ndarray, table) -> np.ndarray:
+def _accumulate(ext: np.ndarray, table, out=None) -> np.ndarray:
     """Apply the 27-point operator to a closed box; returns its interior result.
 
     ext holds the nodes around a box of rows, one more on each side, and
-    table the (A, B, C, D) weights of the box's row levels.
+    table the (A, B, C, D) weights of the box's row levels. The result is
+    accumulated in out, zeroed first, when it is given.
     """
     A, B, C, D = table
-    out = np.zeros(tuple(e - 2 for e in ext.shape), dtype=np.result_type(ext, *table))
+    if out is None:
+        out = np.empty(tuple(e - 2 for e in ext.shape), dtype=np.result_type(ext, *table))
+    out.fill(0)
     n_z, n_y, n_x = out.shape
     weights = {"a": A, "b": B, "c": C, "d": D}
     for dl in (-1, 0, 1):
@@ -449,7 +452,7 @@ def apply_stencil(u: Field3D, boundary: BoundaryData, table, grid: Grid3D) -> Fi
         ext = _paint_box(faces, grid, (l0, 0, 0), (l1 + 2, grid.n_y + 2, grid.n_x + 2), out.dtype)
         a, b = max(l0 - 1, 0), min(l1 + 1, grid.n_z)  # rows on closed planes l0..l1+1
         ext[a + 1 - l0:b + 1 - l0, 1:-1, 1:-1] = u.values[a:b]
-        out[l0:l1] = _accumulate(ext, [w[l0:l1] for w in table])
+        _accumulate(ext, [w[l0:l1] for w in table], out=out[l0:l1])
     return Field3D(out)
 
 

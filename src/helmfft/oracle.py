@@ -219,13 +219,13 @@ def solve_system(system: SpectralSystem, rhs: np.ndarray) -> np.ndarray:
 
 
 def sweep_reference(w, cp, table, cx, cy, m_offset=0):
-    """The Thomas sweep of `tridiag._sweep`, one level at a time.
+    """The Thomas sweep of `tridiag.solve_slab`, in numpy one level at a time.
 
-    Same arguments and result, bit for bit: w is a (n_z, M, n_x) slab solved
-    in place, cp scratch of its shape, table the (A, B, C, D) weights, cx and
-    cy the mode cosines of the slab's (n, m) and m_offset its first mode.
-    Each level's eigenvalue planes are rebuilt with full-size temporaries
-    and each pivot plane is screened as it is formed.
+    Same result and same first failing mode, bit for bit: w is a (n_z, M,
+    n_x) slab solved in place, cp scratch of its shape, table the (A, B, C,
+    D) weights, cx and cy the mode cosines of the slab's (n, m) and m_offset
+    its first mode. Each level's eigenvalue planes are rebuilt with
+    full-size temporaries and each pivot plane is screened as it is formed.
     """
     A, B, C, D = table
     n_z = w.shape[0]
@@ -236,10 +236,11 @@ def sweep_reference(w, cp, table, cx, cy, m_offset=0):
     def lam(l, k):
         return 4.0 * A[l, k] * cxy + 2.0 * B[l, k] * cx + 2.0 * C[l, k] * cy[:, None] + D[l, k]
 
-    def check(denom, l):
-        if float(np.abs(denom).min()) >= threshold:
+    def check(denom, l):  # a NaN pivot fails
+        passed = np.abs(denom) >= threshold
+        if passed.all():
             return
-        mi, ni = np.argwhere(np.abs(denom) < threshold)[0]
+        mi, ni = np.argwhere(~passed)[0]
         raise SingularSystemError(
             f"vanishing pivot at row {l + 1} for mode "
             f"(n={ni + 1}, m={m_offset + mi + 1})",

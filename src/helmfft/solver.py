@@ -12,9 +12,9 @@ layout of one runner, p parts of t threads each:
   part one block of extents n_x x kpy x kpz through a Transport, then the
   inverse redistribution runs after the solves, straight back into the
   z-slab. Each part's t threads split its z-planes and mode pencils.
-  Blocks are sent in ascending destination-part order, as views. Between
-  the two exchanges the z-slab is dead and holds the sweep's multipliers,
-  so a part holds its two slabs and no other slab-sized array.
+  Blocks are sent in ascending destination-part order, as views, so a part
+  holds its two slabs and no other slab-sized array: each sweep call keeps
+  its multipliers in one (n_z, n_x) scratch.
 - SharedWorkers(w) is the one-part layout (1, w) and Sequential is (1, 1).
   With no peers the z-slab is the y-slab: no exchange runs and no transport
   opens.
@@ -287,11 +287,9 @@ def _solve(t_start, fold, table, grid, config):
 
         transports = [None] if parts == 1 else config.transport_factory(parts)
         z_slabs = [values[z0:z1] for z0, z1 in z_ranges]
-        # one part's z-slab is its y-slab; with peers each z-slab is dead
-        # between the exchanges and holds its part's sweep multipliers
-        y_slabs, scratch = (z_slabs, [None]) if parts == 1 else (
-            [np.empty((grid.n_z, y1 - y0, grid.n_x), values.dtype) for y0, y1 in y_ranges],
-            [z.reshape(-1) for z in z_slabs])
+        # one part's z-slab is its y-slab
+        y_slabs = z_slabs if parts == 1 else [
+            np.empty((grid.n_z, y1 - y0, grid.n_x), values.dtype) for y0, y1 in y_ranges]
 
         def stage(fn, ranges=None, failed=lambda p: None):
             """The caller's wall time to run fn(p, r) for each part p and each
@@ -309,12 +307,7 @@ def _solve(t_start, fold, table, grid, config):
             transform_stack(plan, z_slabs[p], r)
 
         def sweep(p, r):
-            # each range takes the share of the part's contiguous scratch
-            # (None: its own) in proportion to its rows
-            n_m, flat = y_slabs[p].shape[1], scratch[p]
-            share = None if flat is None else flat[r[0] * flat.size // n_m:r[1] * flat.size // n_m]
-            tridiag.solve_slab(y_slabs[p][:, r[0]:r[1], :], table, grid,
-                               y_ranges[p][0] + r[0], share)
+            tridiag.solve_slab(y_slabs[p][:, r[0]:r[1], :], table, grid, y_ranges[p][0] + r[0])
 
         def exchange(redistribute, p):
             redistribute(ex_plan, transports[p], p, (z_slabs[p], y_slabs[p]))

@@ -1,4 +1,4 @@
-"""27-point stencil weights as one table per scheme, and the plane-operator eigenvalues.
+"""27-point stencil weights as one table per scheme, and the sine modes' cosines.
 
 Every scheme couples three consecutive z-levels. At a given row level l the
 weights form a 3 x 3 x 3 cube described by four values per level nu in
@@ -16,12 +16,14 @@ sweep and the dense oracle all take it, so any table of this form is solved
 the same way (see solver.solve_stencil), not only the catalog schemes.
 
 The in-plane operator built from one level's (a, b, c, d) is diagonalized by
-the 2D type-I sine basis; `eigenvalue_plane` gives its spectrum in closed form
+the 2D type-I sine basis, with eigenvalues in closed form
 
     4 a cos(pi n / (n_x+1)) cos(pi m / (n_y+1))
       + 2 b cos(pi n / (n_x+1)) + 2 c cos(pi m / (n_y+1)) + d
 
-for every mode (n, m) at once (`oracle.eigenvalue` evaluates one mode).
+built from the cosines of `mode_cosines`. The sweep's kernel evaluates
+them in registers as ((4a cxy + 2b cx) + 2c cy) + d with cxy = cy cx
+(see tridiag); `oracle.eigenvalue` evaluates one mode.
 
 The system is scaled so that the right-hand side is h_z^2 times the scheme's
 source functional (see assembly.build_rhs); the weights below already include
@@ -154,20 +156,3 @@ def mode_cosines(grid: Grid3D):
     cy = np.cos(np.pi * np.arange(1, grid.n_y + 1) / (grid.n_y + 1))
     return cx, cy
 
-
-def eigenvalue_plane(a, b, c, d, cx, cy, cxy, out=None):
-    """Eigenvalues for every (n, m) at once, shape (..., len(cy), len(cx)).
-
-    a, b, c, d are level weights that broadcast against a plane: one
-    level's scalars, or (L, 3, 1, 1) arrays for the three level operators
-    of L row levels, which the sweep evaluates in four full-size calls.
-    cx, cy come from mode_cosines (cy may be a slice for a pencil range)
-    and cxy is their outer product cy[:, None] * cx, which does not depend
-    on the level. The sum is ((4a cxy + 2b cx) + 2c cy) + d, written into
-    out when it is given.
-    """
-    out = np.multiply(4.0 * a, cxy, out=out)
-    out += 2.0 * b * cx
-    out += 2.0 * c * cy[:, None]
-    out += d
-    return out

@@ -1,133 +1,146 @@
-"""Assembly and solution of the decoupled spectral tridiagonal systems.
+"""Solution of the decoupled spectral tridiagonal systems by one compiled sweep.
 
 After the 2D sine transform, each mode pair (n, m) obeys an n_z x n_z
 tridiagonal system whose row l couples the transformed values at levels
 l-1, l, l+1 with the eigenvalues of that row's three level operators.
-Systems for different (n, m) are fully independent, so the batched solver
-sweeps all modes of a y-range at once with vectorized Thomas elimination
-(LU without pivoting, O(n_z) per line). The one-mode reference
-(`assemble_system`, `solve_system`) lives in `oracle`.
+`solve_slab` solves a y-range's independent lines by Thomas elimination (LU
+without pivoting, O(n_z) per line) in the C kernel of `_sweep.c`, which
+releases the interpreter lock and repeats numpy's operations in numpy's
+order: its bits are those of `oracle.sweep_reference`. On first import the
+kernel is compiled with sysconfig's CC; without a C compiler the import
+fails. The one-mode reference (`assemble_system`, `solve_system`) lives in
+`oracle`.
 """
+
+import contextlib
+import ctypes
+import hashlib
+import os
+import shlex
+import sysconfig
+import tempfile
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
 from .errors import SingularSystemError
 from .grid import Grid3D
-from .stencil import eigenvalue_plane, mode_cosines
+from .stencil import mode_cosines
 
 # pivot smaller than this multiple of the system's band scale is treated as
 # a resonant (singular) spectral system
 PIVOT_RTOL = 1e-14
 
-# bytes of one level of an m-block in the blocked sweep, so that the level's
-# eigenvalue planes, pivots and cp row stay in a core's L2 however many modes
-# the slab holds. A batch of levels holds as many levels as fit this budget
-# at one plane of the m-block each, at least one, so that fewer and larger
-# numpy calls build the eigenvalues; its scratch is four planes a level
-# (three eigenvalue planes and the pivot magnitudes). Twice that scratch let
-# the freed memory raise glibc's dynamic mmap threshold, after which some
-# 159^3 two-part socket solves kept one to three exchange blocks resident on
-# the heap
-SWEEP_BLOCK_BYTES = 256 * 1024
+_SOURCE = Path(__file__).with_name("_sweep.c")
+# no contraction and no vectorization, so each value is rounded as numpy
+# rounds it: gcc 12 fuses Smith's (ar + ai rat, ai - ar rat) pair into
+# vfmaddsub under -ffp-contract=off unless SLP vectorization is off too
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-tree-vectorize", "-fno-tree-slp-vectorize",
+          "-fPIC", "-shared")
+
+# the library's file, numpy's multiply form it repeats, and its two sweeps
+Kernel = namedtuple("Kernel", "path multiply real complex")
 
 
-def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0,
-               scratch=None) -> None:
+def _numpy_multiply_form() -> str:
+    """"fma" if numpy's complex product is re = fma(ar, br, -ai bi),
+    im = fma(ar, bi, ai br), else "plain". Both parts of this product, fused
+    and rounded once, differ from the plain form's."""
+    a, b = complex(1 + 2.0**-26, 1 + 2.0**-25), complex(1 + 2.0**-27, 1 + 2.0**-27)
+    fused = complex(float.fromhex("-0x1.0000002p-26"), float.fromhex("0x1.0000008000001p+1"))
+    return "fma" if (np.full(8, a) * np.full(8, b))[-1] == fused else "plain"
+
+
+def _cache_dir() -> Path:
+    """The package's __pycache__, or a per-user directory under the
+    temporary directory when the package cannot be written."""
+    directory = Path(__file__).with_name("__pycache__")
+    with contextlib.suppress(OSError):
+        directory.mkdir(exist_ok=True)
+    if os.access(directory, os.W_OK):
+        return directory
+    directory = Path(tempfile.gettempdir()) / f"helmfft-{os.getuid()}"
+    directory.mkdir(mode=0o700, exist_ok=True)
+    if directory.stat().st_uid != os.getuid():
+        raise ImportError(f"{directory} belongs to another user; not loading a kernel from it")
+    return directory
+
+
+def _load_kernel(directory, cc=None) -> Kernel:
+    """Load the kernel from directory, compiled there first if missing, with
+    the compiler argument list cc (default sysconfig's CC). Its file name
+    hashes the source, the flags, numpy's multiply form and the platform. It
+    is written under a temporary name and published with os.replace, so
+    concurrent first loads each find a whole file."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc") if cc is None else cc
+    multiply = _numpy_multiply_form()
+    flags = _FLAGS + (("-mfma",) if multiply == "fma" else ())
+    tag = repr((flags, multiply, sysconfig.get_platform())).encode()
+    key = hashlib.blake2b(_SOURCE.read_bytes() + tag, digest_size=8).hexdigest()
+    path = Path(directory) / f"_sweep-{key}.so"
+    if not path.exists():
+        import subprocess  # only to compile: the costliest import here
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.stem, suffix=".tmp")
+        os.close(fd)
+        try:
+            try:
+                done = subprocess.run([*cc, *flags, str(_SOURCE), "-o", tmp, "-lm"],
+                                      capture_output=True, text=True)
+            except OSError as exc:
+                raise ImportError(f"helmfft builds its sweep kernel with a C compiler; "
+                                  f"CC {shlex.join(cc)!r} could not be run: {exc}") from exc
+            if done.returncode:
+                raise ImportError(f"CC {shlex.join(cc)!r} failed on {_SOURCE}:\n{done.stderr}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    lib = ctypes.CDLL(str(path))
+    for sweep in (lib.sweep_real, lib.sweep_complex):
+        sweep.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 3 \
+            + [ctypes.c_double] + [ctypes.c_void_p] * 2
+        sweep.restype = ctypes.c_int64
+    return Kernel(path, multiply, lib.sweep_real, lib.sweep_complex)
+
+
+KERNEL = _load_kernel(_cache_dir())
+
+
+def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> None:
     """Sweep a (n_z, M, n_x) slab in place; local row j is global mode m_start + j.
 
-    Each of a part's workers sweeps one y-range of the part's slab this way;
-    disjoint ranges may run concurrently. table is the (A, B, C, D)
-    coefficient table in the slab's dtype (the solver casts it once per
-    solve: a float64 slab takes a real table). The slab is swept in m-blocks
-    of at most SWEEP_BLOCK_BYTES per level, so the per-level working set does
-    not grow with the slab; every line's arithmetic is the same as in one
-    sweep over the whole slab.
-
-    A 1-D scratch of the slab's dtype, apart from the slab, holds the
-    multipliers; the m-blocks shrink to the rows it holds. Without one, or
-    with one too small for a row of n_z levels, the sweep allocates its own.
+    values, a writeable float64 or complex128 array of whole x-rows, may be
+    a worker's y-range view of a shared slab; workers sweep concurrently.
+    table, the (A, B, C, D) coefficient table, is cast to its dtype (a
+    complex table on a float64 slab raises TypeError). The multipliers take
+    one (n_z, n_x) scratch per call. Pivots are screened against the largest
+    stencil weight, which bounds the eigenvalues within a small multiple, so
+    a pivot below PIVOT_RTOL times it, or a NaN pivot, marks a resonant
+    system: SingularSystemError names the first in (level, m, n) order.
     """
-    n_z, n_m, n_x = values.shape
-    if n_m == 0:
-        return
-    cx, cy = mode_cosines(grid)
-    held = 0 if scratch is None else scratch.size // (n_z * n_x)  # rows of scratch
-    rows = min(max(1, SWEEP_BLOCK_BYTES // (n_x * values.itemsize)), held or n_m)
-    n_blocks = -(-n_m // rows)
-    bounds = [n_m * b // n_blocks for b in range(n_blocks + 1)]
-    # one multiplier buffer serves every block: its pages fault in once per slab
-    shape = (n_z, -(-n_m // n_blocks), n_x)
-    cp = scratch[:np.prod(shape)].reshape(shape) if held else np.empty(shape, values.dtype)
-    for m0, m1 in zip(bounds[:-1], bounds[1:]):
-        m = m_start + m0
-        _sweep(values[:, m0:m1, :], cp[:, :m1 - m0, :], table, cx,
-               cy[m:m_start + m1], m_offset=m)
-
-
-def _sweep(w, cp, table, cx, cy, m_offset=0):
-    """Vectorized Thomas sweep over every (n, m) line of a (n_z, M, n_x) slab.
-
-    cp is scratch of w's shape for the elimination multipliers. The mode
-    cosines are cast to w's dtype once here, so that no eigenvalue_plane
-    call casts them; a cast sets a +0 imaginary part, as the cast inside a
-    mixed float-complex product does, so the eigenvalues keep their bits.
-
-    The forward elimination runs in batches of L levels, L as many planes
-    of w as fit SWEEP_BLOCK_BYTES. One eigenvalue_plane call writes the
-    batch's (L, 3, M, n_x) eigenvalue planes into one buffer; each level
-    then takes six out= calls, and its pivots overwrite its middle plane.
-    Every value is computed with the same operations in the same order as
-    one level at a time, so the result does not depend on L.
-
-    Pivots are screened once per batch against the magnitude of the
-    generating stencil weights (one scalar per sweep); eigenvalue
-    magnitudes are bounded by a small multiple of it, so a pivot far below
-    that scale marks a resonant system. The first failing level of the
-    batch and its first failing mode are named; the divisions past a zero
-    pivot raise no warning.
-    """
+    dtype, (n_z, n_m, n_x) = values.dtype, values.shape
+    if dtype not in (np.float64, np.complex128):
+        raise TypeError(f"the sweep takes float64 or complex128 slabs, got {dtype}")
+    if (n_z, n_x) != (grid.n_z, grid.n_x) or not 0 <= m_start <= m_start + n_m <= grid.n_y:
+        raise ValueError(f"slab {values.shape} from mode row {m_start} is not a y-range "
+                         f"of grid {grid.shape}")
+    size = dtype.itemsize
+    if values.strides[1:] != (n_x * size, size) or values.strides[0] < n_m * n_x * size \
+            or values.strides[0] % size or not values.flags.writeable:
+        raise ValueError(f"slab strides {values.strides} are not whole x-rows of a "
+                         f"writeable {dtype} array")
+    scale = max(float(np.abs(t).max()) for t in table)
     A, B, C, D = table
-    n_z, n_m, n_x = w.shape
-    scale = max(float(np.abs(t).max()) for t in (A, B, C, D))
-    threshold = PIVOT_RTOL * scale
-    cxy = (cy[:, None] * cx).astype(w.dtype, copy=False)  # the same at every level
-    cx, cy = (c.astype(w.dtype, copy=False) for c in (cx, cy))
-    depth = max(1, min(n_z, SWEEP_BLOCK_BYTES // w[0].nbytes))
-    lam = np.empty((depth, 3, n_m, n_x), dtype=w.dtype)
-    weights = [t[:, :, None, None] for t in table]
-
-    for l0 in range(0, n_z, depth):
-        l1 = min(l0 + depth, n_z)
-        batch = lam[:l1 - l0]
-        eigenvalue_plane(*(t[l0:l1] for t in weights), cx, cy, cxy, out=batch)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for l, (low, denom, up) in enumerate(batch, start=l0):
-                if l:  # denom = mid - low * cp[l-1], with cp[l] as scratch
-                    np.multiply(low, cp[l - 1], out=cp[l])
-                    np.subtract(denom, cp[l], out=denom)
-                np.divide(up, denom, out=cp[l])
-                if l:  # w[l] = (w[l] - low * w[l-1]) / denom
-                    np.multiply(low, w[l - 1], out=low)
-                    np.subtract(w[l], low, out=w[l])
-                np.divide(w[l], denom, out=w[l])
-        _screen(batch[:, 1], threshold, l0, m_offset)
-    tmp = lam[0, 0]  # a plane of scratch that stays in cache
-    for l in range(n_z - 2, -1, -1):  # w[l] -= cp[l] * w[l+1]
-        np.multiply(cp[l], w[l + 1], out=tmp)
-        np.subtract(w[l], tmp, out=w[l])
-
-
-def _screen(pivots, threshold, l0, m_offset):
-    """Raise SingularSystemError at the first pivot of levels l0.. below threshold.
-
-    pivots is a batch's (L, M, n_x) pivot planes; a NaN pivot fails too.
-    """
-    mags = np.abs(pivots)
-    if mags.min() >= threshold:
-        return
-    k, mi, ni = np.argwhere(~(mags >= threshold))[0]
-    raise SingularSystemError(
-        f"vanishing pivot at row {l0 + k + 1} for mode "
-        f"(n={ni + 1}, m={m_offset + mi + 1})",
-        n=int(ni + 1), m=int(m_offset + mi + 1),
-    )
+    weights = np.stack([4.0 * A, 2.0 * B, 2.0 * C, D], axis=-1).astype(dtype, casting="same_kind")
+    if weights.shape != (n_z, 3, 4):
+        raise ValueError(f"a coefficient table is four ({n_z}, 3) arrays")
+    cx, cy = mode_cosines(grid)
+    cp, failed = np.empty((n_z, n_x), dtype), np.zeros(3, np.int64)
+    sweep = KERNEL.complex if dtype == np.complex128 else KERNEL.real
+    if n_m and sweep(values.ctypes.data, values.strides[0] // size, n_x, n_z, n_m, n_x,
+                     weights.ctypes.data, cx.ctypes.data, cy[m_start:].ctypes.data,
+                     PIVOT_RTOL * scale, cp.ctypes.data, failed.ctypes.data):
+        l, m, n = (int(i) + 1 for i in failed)
+        raise SingularSystemError(f"vanishing pivot at row {l} for mode "
+                                  f"(n={n}, m={m_start + m})", n=n, m=m_start + m)

@@ -412,10 +412,10 @@ class TestFailFast:
         if fault == "sweep-part-1":
             slab = tridiag.solve_slab
 
-            def faulty_sweep(values, table, grid, m_start, scratch):
+            def faulty_sweep(values, table, grid, m_start):
                 if m_start >= plan.y_ranges[1][0]:
                     raise injected
-                return slab(values, table, grid, m_start, scratch)
+                return slab(values, table, grid, m_start)
 
             monkeypatch.setattr(tridiag, "solve_slab", faulty_sweep)
         else:  # part 0's first plane range, which the caller's thread runs
@@ -744,14 +744,13 @@ class TestOwnedRhsFold:
         assert np.array_equal(rhs.values, before)
 
     def test_peak_allocation_holds_one_working_field(self, monkeypatch):
-        # two-plane build chunks and two-row sweep blocks keep the build's and
-        # the sweep's scratch small, so the peak counts whole fields: the
-        # working field and 0.6-0.8 of a field of transform, fold and batch
-        # scratch at 48^3 (1.62-1.77 over 30 runs). A second copy of the
+        # two-plane build chunks keep the build's scratch small, and a sweep
+        # call's multipliers are one (n_z, n_x) plane, so the peak counts
+        # whole fields: the working field and 0.6-0.8 of a field of
+        # transform and fold scratch at 48^3. A second copy of the
         # right-hand side reads 2.6-2.7
         n = 48
         monkeypatch.setattr(assembly, "RHS_CHUNK_BYTES", 2 * n * n * 8)
-        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 2 * n * 8)
         p = catalog_problem(SchemeKind.SIXTH_ORDER, n)
         config = REAL_PATH_MODES["shared2"]
         solve_direct(p, config)  # a warm solve: lazy imports and caches
@@ -919,9 +918,8 @@ class TestSolveStencil:
 
 def odd_anisotropic_case(seed):
     """(rhs, boundary, scheme, profile, grid) of a complex fourth-order solve
-    on a 9 x 5 x 13 grid. A z-slab share of Partitioned(3) holds fewer mode
-    rows than its y-range, and some workers' shares of Partitioned(2, 2)
-    hold not one."""
+    on a 9 x 5 x 13 grid, whose 5 mode rows split unevenly over the parts
+    of Partitioned(3) and the workers of Partitioned(2, 2)."""
     grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 5, 13)
     profile = sample_profile(lambda z: (3.0 + 1.0j) * np.cos(2 * z) + 5.0,
                              lambda z: -(6.0 + 2.0j) * np.sin(2 * z),
@@ -932,18 +930,16 @@ def odd_anisotropic_case(seed):
 
 class TestTwoSlabLayout:
     """A part holds its z-slab and its y-slab, and nothing else slab-sized:
-    the sweep's multipliers live in the z-slab, dead between the exchanges."""
+    a sweep call's multipliers take one (n_z, n_x) plane."""
 
     @pytest.mark.parametrize("transport_factory", [in_process_mesh, socket_mesh],
                              ids=["in-process", "sockets"])
-    def test_peak_allocation_holds_two_slabs(self, transport_factory, monkeypatch):
+    def test_peak_allocation_holds_two_slabs(self, transport_factory):
         # the working field and the y-slabs: 2.2 fields at 48^3 with either
         # transport, as sockets receive each block straight into its slab.
         # Received blocks staged over sockets read 2.53; a z-slab staged
         # between the exchanges, copied sends and a slab-sized multiplier
         # buffer read 3.2 and 3.5
-        # one level per batch, one mode row per m-block
-        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 0)
         grid, prof = cube(48, k2=3.0)
         rhs = random_field(grid, 5)
         config = SolverConfig(mode=Partitioned(2), transport_factory=transport_factory)
@@ -964,33 +960,35 @@ class TestTwoSlabLayout:
 
     @pytest.mark.parametrize("mode", [Sequential(), SharedWorkers(2), Partitioned(2),
                                       Partitioned(3, 2)], ids=repr)
-    def test_partitioned_multipliers_live_in_the_working_field(self, mode, monkeypatch):
-        sweep, multipliers = tridiag._sweep, []
+    def test_no_sweep_call_allocates_a_slab(self, mode, monkeypatch):
+        # each call's traced peak: its (n_z, n_x) multipliers and small
+        # arrays, far below the rows it sweeps. The calls are serialized
+        # here, so that one call's peak holds no other's scratch
+        slab, lock, calls = tridiag.solve_slab, threading.Lock(), []
 
-        def recording_sweep(w, cp, *args, **kwargs):
-            multipliers.append(cp)
-            return sweep(w, cp, *args, **kwargs)
+        def measured_slab(values, *args):
+            with lock:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                slab(values, *args)
+                calls.append((tracemalloc.get_traced_memory()[1] - base, values.nbytes))
 
-        monkeypatch.setattr(tridiag, "_sweep", recording_sweep)
-        grid, prof = cube(12, k2=3.0)
-        u, _ = solve_discrete(random_field(grid, 6), BoundaryData.zero(),
-                              SchemeKind.SECOND_ORDER, prof, grid, SolverConfig(mode=mode))
-        shared = {np.shares_memory(cp, u.values) for cp in multipliers}
-        assert shared == {isinstance(mode, Partitioned)}
+        monkeypatch.setattr(tridiag, "solve_slab", measured_slab)
+        grid, prof = cube(40, k2=3.0)
+        bound = grid.n_z * grid.n_x * 16 + 64 * 1024
+        tracemalloc.start()
+        try:
+            solve_discrete(random_field(grid, 6), BoundaryData.zero(),
+                           SchemeKind.SECOND_ORDER, prof, grid, SolverConfig(mode=mode))
+        finally:
+            tracemalloc.stop()
+        assert calls
+        for peak, swept in calls:
+            assert peak < bound < swept, (peak, bound, swept)
 
-    def test_odd_anisotropic_grid_bitwise_equal_sequential(self, monkeypatch):
-        slab, outcomes = tridiag.solve_slab, set()
-
-        def recording_slab(values, table, grid, m_start, scratch):
-            n_z, n_m, n_x = values.shape
-            rows = scratch.size // (n_z * n_x)
-            outcomes.add("fallback" if rows == 0 else "shrunk" if rows < n_m else "whole")
-            return slab(values, table, grid, m_start, scratch)
-
+    def test_odd_anisotropic_grid_bitwise_equal_sequential(self):
         args = odd_anisotropic_case(31)
         ref, _ = solve_discrete(*args, SolverConfig(mode=Sequential()))
-        monkeypatch.setattr(tridiag, "solve_slab", recording_slab)
         for mode in (Partitioned(2, 2), Partitioned(3)):
             u, _ = solve_discrete(*args, SolverConfig(mode=mode))
             assert np.array_equal(bits(u.values), bits(ref.values)), mode
-        assert outcomes == {"fallback", "shrunk", "whole"}

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +14,8 @@ from helmfft.errors import SingularSystemError
 from helmfft.grid import CoefficientProfile, Domain, constant_profile, make_grid
 from helmfft.oracle import (SpectralSystem, assemble_system, dense_matrix,
                             dense_sine_matrix_2d, solve_system, sweep_reference)
-from helmfft import tridiag
 from helmfft.stencil import SchemeKind, coefficient_table, mode_cosines
+from helmfft import tridiag
 from helmfft.tridiag import solve_slab
 
 PI = math.pi
@@ -205,34 +210,39 @@ class TestSolveSlabRanges:
         assert err.value.n == 1 and err.value.m == 1
 
 
+def slab_grid(n_z, n_y, n_x):
+    """A grid whose mode cosines are cos(pi k / (n + 1)) of the slab's extents."""
+    return make_grid(Domain(0, PI, 0, PI, 0, PI), n_x, n_y, n_z)
+
+
+def bits(values):
+    return values.view(np.uint64)
+
+
 class TestBlockedSweep:
-    """solve_slab sweeps m-blocks; budgets of a few rows force many blocks."""
+    """solve_slab on y-range views of one slab, as each worker of a part sweeps."""
 
-    @staticmethod
-    def budget_rows(monkeypatch, rows, n_x):
-        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", rows * n_x * 16)
-
-    def test_many_blocks_bitwise_equal_one_sweep(self, monkeypatch):
-        rng = np.random.default_rng(37)
-        grid = make_grid(Domain(0, PI, 0, PI, 0, PI), 7, 11, 6)
-        prof = CoefficientProfile(
-            k2=rng.standard_normal(8) + 1j * rng.standard_normal(8),
-            k2_z=rng.standard_normal(8) + 0j,
-            k2_zz=rng.standard_normal(8) + 0j)
-        scheme = SchemeKind.FOURTH_ORDER
-        data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        table = coefficient_table(scheme, prof, grid)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_views_of_one_slab_bitwise_equal_one_sweep(self, dtype):
+        # the views' level stride is the slab's n_y n_x, not their rows' n_m n_x;
+        # they are swept at once on threads, as the kernel releases the GIL
+        table, data, _, _ = TestBatchedSweep.table_and_data(dtype, 6, 11, 7, seed=37)
+        grid = slab_grid(6, 11, 7)
+        whole = data.copy()
+        solve_slab(whole, table, grid)
+        expect = data.copy()
         cx, cy = mode_cosines(grid)
-        self.budget_rows(monkeypatch, 3, grid.n_x)
-        for m_start in (0, 3):
-            whole = data[:, m_start:].copy()
-            tridiag._sweep(whole, np.empty_like(whole), table, cx, cy[m_start:],
-                           m_offset=m_start)
-            blocked = data[:, m_start:].copy()
-            solve_slab(blocked, table, grid, m_start=m_start)
-            assert np.array_equal(blocked, whole)
+        sweep_reference(expect, np.empty_like(expect), table, cx, cy)
+        assert np.array_equal(bits(whole), bits(expect))
+        split = data.copy()
+        ranges = [(0, 3), (3, 4), (4, 11)]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for f in [pool.submit(solve_slab, split[:, a:b], table, grid, a)
+                      for a, b in ranges]:
+                f.result()
+        assert np.array_equal(bits(split), bits(whole))
 
-    def test_resonant_mode_in_later_block_named_globally(self, monkeypatch):
+    def test_resonant_mode_in_later_range_named_globally(self):
         # one level: mode (n, m) has the single eigenvalue
         # 2 r_zx cos_n + 2 r_zy cos_m - 2 (r_zx + r_zy + 1) + h_z^2 k^2,
         # so this k^2 makes only mode (3, 10) singular
@@ -242,7 +252,6 @@ class TestBlockedSweep:
         cx, cy = mode_cosines(grid)
         k2 = 2.0 * (r_zx + r_zy + 1.0 - r_zx * cx[2] - r_zy * cy[9]) / grid.h_z**2
         prof = constant_profile(k2, grid)
-        self.budget_rows(monkeypatch, 2, grid.n_x)
         table = coefficient_table(SchemeKind.SECOND_ORDER, prof, grid)
         for start in (0, 6):
             values = np.ones(grid.shape, dtype=complex)
@@ -250,16 +259,21 @@ class TestBlockedSweep:
                 solve_slab(values[:, start:, :], table, grid, m_start=start)
             assert (err.value.n, err.value.m) == (3, 10)
 
+    def test_slab_layout_and_dtypes_checked(self):
+        table, data, _, _ = TestBatchedSweep.table_and_data(complex, 4, 5, 6, seed=39)
+        grid = slab_grid(4, 5, 6)
+        with pytest.raises(ValueError, match="strides"):
+            solve_slab(data[:, :, ::-1], table, grid)
+        with pytest.raises(ValueError, match="y-range"):
+            solve_slab(data[:, 2:], table, grid, m_start=4)
+        with pytest.raises(TypeError):
+            solve_slab(data.real.copy(), table, grid)  # a complex table on a real slab
+        with pytest.raises(TypeError):
+            solve_slab(data.astype(np.complex64), table, grid)
+
 
 class TestBatchedSweep:
-    """_sweep eliminates in batches of levels; a small budget forces many."""
-
-    DEPTH = 4
-
-    @staticmethod
-    def budget_levels(monkeypatch, w, depth=DEPTH):
-        # one plane of w per level
-        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", depth * w[0].nbytes)
+    """solve_slab's kernel against oracle.sweep_reference, numpy one level at a time."""
 
     @staticmethod
     def table_and_data(dtype, n_z, n_y, n_x, seed, rows="random"):
@@ -281,47 +295,115 @@ class TestBatchedSweep:
         cy = np.cos(PI * np.arange(1, n_y + 1) / (n_y + 1))
         return (A, B, C, D), draw(n_z, n_y, n_x), cx, cy
 
+    @staticmethod
+    def assert_matches_reference(table, data, m_offset):
+        n_z, n_y, n_x = data.shape
+        grid = slab_grid(n_z, n_y, n_x)
+        cx, cy = mode_cosines(grid)
+        expect = data[:, m_offset:].copy()
+        sweep_reference(expect, np.empty_like(expect), table, cx, cy[m_offset:],
+                        m_offset=m_offset)
+        got = data[:, m_offset:].copy()
+        solve_slab(got, table, grid, m_offset)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(bits(got), bits(expect))
+
     @pytest.mark.parametrize("rows", ["random", "layered", "zero-columns"])
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n_z", [1, 2, DEPTH - 1, DEPTH, DEPTH + 1, 3 * DEPTH + 2])
-    def test_bitwise_equal_to_per_level_reference(self, monkeypatch, dtype, n_z, rows):
-        table, data, cx, cy = self.table_and_data(dtype, n_z, 9, 7, seed=41 + n_z, rows=rows)
+    @pytest.mark.parametrize("n_z", [1, 2, 3, 4, 5, 14])
+    def test_bitwise_equal_to_per_level_reference(self, dtype, n_z, rows):
+        table, data, _, _ = self.table_and_data(dtype, n_z, 9, 7, seed=41 + n_z, rows=rows)
         for m_offset in (0, 3):
-            expect = data[:, m_offset:].copy()
-            sweep_reference(expect, np.empty_like(expect), table, cx, cy[m_offset:],
-                            m_offset=m_offset)
-            for depth in (1, self.DEPTH):
-                got = data[:, m_offset:].copy()
-                self.budget_levels(monkeypatch, got, depth)
-                tridiag._sweep(got, np.empty_like(got), table, cx, cy[m_offset:],
-                               m_offset=m_offset)
-                assert got.dtype == expect.dtype
-                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+            self.assert_matches_reference(table, data, m_offset)
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_resonant_row_in_mid_batch_named(self, monkeypatch, dtype):
-        # level indices 4..7 form the second batch; row 6 (level index 5) has
-        # no coupling to the level below and a plane operator whose eigenvalue
-        # for mode (n, m) = (2, 5) is exactly 2 cx + 2 cy - 2 (cx + cy) = 0
-        n_z, n_y, n_x = 9, 7, 5
-        table, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=43)
-        A, B, C, D = (t.copy() for t in table)
-        row, n0, m0 = 5, 2, 5
+    def test_pivots_with_larger_imaginary_part_bitwise(self):
+        # imaginary centres make |Im| > |Re| at every pivot: Smith's second branch
+        table, data, cx, cy = self.table_and_data(complex, 9, 8, 7, seed=47)
+        A, B, C, D = table
+        D[:, 1] = 8.0j + 0.3 * D[:, 1].real
+        mid = 4.0 * A[0, 1] * np.outer(cy, cx) + 2.0 * B[0, 1] * cx \
+            + 2.0 * C[0, 1] * cy[:, None] + D[0, 1]
+        assert (np.abs(mid.imag) > np.abs(mid.real)).all()
+        for m_offset in (0, 3):
+            self.assert_matches_reference((A, B, C, D), data, m_offset)
+
+    @staticmethod
+    def resonant(table, cx, cy, row, n0, m0):
+        """Zero row's coupling below and give its plane operator the
+        eigenvalue 2 cx + 2 cy - 2 (cx_n0 + cy_m0), which is 0 at (n0, m0)."""
+        A, B, C, D = table
         for t in (A, B, C, D):
             t[row] = 0.0
         B[row, 1] = C[row, 1] = 1.0
         D[row, 1] = -2.0 * (cx[n0 - 1] + cy[m0 - 1])
-        table = (A, B, C, D)
-        for sweep in (sweep_reference, tridiag._sweep):
-            w = data.copy()
-            self.budget_levels(monkeypatch, w)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_resonant_row_named(self, dtype):
+        # row 6 (level index 5) is resonant for mode (n, m) = (2, 5) alone
+        n_z, n_y, n_x = 9, 7, 5
+        table, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=43)
+        row, n0, m0 = 5, 2, 5
+        self.resonant(table, cx, cy, row, n0, m0)
+        self.assert_names(table, data, cx, cy, 0, row, n0, m0)
+
+    @staticmethod
+    def assert_names(table, data, cx, cy, m_offset, row, n0, m0):
+        """The reference and the kernel both name mode (n0, m0) at row."""
+        grid = slab_grid(*data.shape)
+        for sweep in (lambda w: sweep_reference(w, np.empty_like(w), table, cx,
+                                                cy[m_offset:], m_offset),
+                      lambda w: solve_slab(w, table, grid, m_offset)):
+            w = data[:, m_offset:].copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SingularSystemError) as err:
-                    sweep(w, np.empty_like(w), table, cx, cy)
+                    sweep(w)
             assert (err.value.n, err.value.m) == (n0, m0)
             assert f"row {row + 1} " in str(err.value)
             assert f"(n={n0}, m={m0})" in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_first_of_two_resonant_modes_named(self, dtype):
+        # the kernel sweeps mode row 5 before row 7, but the reference names
+        # the lowest level first: row 3's mode (4, 7) before row 6's (2, 5)
+        n_z, n_y, n_x = 9, 8, 5
+        table, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=53)
+        self.resonant(table, cx, cy, 5, 2, 5)
+        self.resonant(table, cx, cy, 2, 4, 7)
+        for m_offset in (0, 4):
+            self.assert_names(table, data, cx, cy, m_offset, 2, 4, 7)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_two_resonant_modes_of_one_row_named_by_lower_m(self, dtype):
+        # on a square plane 2 cx + 2 cy is symmetric: (2, 5) and (5, 2) are
+        # both resonant at row 4, and (n, m) = (5, 2) comes first
+        table, data, cx, cy = self.table_and_data(dtype, 6, 7, 7, seed=59)
+        self.resonant(table, cx, cy, 3, 2, 5)
+        self.assert_names(table, data, cx, cy, 0, 3, 5, 2)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_pivot_named(self, dtype):
+        # weights near the largest double: row 2's centre and lower plane
+        # operators overflow to inf for the modes with cx > 0.6, so their
+        # pivots are inf - inf; every other pivot clears the threshold
+        n_z, n_y, n_x = 4, 3, 6
+        _, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=61)
+        A, B, C, D = (np.zeros((n_z, 3), dtype) for _ in range(4))
+        D[:, 1] = D[:, 2] = 1e300
+        B[1, 0] = B[1, 1] = 0.89e308
+        D[1, 0] = D[1, 1] = 1.7e308
+        grid = slab_grid(n_z, n_y, n_x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m_offset in (0, 1):
+                expect = data[:, m_offset:].copy()
+                with pytest.raises(SingularSystemError) as ref:
+                    sweep_reference(expect, np.empty_like(expect), (A, B, C, D), cx,
+                                    cy[m_offset:], m_offset)
+                with pytest.raises(SingularSystemError) as err:
+                    solve_slab(data[:, m_offset:].copy(), (A, B, C, D), grid, m_offset)
+                assert str(err.value) == str(ref.value)
+                assert (err.value.n, err.value.m) == (1, m_offset + 1)
+                assert "row 2 " in str(err.value)
 
 
 class TestPassedTable:
@@ -329,7 +411,7 @@ class TestPassedTable:
     in the slab's dtype, to each slab."""
 
     @pytest.mark.parametrize("kind", ["real", "complex-data", "complex-profile"])
-    def test_passed_table_bitwise_equal_reference(self, monkeypatch, kind):
+    def test_passed_table_bitwise_equal_reference(self, kind):
         rng = np.random.default_rng(53)
         grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 11, 7)
         k2 = rng.standard_normal(9) + (0.4j * rng.standard_normal(9)
@@ -343,13 +425,58 @@ class TestPassedTable:
         if kind == "real":  # a float64 slab takes the real table
             table = tuple(w.real for w in table)
         cx, cy = mode_cosines(grid)
-        monkeypatch.setattr(tridiag, "SWEEP_BLOCK_BYTES", 3 * grid.n_x * 16)
         for m_start in (0, 4):
             passed = data[:, m_start:].copy()
             solve_slab(passed, table, grid, m_start)
-            # the sweep casts the real cosines to the slab's dtype; the
-            # reference takes them real, as numpy's mixed products cast them
+            # the kernel takes the real cosines with a +0 imaginary part, as
+            # numpy's mixed products cast them in the reference
             expect = data[:, m_start:].copy()
             sweep_reference(expect, np.empty_like(expect), table, cx, cy[m_start:],
                             m_offset=m_start)
-            assert np.array_equal(passed.view(np.uint64), expect.view(np.uint64))
+            assert np.array_equal(bits(passed), bits(expect))
+
+
+class TestKernelBuild:
+    """The sweep kernel is compiled into a cache directory on first load."""
+
+    def test_concurrent_first_loads_share_one_file(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(tridiag.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys; from helmfft import tridiag; "
+                "print(tridiag._load_kernel(sys.argv[1]).path)")
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+        paths = {out.strip() for out, _ in outs}
+        assert len(paths) == 1
+        # one library and no temporary file left behind
+        assert [str(p) for p in tmp_path.iterdir()] == list(paths)
+
+    def test_multiply_form_read_from_numpy(self):
+        # the loader's probe: both parts of the exact products rounded once
+        # (the fused form) differ from the plain form's
+        a, b = complex(1 + 2.0**-26, 1 + 2.0**-25), complex(1 + 2.0**-27, 1 + 2.0**-27)
+        ar, br, bi = map(Fraction, (a.real, b.real, b.imag))
+        fused = complex(float(ar * br - Fraction(a.imag * b.imag)),
+                        float(ar * bi + Fraction(a.imag * b.real)))
+        plain = complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+        assert fused.real != plain.real and fused.imag != plain.imag
+        got = (np.full(8, a) * np.full(8, b))[-1]
+        assert got in (fused, plain)
+        assert tridiag.KERNEL.multiply == ("fma" if got == fused else "plain")
+
+    def test_unwritable_package_falls_back_to_a_private_temporary_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tridiag.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(tridiag.tempfile, "tempdir", str(tmp_path))
+        directory = tridiag._cache_dir()
+        assert directory == tmp_path / f"helmfft-{os.getuid()}"
+        assert directory.stat().st_mode & 0o777 == 0o700
+
+    def test_missing_compiler_named(self, tmp_path):
+        with pytest.raises(ImportError, match="helmfft-no-such-cc"):
+            tridiag._load_kernel(tmp_path, cc=["helmfft-no-such-cc", "-pipe"])
+        assert not any(tmp_path.iterdir())
