@@ -464,9 +464,10 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
     its neighbors on the boundary lattice, with the weights of the (A, B, C,
     D) coefficient table; rows without boundary neighbors are copied
     unchanged. Only the six boundary-adjacent layers are computed, so the
-    cost past the copy is O(n^2). The table, the right-hand side and the
-    boundary values are checked first: a wrong shape raises ValueError, a
-    non-finite value NonFiniteInputError naming the field and the node.
+    cost past the copy is O(n^2). The table and the boundary values are
+    checked first, then each plane with check_finite as it is copied: a wrong
+    shape raises ValueError, a non-finite value NonFiniteInputError naming
+    the field and the node.
 
     The copy is float64 when the right-hand side is float64 and the table
     and the boundary faces have zero imaginary parts (a known-zero boundary
@@ -480,14 +481,10 @@ def fold_dirichlet(rhs: Field3D, boundary: BoundaryData, table, grid: Grid3D,
     dtype = np.dtype(float if real else complex)
     in_place = not copy and rhs.values.dtype == dtype
     values = rhs.values if in_place else np.empty(grid.shape, dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l, (plane, src) in enumerate(zip(values, rhs.values)):
-            if not in_place:
-                np.copyto(plane, src)
-            # screened while the plane is in cache: a non-finite entry makes
-            # the sum non-finite (so may an overflow, which the full check clears)
-            if not np.isfinite(plane.sum()):
-                check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
+    for l, (plane, src) in enumerate(zip(values, rhs.values)):
+        if not in_place:
+            np.copyto(plane, src)
+        check_finite("rhs", plane, lambda ji, l=l: (l + 1, ji[0] + 1, ji[1] + 1))
     if faces is None or not any(np.any(f) for f in faces):
         return Field3D(values)
     for lo, hi in _boundary_layers(grid):

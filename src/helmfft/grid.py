@@ -71,10 +71,10 @@ class Grid3D:
 
 
 def make_grid(domain: Domain, n_x: int, n_y: int, n_z: int) -> Grid3D:
-    """Build a Grid3D with steps h = (hi - lo) / (n + 1) in each direction."""
+    """Build a Grid3D of whole extents n >= 1 with steps h = (hi - lo) / (n + 1)."""
     for name, n in (("n_x", n_x), ("n_y", n_y), ("n_z", n_z)):
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
+        if not (n >= 1 and n % 1 == 0):  # NaN and inf fail too
+            raise ValueError(f"{name} must be a whole number >= 1, got {n}")
     h_x = (domain.x_hi - domain.x_lo) / (n_x + 1)
     h_y = (domain.y_hi - domain.y_lo) / (n_y + 1)
     h_z = (domain.z_hi - domain.z_lo) / (n_z + 1)

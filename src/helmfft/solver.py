@@ -39,7 +39,7 @@ from .assembly import Field3D, BoundaryData, build_rhs, fold_dirichlet
 from .errors import InvalidPartitionError
 from .grid import CoefficientProfile, Grid3D
 from .spectral import make_plan, transform_stack
-from .stencil import SchemeKind, check_table, coefficient_table
+from .stencil import SchemeKind, coefficient_table
 from .transport import STAGE_FORWARD, STAGE_INVERSE, in_process_mesh
 from . import tridiag
 
@@ -240,14 +240,13 @@ def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,
     """Solve the 27-point system of any coefficient table for a prebuilt right-hand side.
 
     table is four (n_z, 3) arrays (A, B, C, D) of row level by level offset
-    (see stencil.coefficient_table); it is checked before any work (a wrong
-    shape raises ValueError, a non-finite entry NonFiniteInputError). The
-    solver needs the form only, not a catalog scheme, and solves any table
-    whose spectral systems are not resonant. Returns (solution Field3D,
-    PhaseTimings). rhs is the unfolded right-hand side; boundary values are
-    folded here as part of setup. The solve runs in the folded copy's dtype
-    (see fold_dirichlet): float64 when the right-hand side, the table and
-    the boundary values are real.
+    (see stencil.coefficient_table), which the fold checks before any work and
+    each sweep call again (see stencil.check_table). The solver needs the form
+    only, not a catalog scheme, and solves any table whose spectral systems are
+    not resonant. Returns (solution Field3D, PhaseTimings). rhs is the unfolded
+    right-hand side; boundary values are folded here as part of setup. The
+    solve runs in the folded copy's dtype (see fold_dirichlet): float64 when
+    the right-hand side, the table and the boundary values are real.
 
     Every mode runs the same stages on its (parts, workers) layout, as
     tasks on the caller's thread and one pool of parts x workers - 1
@@ -257,18 +256,17 @@ def solve_stencil(table, rhs: Field3D, boundary: BoundaryData, grid: Grid3D,
     at once.
     """
     t_start = time.perf_counter()
-    table = check_table(table, grid)
     return _solve(t_start, lambda run: fold_dirichlet(rhs, boundary, table, grid),
                   table, grid, config)
 
 
 def _solve(t_start, fold, table, grid, config):
-    """The stages on a folded right-hand side and a checked table, timed from t_start.
+    """The stages on a folded right-hand side and the table as given, timed from t_start.
 
     fold(run) returns the folded right-hand side, whose array the stages run
-    in and which becomes the solution; run(extent, fn) runs fn on ranges of
-    range(extent) on the solve's threads, for build_rhs's run=. A failed
-    stage raises before the next one starts.
+    in and which becomes the solution, and checks the table; run(extent, fn)
+    runs fn on ranges of range(extent) on the solve's threads, for
+    build_rhs's run=. A failed stage raises before the next one starts.
     """
     parts, workers = _layout(config.mode, grid)
     plan = make_plan(grid.n_x, grid.n_y)
@@ -281,8 +279,6 @@ def _solve(t_start, fold, table, grid, config):
             _run_tasks(pool, [functools.partial(fn, r) for r in ranges], lambda i: None)
 
         values = fold(run).values
-        if values.dtype == np.float64:  # the fold found the table real
-            table = tuple(w.real for w in table)
         setup_s = time.perf_counter() - t_start
 
         transports = [None] if parts == 1 else config.transport_factory(parts)

@@ -105,15 +105,19 @@ class InProcessTransport:
         self.part = part
         self._channels = channels
 
+    def _channel(self, sender, receiver):
+        channel = self._channels.get((sender, receiver))
+        if channel is None:
+            raise ExchangeError(f"no connection from {sender} to {receiver}",
+                                sender=sender, receiver=receiver)
+        return channel
+
     def send(self, to_part, stage, block):
-        if to_part == self.part:
-            raise ExchangeError("self-send not routed through transport",
-                                sender=self.part, receiver=to_part)
-        self._channels[(self.part, to_part)].put((stage, block))
+        self._channel(self.part, to_part).put((stage, block))
 
     def receive(self, from_part, stage, out):
         _check_destination(out)
-        channel = self._channels[(from_part, self.part)]
+        channel = self._channel(from_part, self.part)
         try:
             got_stage, block = channel.get(timeout=RECEIVE_TIMEOUT_S)
         except queue.Empty:

@@ -3,13 +3,13 @@
 After the 2D sine transform, each mode pair (n, m) obeys an n_z x n_z
 tridiagonal system whose row l couples the transformed values at levels
 l-1, l, l+1 with the eigenvalues of that row's three level operators.
-`solve_slab` solves a y-range's independent lines by Thomas elimination (LU
-without pivoting, O(n_z) per line) in the C kernel of `_sweep.c`, which
-releases the interpreter lock and repeats numpy's operations in numpy's
-order: its bits are those of `oracle.sweep_reference`. On first import the
-kernel is compiled with sysconfig's CC; without a C compiler the import
-fails. The one-mode reference (`assemble_system`, `solve_system`) lives in
-`oracle`.
+`solve_slab` checks its table and takes it in the slab's dtype, then solves
+a y-range's independent lines by Thomas elimination (LU without pivoting,
+O(n_z) per line) in the C kernel of `_sweep.c`, which releases the
+interpreter lock and repeats numpy's operations in numpy's order: its bits
+are those of `oracle.sweep_reference`. On first import the kernel is
+compiled with sysconfig's CC; without a C compiler the import fails. The
+one-mode reference (`assemble_system`, `solve_system`) lives in `oracle`.
 """
 
 import contextlib
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .grid import Grid3D
-from .stencil import mode_cosines
+from .stencil import check_table, mode_cosines
 
 # pivot smaller than this multiple of the system's band scale is treated as
 # a resonant (singular) spectral system
@@ -112,9 +112,10 @@ def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> Non
 
     values, a writeable float64 or complex128 array of whole x-rows, may be
     a worker's y-range view of a shared slab; workers sweep concurrently.
-    table, the (A, B, C, D) coefficient table, is cast to its dtype (a
-    complex table on a float64 slab raises TypeError). The multipliers take
-    one (n_z, n_x) scratch per call. Pivots are screened against the largest
+    table, the (A, B, C, D) coefficient table, is checked (see check_table)
+    and taken in the slab's dtype: a float64 slab takes its real parts, and
+    a nonzero imaginary part raises TypeError. The multipliers take one
+    (n_z, n_x) scratch per call. Pivots are screened against the largest
     stencil weight, which bounds the eigenvalues within a small multiple, so
     a pivot below PIVOT_RTOL times it, or a NaN pivot, marks a resonant
     system: SingularSystemError names the first in (level, m, n) order.
@@ -130,11 +131,12 @@ def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> Non
             or values.strides[0] % size or not values.flags.writeable:
         raise ValueError(f"slab strides {values.strides} are not whole x-rows of a "
                          f"writeable {dtype} array")
-    scale = max(float(np.abs(t).max()) for t in table)
-    A, B, C, D = table
-    weights = np.stack([4.0 * A, 2.0 * B, 2.0 * C, D], axis=-1).astype(dtype, casting="same_kind")
-    if weights.shape != (n_z, 3, 4):
-        raise ValueError(f"a coefficient table is four ({n_z}, 3) arrays")
+    table = check_table(table, grid)
+    if dtype == np.float64 and any(np.any(w.imag) for w in table):
+        raise TypeError("a table with nonzero imaginary parts cannot sweep a float64 slab")
+    A, B, C, D = (w.real if dtype == np.float64 else w for w in table)
+    scale = max(float(np.abs(w).max()) for w in (A, B, C, D))
+    weights = np.stack([4.0 * A, 2.0 * B, 2.0 * C, D], axis=-1)
     cx, cy = mode_cosines(grid)
     cp, failed = np.empty((n_z, n_x), dtype), np.zeros(3, np.int64)
     sweep = KERNEL.complex if dtype == np.complex128 else KERNEL.real

@@ -8,13 +8,14 @@ import pytest
 from helmfft.assembly import (BoundaryData, Field3D, SourceSpec, _accumulate,
                               _sample_interior, apply_stencil, build_rhs,
                               fold_dirichlet, residual_l2)
-from helmfft.errors import NonFiniteInputError
+from helmfft.errors import NonFiniteInputError, UnsupportedSchemeError
 from helmfft.grid import Domain, constant_profile, make_grid, sample_profile
 from helmfft.oracle import dense_boundary_fold, dense_matrix, dense_solve, row_index
 from helmfft.problems import ProblemSpec, helmholtz_problem
-from helmfft.solver import Partitioned, Sequential, SharedWorkers, SolverConfig
+from helmfft.solver import Partitioned, Sequential, SharedWorkers, SolverConfig, solve_stencil
 from helmfft import assembly, solver
 from helmfft.stencil import SchemeKind, check_table, coefficient_table
+from helmfft.tridiag import solve_slab
 
 PI = math.pi
 
@@ -87,6 +88,11 @@ class TestBoundaryData:
         assert not BoundaryData.from_function(lambda x, y, z: 0 * x).known_zero
         assert not BoundaryData.from_array(np.zeros((4, 4, 4))).known_zero
 
+    def test_exactly_one_of_fn_or_array(self):
+        for kwargs in ({}, {"fn": lambda x, y, z: 0 * x, "array": np.zeros((4, 4, 4))}):
+            with pytest.raises(ValueError, match="exactly one of fn or array"):
+                BoundaryData(**kwargs)
+
     def test_array_interior_ignored(self):
         grid, _ = cube_grid(2)
         full = np.ones((4, 4, 4), dtype=complex)
@@ -135,6 +141,19 @@ class TestBuildRhs:
             "f_yyzz")})
         with pytest.raises(ValueError, match=f"{n_profile + 2} levels.* 7$"):
             build_rhs(scheme, src, prof, grid, dtype=None)
+
+    @pytest.mark.parametrize("dtype", [float, np.float64, np.complex64])
+    def test_dtype_other_than_complex_or_none_rejected(self, dtype):
+        grid, prof = cube_grid(4)
+        with pytest.raises(ValueError, match="dtype must be complex or None"):
+            build_rhs(SchemeKind.SECOND_ORDER, SourceSpec.zero(), prof, grid, dtype=dtype)
+
+    def test_sixth_order_needs_a_uniform_grid(self):
+        grid = make_grid(Domain(0, PI, 0, PI, 0, 2 * PI), 4, 4, 4)
+        prof = constant_profile(1.0, grid)
+        for dtype in (complex, None):
+            with pytest.raises(UnsupportedSchemeError, match="uniform grid step"):
+                build_rhs(SchemeKind.SIXTH_ORDER, SourceSpec.zero(), prof, grid, dtype=dtype)
 
     def test_constant_coefficient_catalog_source_vanishes(self):
         # the catalog's z-independent problem has an identically zero source
@@ -565,12 +584,15 @@ TABLE_USERS = {
         bnd.closed_box(grid), table, grid),
     "dense_solve": lambda u, bnd, table, grid: dense_solve(
         u.values, bnd.closed_box(grid), table, grid),
+    "sweep": lambda u, bnd, table, grid: solve_slab(u.values.copy(), table, grid),
+    "solve_stencil": lambda u, bnd, table, grid: solve_stencil(table, u, bnd, grid),
 }
 
 
 class TestOperandChecks:
-    """The fold, apply_stencil, residual_l2 and the dense oracle check the
-    table and the walls against the grid before any arithmetic."""
+    """The fold, apply_stencil, residual_l2, the sweep, solve_stencil and the
+    dense oracle check the table and the walls against the grid before any
+    arithmetic."""
 
     def setup_method(self):
         self.grid, prof = cube_grid(5, k2=2.0)

@@ -32,6 +32,21 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(Domain(0, 1, 0, 1, 0, 1), bad, 4, 4)
 
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejects_an_extent_that_is_not_whole(self, axis, bad):
+        # rounding 2.5 down to 2 with h_x = 1/3.5 leaves the last x node at 0.857
+        extents = [3, 3, 3]
+        extents[axis] = bad
+        with pytest.raises(ValueError, match=f"{'n_' + 'xyz'[axis]} must be a whole number"):
+            make_grid(Domain(0, 1, 0, 1, 0, 1), *extents)
+
+    def test_whole_extents_of_any_number_type(self):
+        grid = make_grid(Domain(0, 1, 0, 1, 0, 1), np.int64(4), 16.0, np.float64(5.0))
+        assert (grid.n_x, grid.n_y, grid.n_z) == (4, 16, 5)
+        assert all(type(n) is int for n in (grid.n_x, grid.n_y, grid.n_z))
+        assert grid.y_nodes(closed=True)[-1] == pytest.approx(1.0, rel=1e-15)
+
     def test_rejects_degenerate_domain(self):
         with pytest.raises(ValueError):
             Domain(1.0, 1.0, 0, 1, 0, 1)

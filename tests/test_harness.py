@@ -179,6 +179,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "10^3" in out
 
+    def test_shared_solve_prints_the_sequential_errors(self, capsys, monkeypatch):
+        modes, real = [], helmfft.cli.measure
+        monkeypatch.setattr(helmfft.cli, "measure",
+                            lambda p, config: modes.append(config.mode) or real(p, config))
+        columns = {}
+        for mode in (["seq"], ["shared", "--workers", "2"]):
+            assert main(["solve", "--scheme", "4", "--grid", "10", "--mode", *mode]) == 0
+            header, row = capsys.readouterr().out.split("\n")[:2]
+            columns[mode[0]] = dict(zip(header.split(), row.split()))
+        assert modes == [helmfft.solver.Sequential(), helmfft.solver.SharedWorkers(2)]
+        for name in ("max_err", "l2_err", "l2_res"):
+            assert columns["shared"][name] == columns["seq"][name], name
+
     def test_solve_with_oracle(self):
         assert main(["solve", "--scheme", "4", "--problem", "variable-k",
                      "--grid", "6", "--oracle"]) == 0

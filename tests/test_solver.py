@@ -292,6 +292,21 @@ class TestSolveDiscrete:
 
 
 class TestConfigValidation:
+    def test_unknown_mode_rejected(self):
+        grid, prof = cube(4)
+        with pytest.raises(ValueError, match="unknown mode 'seq'"):
+            solve_discrete(Field3D.zeros(grid), BoundaryData.zero(),
+                           SchemeKind.SECOND_ORDER, prof, grid, SolverConfig(mode="seq"))
+
+    @pytest.mark.parametrize("mode, counts", [
+        (SharedWorkers(0), "1 and 0"), (Partitioned(0), "0 and 1"),
+        (Partitioned(2, workers_per_part=0), "2 and 0"), (SharedWorkers(-1), "1 and -1")])
+    def test_counts_below_one_rejected(self, mode, counts):
+        grid, prof = cube(4)
+        with pytest.raises(ValueError, match=f"must be >= 1, got {counts}$"):
+            solve_discrete(Field3D.zeros(grid), BoundaryData.zero(),
+                           SchemeKind.SECOND_ORDER, prof, grid, SolverConfig(mode=mode))
+
     def test_shared_worker_bound_per_plane(self):
         grid, prof = cube(4)
         config = SolverConfig(mode=SharedWorkers(5))
@@ -877,6 +892,21 @@ class TestSolveStencil:
                 solve_stencil(table, rhs, p.boundary, p.grid, REAL_PATH_MODES["parts2"])
         # row level l = row + 1 and the weight's level l + offset - 1
         assert (err.value.field, err.value.index) == ("table", (row + 1, row + offset))
+        assert transforms == []
+
+    @pytest.mark.parametrize("mode", sorted(REAL_PATH_MODES))
+    def test_bad_table_rejected_in_every_mode_before_any_transform(self, mode, monkeypatch):
+        transforms = counting_transforms(monkeypatch)
+        p = real_anisotropic_problem(SchemeKind.FOURTH_ORDER)
+        rhs = build_rhs(p.scheme, p.source, p.profile, p.grid, dtype=None)
+        table = [w.copy() for w in coefficient_table(p.scheme, p.profile, p.grid)]
+        with pytest.raises(ValueError, match=r"got shapes \[\(10, 3\)"):
+            solve_stencil([w[1:] for w in table], rhs, p.boundary, p.grid,
+                          REAL_PATH_MODES[mode])
+        table[2][1, 0] = np.nan
+        with pytest.raises(NonFiniteInputError) as err:
+            solve_stencil(table, rhs, p.boundary, p.grid, REAL_PATH_MODES[mode])
+        assert (err.value.field, err.value.index) == ("table", (2, 1))
         assert transforms == []
 
     @pytest.mark.parametrize("name", ["k2", "k2_z", "k2_zz", "gamma"])

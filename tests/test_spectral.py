@@ -151,6 +151,16 @@ class TestDiagonalization:
 
 
 class TestTransformStack:
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 5), (4, 4), (20,)])
+    def test_plane_of_another_shape_rejected(self, shape):
+        plan = make_plan(5, 4)  # planes of 4 rows of 5
+        stack = np.zeros((2,) + shape)
+        with pytest.raises(ValueError, match=r"plane shape .* != plan \(4, 5\)"):
+            transform_stack(plan, stack)
+        assert not stack.any()
+        with pytest.raises(ValueError, match=r"plane shape .* != plan \(4, 5\)"):
+            dst2d_reference(plan, np.zeros(shape))
+
     def test_per_plane_delta(self):
         n = 5
         plan = make_plan(n, n)

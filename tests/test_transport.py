@@ -157,6 +157,23 @@ class TestInProcessTransport:
         assert not timer.is_alive()
 
 
+@pytest.mark.parametrize("mesh", [in_process_mesh, socket_mesh], ids=["in-process", "socket"])
+def test_a_part_with_no_connection_is_named(mesh):
+    transports = mesh(2)
+    try:
+        block = np.ones((1, 2, 3))
+        for other in (0, 5):  # the part itself, and a part the mesh does not have
+            with pytest.raises(ExchangeError, match="no connection") as err:
+                transports[0].send(other, STAGE_FORWARD, block)
+            assert (err.value.sender, err.value.receiver) == (0, other)
+            with pytest.raises(ExchangeError, match="no connection") as err:
+                transports[0].receive(other, STAGE_FORWARD, np.empty_like(block))
+            assert (err.value.sender, err.value.receiver) == (other, 0)
+    finally:
+        for t in transports:
+            t.close()
+
+
 class TestSocketTransport:
     def test_pairwise_send_receive(self):
         transports = socket_mesh(2)
@@ -193,6 +210,36 @@ class TestSocketTransport:
                     transports[1].receive(0, STAGE_FORWARD, out)
                 assert (err.value.sender, err.value.receiver) == (0, 1)
             assert time.perf_counter() - start < 5.0
+        finally:
+            for t in transports:
+                t.close()
+
+    @pytest.mark.parametrize("edge", [(2, 1), (0, 3)], ids=["sender", "receiver"])
+    def test_misrouted_frame_fails_the_edge(self, edge):
+        transports = socket_mesh(2)
+        try:
+            block = np.ones((1, 2, 3))
+            transports[0]._socks[1].sendall(encode_frame(*edge, STAGE_FORWARD, block))
+            for _ in range(2):  # the edge stays failed for later receives
+                with pytest.raises(ExchangeError) as err:
+                    transports[1].receive(0, STAGE_FORWARD, np.empty_like(block))
+                assert (err.value.sender, err.value.receiver) == (0, 1)
+                assert f"misrouted frame {edge} on edge (0, 1)" in str(err.value)
+        finally:
+            for t in transports:
+                t.close()
+
+    @pytest.mark.parametrize("dtype", [">f8", ">c16"])
+    def test_big_endian_block_arrives_bitwise_in_native_order(self, dtype):
+        rng = np.random.default_rng(17)
+        native = rng.standard_normal((2, 3, 4)) * (1j if dtype == ">c16" else 1) + 0.5
+        assert _wire_block(native.astype(dtype)).dtype.byteorder in ("<", "=")
+        transports = socket_mesh(2)
+        try:
+            transports[0].send(1, STAGE_FORWARD, native.astype(dtype))
+            got = transports[1].receive(0, STAGE_FORWARD, np.empty_like(native))
+            assert got.dtype == native.dtype and got.dtype.isnative
+            assert got.tobytes() == native.tobytes()
         finally:
             for t in transports:
                 t.close()

@@ -435,6 +435,20 @@ class TestPassedTable:
                             m_offset=m_start)
             assert np.array_equal(bits(passed), bits(expect))
 
+    def test_complex_table_with_zero_imaginary_parts_sweeps_a_real_slab(self):
+        rng = np.random.default_rng(59)
+        grid = make_grid(Domain(0, 1.3, -0.2, 0.9, 0.1, 2.0), 9, 11, 7)
+        prof = CoefficientProfile(k2=rng.standard_normal(9), k2_z=rng.standard_normal(9),
+                                  k2_zz=rng.standard_normal(9))
+        table = coefficient_table(SchemeKind.FOURTH_ORDER, prof, grid)
+        assert all(w.dtype == np.complex128 and not w.imag.any() for w in table)
+        data = rng.standard_normal(grid.shape)
+        passed, expect = data.copy(), data.copy()
+        solve_slab(passed, table, grid)
+        solve_slab(expect, tuple(w.real for w in table), grid)
+        assert passed.dtype == np.float64
+        assert np.array_equal(bits(passed), bits(expect))
+
 
 class TestKernelBuild:
     """The sweep kernel is compiled into a cache directory on first load."""
@@ -479,4 +493,10 @@ class TestKernelBuild:
     def test_missing_compiler_named(self, tmp_path):
         with pytest.raises(ImportError, match="helmfft-no-such-cc"):
             tridiag._load_kernel(tmp_path, cc=["helmfft-no-such-cc", "-pipe"])
+        assert not any(tmp_path.iterdir())
+
+    def test_failing_compiler_named(self, tmp_path):
+        # a compiler that runs and exits nonzero
+        with pytest.raises(ImportError, match="CC 'false' failed on .*_sweep.c"):
+            tridiag._load_kernel(tmp_path, cc=["false"])
         assert not any(tmp_path.iterdir())
