@@ -230,7 +230,7 @@ def sweep_reference(w, cp, table, cx, cy, m_offset=0):
     A, B, C, D = table
     n_z = w.shape[0]
     scale = max(float(np.abs(t).max()) for t in (A, B, C, D))
-    threshold = PIVOT_RTOL * scale
+    threshold = PIVOT_RTOL * scale or np.inf  # an all-zero table fails every pivot
     cxy = cy[:, None] * cx
 
     def lam(l, k):

@@ -6,15 +6,15 @@ l-1, l, l+1 with the eigenvalues of that row's three level operators.
 `solve_slab` checks its table and takes it in the slab's dtype, then solves
 a y-range's independent lines by Thomas elimination (LU without pivoting,
 O(n_z) per line) in the C kernel of `_sweep.c`, which releases the
-interpreter lock and repeats numpy's operations in numpy's order: its bits
-are those of `oracle.sweep_reference`. On first import the kernel is
-compiled with sysconfig's CC; without a C compiler the import fails. The
-one-mode reference (`assemble_system`, `solve_system`) lives in `oracle`.
+interpreter lock and repeats numpy's operations in numpy's order, in eight
+lanes on a CPU with AVX-512 (`KERNEL.lanes`): on every CPU its bits are those
+of `oracle.sweep_reference`. On first import the kernel is compiled with
+sysconfig's CC; without a C compiler the import fails. The one-mode
+reference (`assemble_system`, `solve_system`) lives in `oracle`.
 """
 
 import contextlib
 import ctypes
-import hashlib
 import os
 import shlex
 import sysconfig
@@ -23,6 +23,11 @@ from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
+
+try:  # CPython's builtin BLAKE2, without hashlib's OpenSSL import
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .errors import SingularSystemError
 from .grid import Grid3D
@@ -33,14 +38,16 @@ from .stencil import check_table, mode_cosines
 PIVOT_RTOL = 1e-14
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
-# no contraction and no vectorization, so each value is rounded as numpy
-# rounds it: gcc 12 fuses Smith's (ar + ai rat, ai - ar rat) pair into
-# vfmaddsub under -ffp-contract=off unless SLP vectorization is off too
+# no contraction and no auto-vectorization, so each value is rounded as
+# numpy rounds it: gcc 12 fuses Smith's (ar + ai rat, ai - ar rat) pair into
+# vfmaddsub under -ffp-contract=off unless SLP vectorization is off too, and
+# contraction would fuse the AVX-512 intrinsics, gcc's vector operations
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-tree-vectorize", "-fno-tree-slp-vectorize",
           "-fPIC", "-shared")
 
-# the library's file, numpy's multiply form it repeats, and its two sweeps
-Kernel = namedtuple("Kernel", "path multiply real complex")
+# the library's file, numpy's multiply form it repeats, the mode columns it
+# sweeps at a time on this CPU (8 with AVX-512, else 1), and its two sweeps
+Kernel = namedtuple("Kernel", "path multiply lanes real complex")
 
 
 def _numpy_multiply_form() -> str:
@@ -73,14 +80,14 @@ def _load_kernel(directory, cc=None) -> Kernel:
     hashes the source, the flags, numpy's multiply form and the platform. It
     is written under a temporary name and published with os.replace, so
     concurrent first loads each find a whole file."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc") if cc is None else cc
     multiply = _numpy_multiply_form()
-    flags = _FLAGS + (("-mfma",) if multiply == "fma" else ())
+    flags = _FLAGS + (("-mfma", "-DSWEEP_FMA") if multiply == "fma" else ())
     tag = repr((flags, multiply, sysconfig.get_platform())).encode()
-    key = hashlib.blake2b(_SOURCE.read_bytes() + tag, digest_size=8).hexdigest()
+    key = blake2b(_SOURCE.read_bytes() + tag, digest_size=8).hexdigest()
     path = Path(directory) / f"_sweep-{key}.so"
     if not path.exists():
         import subprocess  # only to compile: the costliest import here
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc") if cc is None else cc
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.stem, suffix=".tmp")
         os.close(fd)
         try:
@@ -101,7 +108,7 @@ def _load_kernel(directory, cc=None) -> Kernel:
         sweep.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 3 \
             + [ctypes.c_double] + [ctypes.c_void_p] * 2
         sweep.restype = ctypes.c_int64
-    return Kernel(path, multiply, lib.sweep_real, lib.sweep_complex)
+    return Kernel(path, multiply, lib.sweep_lanes(), lib.sweep_real, lib.sweep_complex)
 
 
 KERNEL = _load_kernel(_cache_dir())
@@ -118,7 +125,8 @@ def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> Non
     (n_z, n_x) scratch per call. Pivots are screened against the largest
     stencil weight, which bounds the eigenvalues within a small multiple, so
     a pivot below PIVOT_RTOL times it, or a NaN pivot, marks a resonant
-    system: SingularSystemError names the first in (level, m, n) order.
+    system: SingularSystemError names the first in (level, m, n) order. An
+    all-zero table fails its first pivot.
     """
     dtype, (n_z, n_m, n_x) = values.dtype, values.shape
     if dtype not in (np.float64, np.complex128):
@@ -142,7 +150,7 @@ def solve_slab(values: np.ndarray, table, grid: Grid3D, m_start: int = 0) -> Non
     sweep = KERNEL.complex if dtype == np.complex128 else KERNEL.real
     if n_m and sweep(values.ctypes.data, values.strides[0] // size, n_x, n_z, n_m, n_x,
                      weights.ctypes.data, cx.ctypes.data, cy[m_start:].ctypes.data,
-                     PIVOT_RTOL * scale, cp.ctypes.data, failed.ctypes.data):
+                     PIVOT_RTOL * scale or np.inf, cp.ctypes.data, failed.ctypes.data):
         l, m, n = (int(i) + 1 for i in failed)
         raise SingularSystemError(f"vanishing pivot at row {l} for mode "
                                   f"(n={n}, m={m_start + m})", n=n, m=m_start + m)

@@ -864,6 +864,13 @@ class TestSolveStencil:
             v, _ = solve_discrete(rhs, p.boundary, scheme, p.profile, p.grid)
             assert np.array_equal(bits(u.values), bits(v.values))
 
+    def test_all_zero_table_fails_row_one_of_mode_one(self):
+        p = real_anisotropic_problem(SchemeKind.SECOND_ORDER)
+        rhs = Field3D(np.ones(p.grid.shape))
+        table = [np.zeros((p.grid.n_z, 3)) for _ in range(4)]
+        with pytest.raises(SingularSystemError, match=r"row 1 for mode \(n=1, m=1\)$"):
+            solve_stencil(table, rhs, p.boundary, p.grid)
+
     @pytest.mark.parametrize("shapes", [
         [(11, 3)] * 3, [(11, 3)] * 5, [(11, 3)] * 3 + [(11, 2)],
         [(12, 3)] * 4, [(11, 3)] * 3 + [(33,)],

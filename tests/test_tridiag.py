@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -312,9 +313,13 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n_z", [1, 2, 3, 4, 5, 14])
     def test_bitwise_equal_to_per_level_reference(self, dtype, n_z, rows):
-        table, data, _, _ = self.table_and_data(dtype, n_z, 9, 7, seed=41 + n_z, rows=rows)
-        for m_offset in (0, 3):
-            self.assert_matches_reference(table, data, m_offset)
+        # n_x from 1 to 17: every tail of 0 to 7 columns after no, one or two
+        # blocks of eight lanes
+        for n_x in range(1, 18):
+            table, data, _, _ = self.table_and_data(dtype, n_z, 9, n_x, seed=41 + n_z + 100 * n_x,
+                                                    rows=rows)
+            for m_offset in (0, 3):
+                self.assert_matches_reference(table, data, m_offset)
 
     def test_pivots_with_larger_imaginary_part_bitwise(self):
         # imaginary centres make |Im| > |Re| at every pivot: Smith's second branch
@@ -327,6 +332,20 @@ class TestBatchedSweep:
         for m_offset in (0, 3):
             self.assert_matches_reference((A, B, C, D), data, m_offset)
 
+    def test_smith_branches_mixed_within_a_vector_bitwise(self):
+        # centres 8 cx + 4j: in each of the two blocks of eight columns (cx
+        # from 0.99 to 0.31, then from 0.16 to -0.81) some lanes have
+        # |Re| >= |Im| and take Smith's first branch, the others the second
+        table, data, cx, cy = self.table_and_data(complex, 9, 5, 19, seed=71)
+        A, B, C, D = table
+        A[:, 1], B[:, 1], C[:, 1], D[:, 1] = 0.0, 4.0, 0.0, 4.0j
+        mid = 2.0 * B[0, 1] * cx + D[0, 1]
+        for block in (mid[:8], mid[8:16]):
+            first = np.abs(block.real) >= np.abs(block.imag)
+            assert first.any() and not first.all()
+        for m_offset in (0, 2):
+            self.assert_matches_reference((A, B, C, D), data, m_offset)
+
     @staticmethod
     def resonant(table, cx, cy, row, n0, m0):
         """Zero row's coupling below and give its plane operator the
@@ -337,10 +356,12 @@ class TestBatchedSweep:
         B[row, 1] = C[row, 1] = 1.0
         D[row, 1] = -2.0 * (cx[n0 - 1] + cy[m0 - 1])
 
+    @pytest.mark.parametrize("n_x", [5, 13])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_resonant_row_named(self, dtype):
-        # row 6 (level index 5) is resonant for mode (n, m) = (2, 5) alone
-        n_z, n_y, n_x = 9, 7, 5
+    def test_resonant_row_named(self, dtype, n_x):
+        # row 6 (level index 5) is resonant for mode (n, m) = (2, 5) alone;
+        # at n_x = 13 the mode is a lane of the first block of eight
+        n_z, n_y = 9, 7
         table, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=43)
         row, n0, m0 = 5, 2, 5
         self.resonant(table, cx, cy, row, n0, m0)
@@ -362,31 +383,59 @@ class TestBatchedSweep:
             assert f"row {row + 1} " in str(err.value)
             assert f"(n={n0}, m={m0})" in str(err.value)
 
+    @pytest.mark.parametrize("n_x", [5, 13])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_first_of_two_resonant_modes_named(self, dtype):
+    def test_first_of_two_resonant_modes_named(self, dtype, n_x):
         # the kernel sweeps mode row 5 before row 7, but the reference names
-        # the lowest level first: row 3's mode (4, 7) before row 6's (2, 5)
-        n_z, n_y, n_x = 9, 8, 5
+        # the lowest level first: row 3's mode (4, 7) before row 6's (2, 5);
+        # at n_x = 13 both fail in lanes of a block of eight
+        n_z, n_y = 9, 8
         table, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=53)
         self.resonant(table, cx, cy, 5, 2, 5)
         self.resonant(table, cx, cy, 2, 4, 7)
         for m_offset in (0, 4):
             self.assert_names(table, data, cx, cy, m_offset, 2, 4, 7)
 
+    @pytest.mark.parametrize("n", [7, 15])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_two_resonant_modes_of_one_row_named_by_lower_m(self, dtype):
+    def test_two_resonant_modes_of_one_row_named_by_lower_m(self, dtype, n):
         # on a square plane 2 cx + 2 cy is symmetric: (2, 5) and (5, 2) are
         # both resonant at row 4, and (n, m) = (5, 2) comes first
-        table, data, cx, cy = self.table_and_data(dtype, 6, 7, 7, seed=59)
+        table, data, cx, cy = self.table_and_data(dtype, 6, n, n, seed=59)
         self.resonant(table, cx, cy, 3, 2, 5)
         self.assert_names(table, data, cx, cy, 0, 3, 5, 2)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_nan_pivot_named(self, dtype):
+    def test_two_lanes_of_one_block_named_by_lower_n(self, dtype):
+        # row 4's eigenvalue 2e (cx - c0), with c0 halfway between the mode
+        # cosines of n = 3 and 4 and e = 4e-13, is below the threshold
+        # (1e-14 times the centre's weight of about 8) at those two columns
+        # of every mode row, both lanes of the first block of eight
+        table, data, cx, cy = self.table_and_data(dtype, 6, 4, 12, seed=67)
+        A, B, C, D = table
+        for t in (A, B, C, D):
+            t[3] = 0.0
+        B[3, 1], D[3, 1] = 4e-13, -4e-13 * (cx[2] + cx[3])
+        for m_offset in (0, 2):
+            self.assert_names(table, data, cx, cy, m_offset, 3, 3, m_offset + 1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_all_zero_table_fails_its_first_pivot(self, dtype):
+        # a zero scale would leave a zero threshold that row 1's zero
+        # pivots pass; every pivot fails instead, before any division by 0
+        _, data, cx, cy = self.table_and_data(dtype, 4, 3, 9, seed=73)
+        table = tuple(np.zeros((4, 3), dtype) for _ in range(4))
+        for m_offset in (0, 1):
+            self.assert_names(table, data, cx, cy, m_offset, 0, 1, m_offset + 1)
+
+    @pytest.mark.parametrize("n_x", [6, 11])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_pivot_named(self, dtype, n_x):
         # weights near the largest double: row 2's centre and lower plane
         # operators overflow to inf for the modes with cx > 0.6, so their
-        # pivots are inf - inf; every other pivot clears the threshold
-        n_z, n_y, n_x = 4, 3, 6
+        # pivots are inf - inf; every other pivot clears the threshold. At
+        # n_x = 11 the NaN pivots are lanes of the first block of eight
+        n_z, n_y = 4, 3
         _, data, cx, cy = self.table_and_data(dtype, n_z, n_y, n_x, seed=61)
         A, B, C, D = (np.zeros((n_z, 3), dtype) for _ in range(4))
         D[:, 1] = D[:, 2] = 1e300
@@ -481,6 +530,18 @@ class TestKernelBuild:
         got = (np.full(8, a) * np.full(8, b))[-1]
         assert got in (fused, plain)
         assert tridiag.KERNEL.multiply == ("fma" if got == fused else "plain")
+
+    def test_lanes_follow_the_cpu(self):
+        # eight mode columns at a time where Linux reports AVX-512 F and DQ,
+        # else the scalar loop alone
+        try:
+            with open("/proc/cpuinfo") as cpuinfo:
+                flags = next((set(line.split(":", 1)[1].split()) for line in cpuinfo
+                              if line.startswith("flags")), set())
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+        wide = platform.machine() == "x86_64" and {"avx512f", "avx512dq"} <= flags
+        assert tridiag.KERNEL.lanes == (8 if wide else 1)
 
     def test_unwritable_package_falls_back_to_a_private_temporary_directory(
             self, tmp_path, monkeypatch):

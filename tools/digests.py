@@ -4,8 +4,9 @@ showing a change is bitwise.
     python3 tools/digests.py [--n 33] [--big]
 
 Run from the repository root; the program is imported from `src/`. The
-first line names the sweep kernel's library file and the complex multiply
-form it was built for; the files of two checkouts may differ. Each other
+first line names the sweep kernel's library file, the complex multiply
+form it was built for and the mode columns it sweeps at a time on this CPU
+(8 with AVX-512, else 1); the files of two checkouts may differ. Each other
 line is `case  mode  dtype  digest`; the mode `table` is the digest of the
 case's coefficient_table (A, B, C and D in turn). The cases are the
 criterion-9 problems (the catalog Helmholtz problem at 2nd, 4th and 6th
@@ -132,7 +133,8 @@ def main():
     parser.add_argument("--big", action="store_true",
                         help="add the 125^3 sixth-order case and the socket workload's case")
     args = parser.parse_args()
-    print(f"kernel {hf.tridiag.KERNEL.path.name}  multiply={hf.tridiag.KERNEL.multiply}",
+    kernel = hf.tridiag.KERNEL
+    print(f"kernel {kernel.path.name}  multiply={kernel.multiply}  lanes={kernel.lanes}",
           flush=True)
     agree = True
     for name, operator, solve in cases(args.n, args.big):
